@@ -26,11 +26,12 @@ lattice (``no < maybe`` / ``yes``) records free()s so that (a) range
 elimination never drops a check guarding a possibly-freed object and
 (b) the static auditor can flag double-free paths.
 
-Termination: the join *widens* — a bound that grows between solver
-iterations is rounded outward to the next power of two (saturating to
-unbounded past 2**40), the same finite-chain trick
-``provenance._join_bound`` uses — so pointer-increment loops converge
-within the worklist budget.  Values whose bounds were widened are marked
+Termination: the join *widens* — the first time a bound grows between
+solver iterations it is rounded outward to the next power of two (the
+trick ``provenance._join_bound`` uses), and a bound of an already
+widened value that grows again goes straight to unbounded.  A loop
+therefore re-transfers a few times, not once per power of two up to
+``BOUND_LIMIT``.  Values whose bounds were widened are marked
 (``widened=True``); *must*/in-bounds verdicts remain sound on widened
 values (widening only grows intervals outward) but *may* verdicts are
 suppressed for them, keeping the auditor quiet on ordinary loops.
@@ -155,9 +156,10 @@ def _round_down(bound: int) -> Optional[int]:
 
 def join_value(old: Optional[RangeVal], new: Optional[RangeVal]) -> Optional[RangeVal]:
     """Widening join.  *old* is the fact already at the join point: a
-    bound is kept when the new value stays inside it and rounded outward
-    (powers of two, saturating to unbounded) when it grew — the finite
-    ascending chain that makes pointer-increment loops converge."""
+    bound is kept when the new value stays inside it, rounded outward to
+    a power of two when it grew, and dropped to unbounded when it grows
+    again after *old* was widened — the short ascending chain that makes
+    pointer-increment loops converge."""
     if old is None or new is None:
         return None
     if old == new:
@@ -170,13 +172,13 @@ def join_value(old: Optional[RangeVal], new: Optional[RangeVal]) -> Optional[Ran
     if old.lo is None or (new.lo is not None and new.lo >= old.lo):
         lo = old.lo
     else:
-        lo = None if new.lo is None else _round_down(new.lo)
+        lo = None if new.lo is None or old.widened else _round_down(new.lo)
         widened = widened or lo != (min(old.lo, new.lo)
                                     if new.lo is not None else None)
     if old.hi is None or (new.hi is not None and new.hi <= old.hi):
         hi = old.hi
     else:
-        hi = None if new.hi is None else _round_up(new.hi)
+        hi = None if new.hi is None or old.widened else _round_up(new.hi)
         widened = widened or hi != (max(old.hi, new.hi)
                                     if new.hi is not None else None)
     if old.lo is not None and new.lo is not None:

@@ -167,6 +167,31 @@ class TestWideningTermination:
         joined = ranges_mod.join_value(old, new)
         assert joined.hi is None
 
+    def test_second_growth_saturates(self):
+        widened = ranges_mod.join_value(ranges_mod.num(0, 8),
+                                        ranges_mod.num(0, 24))
+        assert widened.widened and widened.hi == 32
+        joined = ranges_mod.join_value(widened, ranges_mod.num(0, 40))
+        assert joined.hi is None  # a widened bound that grows again saturates
+        assert joined.lo == 0
+
+    def test_gcc_converges_in_few_transfers_per_block(self, monkeypatch):
+        # Widen once, then saturate: each loop re-transfers a handful of
+        # times instead of once per power of two up to BOUND_LIMIT.
+        from repro.workloads.spec import get_benchmark
+
+        transfers = []
+        original = ranges_mod.transfer_block
+
+        def counting(*args, **kwargs):
+            transfers.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ranges_mod, "transfer_block", counting)
+        info = analyze_source(get_benchmark("gcc").source)
+        assert info.range_facts is not None
+        assert len(transfers) <= 6 * len(info.graph.blocks)
+
 
 # ---------------------------------------------------------------------------
 # The affine argument domain (scale * arg + offset).
@@ -398,6 +423,32 @@ class TestRangeElimination:
         harden = RedFat(RedFatOptions()).instrument(build(asm))
         with pytest.raises(GuestMemoryError):
             run_binary(harden.binary, harden.create_runtime())
+
+
+class TestRangeEliminationPins:
+    """Exact ``eliminated_range`` counts on the paper's workloads: a
+    change to the range domain must not silently move these decisions."""
+
+    def test_chrome_stand_in(self):
+        from repro.bench.figure8 import CHROME_OPTIONS
+        from repro.workloads.chrome import build_chrome
+
+        harden = RedFat(CHROME_OPTIONS).instrument(build_chrome(300).binary)
+        assert harden.stats.eliminated_range == 10
+
+    def test_table2_cves_under_fully(self):
+        options = RedFatOptions.preset("fully")
+        counts = {
+            case.cve: RedFat(options).instrument(
+                compile_source(case.source).binary).stats.eliminated_range
+            for case in CVE_CASES
+        }
+        assert counts == {
+            "CVE-2007-3476": 2,
+            "CVE-2012-4295": 4,
+            "CVE-2016-1903": 0,
+            "CVE-2016-2335": 1,
+        }
 
 
 # ---------------------------------------------------------------------------
