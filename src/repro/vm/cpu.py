@@ -10,8 +10,9 @@ Design notes:
 - Execution is tiered (DESIGN.md §9).  The *superblock* tier runs
   straight-line runs of decoded instructions pre-translated into fused
   step closures (:mod:`repro.vm.superblock`); the *trace* tier above it
-  profiles taken back-edges and compiles hot loops into exec-generated
-  Python functions with guarded side exits (:mod:`repro.vm.trace`).
+  profiles taken application back-edges and compiles hot loops into
+  exec-generated Python functions with guarded side exits
+  (:mod:`repro.vm.trace`).
   Both tiers are bit-identical to the single-step loop — the semantics
   oracle at the bottom of the ladder; the CPU falls down the ladder when
   a DBI ``access_hook`` is installed, when the remaining watchdog fuel
@@ -575,7 +576,11 @@ class CPU:
         back-edge profile tick after a completed transfer block is where
         new traces are recorded — and where the ``vm.trace`` fault point
         can latch the tier off (the loop then degenerates to the
-        superblock loop with one dead dict probe per block).
+        superblock loop with one dead dict probe per block).  Only
+        application blocks tick it: ``.tramp`` lies above ``.text``, so
+        every trampoline's return jump looks like a back-edge, and
+        profiling those would anchor one recording per check instead of
+        one per loop.
         """
         tengine = self.trace
         traces = tengine.traces
@@ -626,6 +631,7 @@ class CPU:
                 executed += block.length
                 last = block.last_transfer
                 if (last is not None and self.rip <= last
+                        and not block.in_trampoline
                         and tengine.hot(self.rip)):
                     try:
                         retired, _checks = tengine.record(
@@ -788,6 +794,7 @@ class CPU:
                     in_trampoline += block.length
                 last = block.last_transfer
                 if (use_traces and last is not None and self.rip <= last
+                        and not block.in_trampoline
                         and tengine.hot(self.rip)):
                     try:
                         retired, checks = tengine.record(

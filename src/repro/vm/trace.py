@@ -11,8 +11,9 @@ from oracle to hottest:
    transfer, so a hot loop still pays one dispatch per block and one
    closure call per instruction.
 3. **trace** (this module) — profile-guided: the dispatch loop counts
-   taken *back edges* (a retired transfer whose target does not lie
-   after the transfer); when a target gets hot
+   taken *back edges* (a retired application transfer whose target
+   does not lie after it; trampoline return jumps only look backward
+   because ``.tramp`` sits above ``.text``); when a target gets hot
    (:data:`HOT_THRESHOLD`), the engine *records* one full loop
    iteration by single-stepping it (recording is execution — the
    recorded instructions retire normally), stitching superblock-sized
@@ -444,6 +445,9 @@ class TraceEngine:
         """
         self.recordings += 1
         cpu = self.cpu
+        tele = cpu.telemetry
+        if tele is not None:
+            tele.count("vm.trace_recordings")
         icache = cpu.icache
         dispatch = cpu._dispatch
         memory = cpu.memory
@@ -528,6 +532,8 @@ class TraceEngine:
         if not closed:
             self.blacklist.add(anchor)
             self.aborted += 1
+            if tele is not None:
+                tele.count("vm.traces_aborted")
             if self.shared_cache is not None:
                 self.shared_cache[anchor] = None  # remembered abort
             return retired, checks
@@ -551,7 +557,6 @@ class TraceEngine:
                      for rip, length in code_lengths.items()],
                     trace.generics,
                 )
-            tele = cpu.telemetry
             if tele is not None:
                 tele.count("vm.traces_compiled")
         else:
@@ -562,7 +567,8 @@ class TraceEngine:
 # -- check fusion ------------------------------------------------------------
 
 
-def _transparent_pairs(entries, reads, writes, start, end):
+def _transparent_pairs(entries, reads, writes, start, end, regs_read,
+                       regs_written):
     """Detect *transparent save/restore pairs* within ``[start, end)``.
 
     A trampoline saves every scratch register it clobbers, and those
@@ -582,6 +588,10 @@ def _transparent_pairs(entries, reads, writes, start, end):
     no-op, so neither ``R`` nor the slot's entry bytes appear in the
     guard.  If nothing after *k* writes ``R``, its (varying) exit value
     is simply "unchanged" and drops out of the constant effects too.
+
+    *regs_read* / *regs_written* hold each span entry's register sets,
+    indexed like *entries* (computed once per trace by
+    :func:`_find_spans`).
 
     Returns ``(sym_push, skip_pop, exempt_regs, unchanged_regs)``:
     the symbolic-write map ``push idx -> register``, the POP indices
@@ -632,17 +642,15 @@ def _transparent_pairs(entries, reads, writes, start, end):
                 if j == idx:
                     defined = False  # the restore
                     continue
-                other = entries[j].instruction
                 if j < push_idx:
-                    if (reg in other.regs_read()
-                            or reg in other.regs_written()):
+                    if reg in regs_read[j] or reg in regs_written[j]:
                         ok = False
                         break
                     continue
-                if not defined and reg in other.regs_read():
+                if not defined and reg in regs_read[j]:
                     ok = False
                     break
-                if reg in other.regs_written():
+                if reg in regs_written[j]:
                     defined = True
                     if j > idx:
                         post_write = True
@@ -684,6 +692,14 @@ def _find_spans(entries, reads, writes, snapshots) -> List[FusedSpan]:
     """
     spans: List[FusedSpan] = []
     n = len(entries)
+    # Register sets of every trampoline entry, built once per trace: the
+    # pair analysis below probes them once per (pair, entry).
+    regs_read = [entry.instruction.regs_read() if entry.in_tramp else None
+                 for entry in entries]
+    regs_written = [
+        entry.instruction.regs_written() if entry.in_tramp else None
+        for entry in entries
+    ]
     j = 0
     while j < n:
         if not entries[j].in_tramp:
@@ -716,7 +732,7 @@ def _find_spans(entries, reads, writes, snapshots) -> List[FusedSpan]:
         if end - start < MIN_FUSE_SPAN:
             continue
         sym_push, skip_pop, exempt_regs, unchanged_regs = _transparent_pairs(
-            entries, reads, writes, start, end
+            entries, reads, writes, start, end, regs_read, regs_written
         )
         ok = True
         written_flags: Set[str] = set()
@@ -732,13 +748,13 @@ def _find_spans(entries, reads, writes, snapshots) -> List[FusedSpan]:
             for flag in _COND_READS.get(opcode, ()):
                 if flag not in written_flags and flag not in input_flags:
                     input_flags.append(flag)
-            for reg in instruction.regs_read():
+            for reg in regs_read[idx]:
                 if reg is _RIP or reg in exempt_regs:
                     continue
                 if reg not in written_regs and reg not in input_regs:
                     input_regs.append(reg)
             written_regs.update(
-                reg for reg in instruction.regs_written() if reg is not _RIP
+                reg for reg in regs_written[idx] if reg is not _RIP
             )
             written_flags.update(_FLAG_WRITES.get(opcode, ()))
         if not ok:

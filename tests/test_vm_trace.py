@@ -38,6 +38,22 @@ int main() {
 }
 """
 
+#: A loop whose body is longer than MAX_TRACE once hardened: 32 checked
+#: read-modify-writes per iteration under the "unoptimized" preset.  Its
+#: recording must abort once — not once per check return.
+LONG_CHECKED_LOOP = """
+int main() {
+    int *a = malloc(8 * 32);
+    for (int j = 0; j < 32; j = j + 1) a[j] = j;
+    for (int i = 0; i < 100; i = i + 1) {
+%s
+    }
+    print(a[0] + a[31]);
+    free(a);
+    return 0;
+}
+""" % "\n".join(f"        a[{j}] = a[{j}] + i;" for j in range(32))
+
 HOT_LOOP = """
 int main() {
     int s = 0;
@@ -283,3 +299,39 @@ class TestRecordingBounds:
         """The generated exception accounting packs the intra-iteration
         index into 16 bits — the recording bound must respect that."""
         assert MAX_TRACE < (1 << 16)
+
+    def test_trampoline_returns_do_not_seed_recordings(self):
+        """``.tramp`` lies above ``.text``, so every check's return jump
+        looks like a back-edge.  Only application back-edges may anchor
+        a recording: the long loop is recorded (and aborted) once, and
+        the short initialisation loop once, for two in all."""
+        program = compile_source(LONG_CHECKED_LOOP)
+        harden = RedFat(RedFatOptions.preset("unoptimized")).instrument(
+            program.binary.strip()
+        )
+        states, stats = _run_engines(
+            program, binary=harden.binary,
+            make_runtime=lambda: harden.create_runtime(mode="log"),
+        )
+        assert states[0] == states[1] == states[2]
+        assert stats["aborted"] <= 1
+        assert stats["recordings"] <= 3
+
+    def test_telemetry_counts_recordings_and_aborts(self):
+        from repro.telemetry.hub import Telemetry
+
+        program = compile_source(LONG_CHECKED_LOOP)
+        harden = RedFat(RedFatOptions.preset("unoptimized")).instrument(
+            program.binary.strip()
+        )
+        telemetry = Telemetry()
+        with engine_override("trace"):
+            result = program.run(binary=harden.binary,
+                                 runtime=harden.create_runtime(mode="log"),
+                                 telemetry=telemetry)
+        stats = result.cpu.trace.stats()
+        counters = telemetry.counters
+        assert stats["recordings"] > 0 and stats["aborted"] > 0
+        assert counters.get("vm.trace_recordings") == stats["recordings"]
+        assert counters.get("vm.traces_aborted") == stats["aborted"]
+        assert counters.get("vm.traces_compiled") == stats["compiled"]
