@@ -55,6 +55,10 @@ _LOG2_SCALE = {0: 1, 1: 2, 2: 4, 3: 8}
 _SIZE_LOG2 = {1: 0, 2: 1, 4: 2, 8: 3}
 _LOG2_SIZE = {0: 1, 1: 2, 2: 4, 3: 8}
 
+#: Registers by encoding byte.  A byte outside this table is an
+#: undecodable register operand, not a crash (:func:`_register`).
+_REGISTERS = {register.value: register for register in Register}
+
 _IMM8 = 0
 _IMM32 = 1
 _IMM64 = 2
@@ -85,6 +89,15 @@ def _encode_imm(value: int, width: int) -> bytes:
     if width == _IMM32:
         return value.to_bytes(4, "little", signed=True)
     return value.to_bytes(8, "little", signed=True)
+
+
+def _register(data: bytes, offset: int) -> Register:
+    register = _REGISTERS.get(data[offset])
+    if register is None:
+        raise EncodingError(
+            f"invalid register {data[offset]:#x} at offset {offset:#x}"
+        )
+    return register
 
 
 def _decode_imm(data: bytes, offset: int, width: int) -> Tuple[int, int]:
@@ -220,8 +233,17 @@ def decode(data: bytes, offset: int = 0, address: int = 0) -> Instruction:
 
     ``address`` is the virtual address of the instruction, stored on the
     result (with its length) so that rip-relative and jump targets can be
-    resolved.
+    resolved.  Malformed bytes raise :class:`EncodingError`, never a bare
+    ``IndexError`` or ``ValueError``.
     """
+    try:
+        return _decode(data, offset, address)
+    except IndexError:
+        # An operand byte past the end of *data*.
+        raise EncodingError(f"truncated instruction at offset {offset:#x}") from None
+
+
+def _decode(data: bytes, offset: int, address: int) -> Instruction:
     start = offset
     try:
         opcode = Opcode(data[offset])
@@ -241,7 +263,7 @@ def decode(data: bytes, offset: int = 0, address: int = 0) -> Instruction:
         operands = (Imm(rel),)
         size = 8
     elif opcode in _REGBYTE_OPCODES:
-        operands = (Reg(Register(data[offset])),)
+        operands = (Reg(_register(data, offset)),)
         offset += 1
         size = 8
     elif opcode is Opcode.TRAP:
@@ -259,19 +281,19 @@ def decode(data: bytes, offset: int = 0, address: int = 0) -> Instruction:
         size = _LOG2_SIZE[(form_byte >> 4) & 0x3]
         imm_width = (form_byte >> 6) & 0x3
         if form == FORM_R:
-            operands = (Reg(Register(data[offset])),)
+            operands = (Reg(_register(data, offset)),)
             offset += 1
         elif form == FORM_RR:
-            operands = (Reg(Register(data[offset])), Reg(Register(data[offset + 1])))
+            operands = (Reg(_register(data, offset)), Reg(_register(data, offset + 1)))
             offset += 2
         elif form == FORM_RI:
-            reg = Reg(Register(data[offset]))
+            reg = Reg(_register(data, offset))
             offset += 1
             value, used = _decode_imm(data, offset, imm_width)
             offset += used
             operands = (reg, Imm(value))
         elif form == FORM_RM:
-            reg = Reg(Register(data[offset]))
+            reg = Reg(_register(data, offset))
             offset += 1
             mem, used = _decode_mem(data, offset)
             offset += used
@@ -279,7 +301,7 @@ def decode(data: bytes, offset: int = 0, address: int = 0) -> Instruction:
         elif form == FORM_MR:
             mem, used = _decode_mem(data, offset)
             offset += used
-            operands = (mem, Reg(Register(data[offset])))
+            operands = (mem, Reg(_register(data, offset)))
             offset += 1
         elif form == FORM_MI:
             mem, used = _decode_mem(data, offset)

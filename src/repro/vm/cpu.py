@@ -2,11 +2,18 @@
 
 Design notes:
 
-- Instructions are decoded once per address and cached; rewritten binaries
-  are static (no self-modifying code — the same restriction E9Patch has),
-  so the decode cache only invalidates on an explicit
-  :meth:`CPU.flush_icache` (which also drops the superblock cache built
-  on top of it).
+- Instructions are decoded once per image, keyed by their bytes: the
+  decode memo maps ``(address, fetch window)`` to the decoded
+  instruction and rides on the :class:`~repro.binfmt.binary.Binary`
+  (installed by ``vm/loader.py``), so every later run of the image
+  decodes nothing.  Decoding is a pure function of that key, so the
+  memo never invalidates: changed bytes (a bit flip, a truncated
+  segment, another rebase or library) are a different key and a miss.
+  In front of it sits the per-CPU decode cache (``icache``), keyed by
+  address alone; rewritten binaries are static (no self-modifying
+  code — the same restriction E9Patch has), so it only invalidates on
+  an explicit :meth:`CPU.flush_icache` (which also drops the superblock
+  cache built on top of it).
 - Execution is tiered (DESIGN.md §9).  The *superblock* tier runs
   straight-line runs of decoded instructions pre-translated into fused
   step closures (:mod:`repro.vm.superblock`); the *trace* tier above it
@@ -100,6 +107,10 @@ class CPU:
         self.instructions_executed = 0
         self.exit_status: Optional[int] = None
         self.icache: Dict[int, Instruction] = {}
+        #: Decoded instructions by ``(address, fetch window)``, behind the
+        #: icache.  The loader shares one memo between every run of an
+        #: image (it rides on the Binary), so a second run decodes nothing.
+        self.decode_memo: Dict[tuple, Instruction] = {}
         #: Optional observer: fn(address, size, is_read, is_write, instruction).
         self.access_hook = None
         #: Optional coverage collector (an object with ``edge(src, dst)``,
@@ -137,14 +148,18 @@ class CPU:
         window = self.memory.read_upto(address, 16)
         if not window:
             raise VMFault(address, f"wild fetch at {address:#x}")
-        try:
-            instruction = decode(window, 0, address)
-        except EncodingError as error:
-            # A truncated or corrupted text segment must surface as a
-            # typed VM diagnosis, not a naked decoder exception.
-            raise VMError(
-                f"undecodable instruction at {address:#x}: {error}"
-            ) from error
+        key = (address, window)
+        instruction = self.decode_memo.get(key)
+        if instruction is None:
+            try:
+                instruction = decode(window, 0, address)
+            except EncodingError as error:
+                # A truncated or corrupted text segment must surface as a
+                # typed VM diagnosis, not a naked decoder exception.
+                raise VMError(
+                    f"undecodable instruction at {address:#x}: {error}"
+                ) from error
+            self.decode_memo[key] = instruction
         self.icache[address] = instruction
         return instruction
 
@@ -153,7 +168,8 @@ class CPU:
         — the caches are coupled: superblock step closures capture decoded
         instructions and compiled traces bake them (plus their immediates
         and branch targets) into generated code, so a stale block or trace
-        would outlive a flushed decode."""
+        would outlive a flushed decode.  The per-image decode memo stays:
+        it is keyed by the code bytes, so it cannot go stale."""
         self.icache.clear()
         self.superblock.invalidate()
         self.trace.invalidate()

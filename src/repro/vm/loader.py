@@ -76,13 +76,18 @@ def load_binary(
     cpu = CPU(memory, runtime)
     if telemetry is not None:
         cpu.telemetry = telemetry
-    # The cross-run trace cache rides on the Binary object: every run of
-    # the same image revives its compiled traces (after byte-verifying
-    # the code they cover) instead of re-recording them (vm/trace.py).
+    # The cross-run caches ride on the Binary object: every run of the
+    # same image revives its compiled traces (after byte-verifying the
+    # code they cover) instead of re-recording them (vm/trace.py), and
+    # reuses the instructions earlier runs decoded (vm/cpu.py).
     cache = getattr(binary, "_trace_cache", None)
     if cache is None:
         cache = binary._trace_cache = {}
     cpu.trace.shared_cache = cache
+    memo = getattr(binary, "_decode_memo", None)
+    if memo is None:
+        memo = binary._decode_memo = {}
+    cpu.decode_memo = memo
     if binary.has_segment(".tramp"):
         # Always published: the traced loop attributes "checks executed"
         # with it, and the trace tier's check fusion needs to know which

@@ -4,11 +4,22 @@ A 64-bit address space backed by a dict of 4 KiB pages.  Pages must be
 explicitly mapped (by the loader or an allocator runtime) before access;
 touching an unmapped page raises :class:`~repro.errors.VMFault`, the
 moral equivalent of SIGSEGV.
+
+Mapped pages are *demand-zero*, as on a real kernel: :meth:`Memory.map_range`
+only records a page as mapped, and the page gets its backing ``bytearray``
+the first time an access touches it.  A run that maps an 8 MiB stack and
+uses a few KiB of it allocates a few pages, not 2,048.  The in-page fast
+paths of :meth:`Memory.read_int` / :meth:`Memory.write_int` see only
+backed pages; their fallback (like every other accessor) backs an
+untouched page before using it.  Every observable treats an untouched
+page as a mapped page of zeros: :meth:`Memory.is_mapped`,
+:meth:`Memory.mapped_bytes`, :meth:`Memory.mapped_page_indices`,
+:meth:`Memory.page_contents`, unmapping and aliasing.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Set
 
 from repro.errors import VMFault
 
@@ -16,15 +27,28 @@ PAGE_SIZE = 4096
 _PAGE_SHIFT = 12
 _PAGE_MASK = PAGE_SIZE - 1
 _M64 = (1 << 64) - 1
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class Memory:
     """Sparse byte-addressable memory with page-granular mapping."""
 
-    __slots__ = ("_pages",)
+    __slots__ = ("_pages", "_untouched")
 
     def __init__(self) -> None:
+        #: Backed pages, by page index.
         self._pages: Dict[int, bytearray] = {}
+        #: Mapped pages no access has touched yet (disjoint from _pages).
+        self._untouched: Set[int] = set()
+
+    def _back(self, page_index: int) -> Optional[bytearray]:
+        """The backing of *page_index*, allocated on first touch; None
+        when the page is not mapped."""
+        page = self._pages.get(page_index)
+        if page is None and page_index in self._untouched:
+            self._untouched.discard(page_index)
+            page = self._pages[page_index] = bytearray(PAGE_SIZE)
+        return page
 
     # -- mapping ----------------------------------------------------------
 
@@ -34,10 +58,9 @@ class Memory:
             return
         first = address >> _PAGE_SHIFT
         last = (address + size - 1) >> _PAGE_SHIFT
-        pages = self._pages
-        for page_index in range(first, last + 1):
-            if page_index not in pages:
-                pages[page_index] = bytearray(PAGE_SIZE)
+        span = range(first, last + 1)
+        self._untouched.update(span)
+        self._untouched.difference_update(self._pages.keys() & span)
 
     def unmap_range(self, address: int, size: int) -> None:
         """Unmap all pages fully covered by [address, address+size)."""
@@ -47,6 +70,7 @@ class Memory:
         last = (address + size) >> _PAGE_SHIFT
         for page_index in range(first, last):
             self._pages.pop(page_index, None)
+            self._untouched.discard(page_index)
 
     def alias_range(self, address: int, target: int, size: int) -> None:
         """Alias the pages of [address, +size) onto [target, +size).
@@ -61,25 +85,39 @@ class Memory:
         count = (size + _PAGE_MASK) >> _PAGE_SHIFT
         first_src = address >> _PAGE_SHIFT
         first_dst = target >> _PAGE_SHIFT
-        pages = self._pages
         for index in range(count):
-            backing = pages.get(first_dst + index)
+            backing = self._back(first_dst + index)
             if backing is None:
                 raise VMFault((first_dst + index) << _PAGE_SHIFT)
-            pages[first_src + index] = backing
+            self._untouched.discard(first_src + index)
+            self._pages[first_src + index] = backing
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
         first = address >> _PAGE_SHIFT
         last = (address + size - 1) >> _PAGE_SHIFT
-        return all(index in self._pages for index in range(first, last + 1))
+        pages = self._pages
+        untouched = self._untouched
+        return all(
+            index in pages or index in untouched
+            for index in range(first, last + 1)
+        )
 
     def mapped_bytes(self) -> int:
         """Total mapped memory in bytes (for memory-overhead reporting)."""
-        return len(self._pages) * PAGE_SIZE
+        return (len(self._pages) + len(self._untouched)) * PAGE_SIZE
 
     def mapped_page_indices(self) -> list:
         """Sorted indices of all mapped pages (introspection/injection)."""
-        return sorted(self._pages)
+        return sorted(self._untouched.union(self._pages))
+
+    def page_contents(self) -> Dict[int, bytes]:
+        """The bytes of every mapped page, by page index (an untouched
+        page reads as zeros and stays untouched)."""
+        pages = self._pages
+        return {
+            index: bytes(pages[index]) if index in pages else _ZERO_PAGE
+            for index in self.mapped_page_indices()
+        }
 
     # -- byte access -----------------------------------------------------------
 
@@ -87,7 +125,7 @@ class Memory:
         address &= _M64
         page_index = address >> _PAGE_SHIFT
         offset = address & _PAGE_MASK
-        page = self._pages.get(page_index)
+        page = self._back(page_index)
         if page is None:
             raise VMFault(address)
         if offset + size <= PAGE_SIZE:
@@ -96,7 +134,7 @@ class Memory:
         out = bytearray()
         remaining = size
         while remaining:
-            page = self._pages.get(page_index)
+            page = self._back(page_index)
             if page is None:
                 raise VMFault(page_index << _PAGE_SHIFT)
             chunk = min(remaining, PAGE_SIZE - offset)
@@ -111,7 +149,7 @@ class Memory:
         page_index = address >> _PAGE_SHIFT
         offset = address & _PAGE_MASK
         size = len(data)
-        page = self._pages.get(page_index)
+        page = self._back(page_index)
         if page is None:
             raise VMFault(address)
         if offset + size <= PAGE_SIZE:
@@ -119,7 +157,7 @@ class Memory:
             return
         written = 0
         while written < size:
-            page = self._pages.get(page_index)
+            page = self._back(page_index)
             if page is None:
                 raise VMFault(page_index << _PAGE_SHIFT)
             chunk = min(size - written, PAGE_SIZE - offset)
@@ -141,7 +179,7 @@ class Memory:
         offset = address & _PAGE_MASK
         remaining = size
         while remaining:
-            page = self._pages.get(page_index)
+            page = self._back(page_index)
             if page is None:
                 break
             chunk = min(remaining, PAGE_SIZE - offset)
@@ -155,9 +193,10 @@ class Memory:
 
     def read_int(self, address: int, size: int, signed: bool = False) -> int:
         # In-page fast path: the overwhelmingly common case for the VM's
-        # data accesses (stack slots, heap words).  Unmapped pages and
-        # page-straddling reads take the slow path, which raises the
-        # same VMFault a byte-wise read would.
+        # data accesses (stack slots, heap words).  Unmapped and
+        # untouched pages and page-straddling reads take the slow path,
+        # which backs an untouched page and raises the same VMFault a
+        # byte-wise read would on an unmapped one.
         address &= _M64
         offset = address & _PAGE_MASK
         if offset + size <= PAGE_SIZE:

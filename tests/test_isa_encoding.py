@@ -117,6 +117,17 @@ class TestGeneralForms:
         with pytest.raises(EncodingError):
             decode(raw[:4])
 
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_truncated_before_operand_byte(self, cut):
+        raw = encode(Instruction(Opcode.MOV, (Reg(RAX), Imm(1 << 40))))
+        with pytest.raises(EncodingError, match="truncated"):
+            decode(raw[:cut])
+
+    @pytest.mark.parametrize("raw", [b"\x01\x32\x3f\x02", b"\x01\x32\x02\x11"])
+    def test_invalid_register_byte(self, raw):
+        with pytest.raises(EncodingError, match="invalid register"):
+            decode(raw)
+
 
 class TestDecodeAll:
     def test_linear_sweep_addresses(self):

@@ -17,6 +17,7 @@ from repro.isa.registers import (
 from repro.vm.cpu import CPU
 from repro.vm.memory import Memory
 from repro.vm.runtime_iface import RuntimeEnvironment, Service
+from repro.vm.superblock import engine_override
 
 
 class NullRuntime(RuntimeEnvironment):
@@ -264,6 +265,31 @@ class TestRunLoop:
         cpu.memory.write_int(0x100A, 0x5A5A, 8)
         cpu.step()
         assert cpu.regs[RAX] == 0x5A5A
+
+
+class TestUndecodableCode:
+    #: MOV (reg, reg) whose first register byte (0x3f) names no register.
+    BAD_REGISTER = bytes([0x01, 0x32, 0x3F, 0x02])
+
+    @pytest.mark.parametrize("engine", ["trace", "superblock", "single-step"])
+    def test_bad_register_byte_is_a_vm_error(self, engine):
+        with engine_override(engine):
+            cpu = make_cpu("nop")
+        cpu.memory.write(0x1000, self.BAD_REGISTER)
+        with pytest.raises(VMError, match="0x1000"):
+            cpu.run(10)
+
+    def test_bad_byte_mid_block_cuts_the_block_short(self):
+        with engine_override("superblock"):
+            cpu = make_cpu("mov %rax, $5\nmov %rbx, $6\nnop")
+        bad = 0x1000 + len(assemble_text("mov %rax, $5\n", 0x1000))
+        cpu.memory.write(bad, self.BAD_REGISTER)
+        with pytest.raises(VMError):
+            cpu.run(10)
+        assert len(cpu.superblock.cache[0x1000].steps) == 1
+        assert cpu.regs[RAX] == 5 and cpu.regs[RBX] == 0
+        assert cpu.rip == bad
+        assert cpu.instructions_executed == 1
 
 
 class TestRuntimeServices:

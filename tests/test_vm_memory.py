@@ -81,6 +81,73 @@ class TestCrossPage:
         assert Memory().read_upto(0x5000, 8) == b""
 
 
+class TestDemandZero:
+    """Mapped pages get their backing on first touch; until then they
+    look exactly like eagerly mapped pages of zeros."""
+
+    @staticmethod
+    def _observables(memory):
+        return (
+            memory.is_mapped(0, 4 * PAGE_SIZE),
+            memory.is_mapped(4 * PAGE_SIZE),
+            memory.mapped_bytes(),
+            memory.mapped_page_indices(),
+            memory.page_contents(),
+        )
+
+    def test_untouched_page_matches_touched_page(self):
+        lazy = Memory()
+        lazy.map_range(0, 4 * PAGE_SIZE)
+        eager = Memory()
+        eager.map_range(0, 4 * PAGE_SIZE)
+        for page in range(4):
+            eager.write(page * PAGE_SIZE, b"\0")
+        assert self._observables(lazy) == self._observables(eager)
+        assert lazy.page_contents()[3] == bytes(PAGE_SIZE)
+
+    def test_untouched_page_reads_zeros(self):
+        memory = Memory()
+        memory.map_range(0, 3 * PAGE_SIZE)
+        assert memory.read(PAGE_SIZE - 4, 8) == bytes(8)
+        assert memory.read_int(2 * PAGE_SIZE + 8, 8) == 0
+        assert memory.read_upto(3 * PAGE_SIZE - 2, 16) == bytes(2)
+        memory.write_int(2 * PAGE_SIZE + 8, -1, 8)
+        assert memory.read_int(2 * PAGE_SIZE + 8, 8, signed=True) == -1
+
+    def test_unmapped_neighbours_still_fault(self):
+        memory = Memory()
+        memory.map_range(PAGE_SIZE, PAGE_SIZE)
+        for address in (0, 2 * PAGE_SIZE):
+            with pytest.raises(VMFault):
+                memory.read(address, 1)
+            with pytest.raises(VMFault):
+                memory.write_int(address, 1, 8)
+            with pytest.raises(VMFault):
+                memory.read_int(address, 8)
+            assert memory.read_upto(address, 8) == b""
+        with pytest.raises(VMFault):
+            memory.read(2 * PAGE_SIZE - 4, 8)
+
+    def test_unmap_untouched_page(self):
+        memory = Memory()
+        memory.map_range(0, 2 * PAGE_SIZE)
+        memory.unmap_range(PAGE_SIZE, PAGE_SIZE)
+        assert memory.mapped_page_indices() == [0]
+        assert memory.mapped_bytes() == PAGE_SIZE
+        with pytest.raises(VMFault):
+            memory.read_int(PAGE_SIZE, 8)
+
+    def test_alias_untouched_pages(self):
+        memory = Memory()
+        memory.map_range(0, 2 * PAGE_SIZE)
+        memory.alias_range(0, PAGE_SIZE, PAGE_SIZE)  # both untouched
+        memory.write_int(PAGE_SIZE + 16, 0xBEEF, 8)
+        assert memory.read_int(16, 8) == 0xBEEF
+        assert memory.mapped_page_indices() == [0, 1]
+        with pytest.raises(VMFault):
+            memory.alias_range(0, 4 * PAGE_SIZE, PAGE_SIZE)
+
+
 class TestIntegers:
     def test_signed_roundtrip(self):
         memory = Memory()

@@ -79,11 +79,6 @@ int main() {
 def _state(result):
     """Everything architecturally observable after a run."""
     cpu = result.cpu
-    memory = cpu.memory
-    pages = {
-        index: bytes(memory._pages[index])
-        for index in memory.mapped_page_indices()
-    }
     return {
         "status": result.status,
         "output": tuple(result.output),
@@ -92,7 +87,7 @@ def _state(result):
         "regs": list(cpu.regs),
         "rip": cpu.rip,
         "flags": (cpu.zf, cpu.sf, cpu.cf, cpu.of),
-        "pages": pages,
+        "pages": cpu.memory.page_contents(),
     }
 
 

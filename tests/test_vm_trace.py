@@ -15,6 +15,10 @@ from repro.cc import compile_source
 from repro.core import RedFat, RedFatOptions
 from repro.errors import GuestMemoryError, VMTimeoutError
 from repro.faults.campaign import DEGRADED, run_campaign
+from repro.isa.operands import Imm
+from repro.runtime.glibc import GlibcRuntime
+from repro.vm import cpu as cpu_module
+from repro.vm.loader import load_binary
 from repro.vm.superblock import default_engine, engine_override
 from repro.vm.trace import HOT_THRESHOLD, MAX_TRACE
 from repro.workloads.registry import iter_cases
@@ -67,11 +71,6 @@ int main() {
 def _state(result):
     """Everything architecturally observable after a run."""
     cpu = result.cpu
-    memory = cpu.memory
-    pages = {
-        index: bytes(memory._pages[index])
-        for index in memory.mapped_page_indices()
-    }
     return {
         "status": result.status,
         "output": tuple(result.output),
@@ -80,7 +79,7 @@ def _state(result):
         "regs": list(cpu.regs),
         "rip": cpu.rip,
         "flags": (cpu.zf, cpu.sf, cpu.cf, cpu.of),
-        "pages": pages,
+        "pages": cpu.memory.page_contents(),
     }
 
 
@@ -239,6 +238,65 @@ class TestCrossRunCache:
             second = program.run()
         assert anchor not in cache or cache[anchor] is not entry
         assert _state(first) == _state(second)
+
+
+def _count_decodes(monkeypatch):
+    """Route the CPU's decoder through a recorder; returns the list of
+    addresses it decodes."""
+    decoded = []
+    real_decode = cpu_module.decode
+
+    def counting_decode(window, offset, address):
+        decoded.append(address)
+        return real_decode(window, offset, address)
+
+    monkeypatch.setattr(cpu_module, "decode", counting_decode)
+    return decoded
+
+
+class TestDecodeMemo:
+    """The per-image decode memo: a second run of an image decodes
+    nothing, and changed code bytes are decoded afresh."""
+
+    def test_second_load_decodes_nothing(self, monkeypatch):
+        case = iter_cases("cve")[0]
+        program = case.compile()
+        harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
+
+        def run_all():
+            return _run_engines(
+                program, args=case.malicious_args, binary=harden.binary,
+                make_runtime=lambda: harden.create_runtime(mode="log"),
+            )[0]
+
+        first = run_all()
+        decoded = _count_decodes(monkeypatch)
+        second = run_all()
+        assert decoded == []
+        assert second[0] == second[1] == second[2] == first[0]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_flipped_code_byte_is_decoded_again(self, monkeypatch, engine):
+        program = compile_source("int main() { print(1234); return 0; }")
+        with engine_override(engine):
+            first = program.run()
+        assert first.output == ["1234"]
+        load = next(
+            instruction for instruction in first.cpu.icache.values()
+            if Imm(1234) in instruction.operands
+        )
+        imm_low = load.address + load.length - 4  # the imm32's low byte
+        decoded = _count_decodes(monkeypatch)
+        runtime = GlibcRuntime()
+        with engine_override(engine):
+            cpu = load_binary(program.binary, runtime)
+        cpu.memory.write(imm_low, bytes([cpu.memory.read(imm_low, 1)[0] ^ 1]))
+        cpu.run()
+        assert runtime.output == ["1235"]
+        # Decoded again: the flipped instruction, and only addresses
+        # whose 16-byte fetch window covers the flipped byte.
+        assert load.address in decoded
+        assert all(imm_low - 16 < address <= imm_low for address in decoded)
 
 
 class TestInvalidation:
