@@ -164,13 +164,17 @@ def _execute(
     args: Input,
     fuel: int,
     coverage: Optional[CoverageMap],
+    telemetry: Telemetry,
 ) -> Tuple[str, str, List[MemoryErrorReport]]:
     """Run one input; returns (outcome, detail, logged reports).
 
     Never raises for guest failures: a wild mutant that faults outside
     instrumented code is a ``crash`` outcome, a hung one a ``timeout``.
+    *telemetry* receives the run's superblock translations and the
+    blocks it took from the image's cache.
     """
     outcome, detail = "clean", ""
+    cpu = None
     try:
         cpu = load_binary(binary, runtime)
         entry.program.poke_args(cpu, list(args))
@@ -183,6 +187,9 @@ def _execute(
         outcome, detail = "aborted", str(error)
     except ReproError as error:
         outcome, detail = "crash", f"{type(error).__name__}: {error}"
+    if cpu is not None:
+        telemetry.count("vm.superblocks_translated", cpu.superblock.translations)
+        telemetry.count("vm.superblocks_revived", cpu.superblock.revived)
     reports = list(getattr(runtime, "errors", ()))
     if reports:
         # The oracle fired; a subsequent fault on the same run does not
@@ -224,7 +231,7 @@ def hunt_entry(
             mode="log", runtime="redfat", seed=config.seed,
         )
         outcome, detail, reports = _execute(
-            entry, harden.binary, runtime, mutant, config.fuel, coverage,
+            entry, harden.binary, runtime, mutant, config.fuel, coverage, tele,
         )
         new_edges = accumulated.merge(coverage) if coverage else 0
         new_detection = False
@@ -292,6 +299,7 @@ def _replay_matrix(
     results: Dict[str, EntryResult],
     hardened: Dict[Tuple[str, str], object],
     config: HuntConfig,
+    telemetry: Telemetry,
 ) -> List[Dict[str, object]]:
     """Detection-rate cells: preset x backend over discovered inputs."""
     matrix: List[Dict[str, object]] = []
@@ -317,7 +325,7 @@ def _replay_matrix(
                     )
                     _, _, reports = _execute(
                         entry, harden.binary, runtime, mutant,
-                        config.fuel, None,
+                        config.fuel, None, telemetry,
                     )
                     for report in reports:
                         any_report = True
@@ -380,7 +388,7 @@ def run_hunt(
             ):
                 if flag:
                     tele.count(f"hunt.degraded.{label}")
-        report.matrix = _replay_matrix(entries, results, hardened, config)
+        report.matrix = _replay_matrix(entries, results, hardened, config, tele)
     if config.regressions_path:
         from repro.hunt.triage import promote_regressions
 

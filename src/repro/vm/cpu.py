@@ -12,11 +12,12 @@ Design notes:
   In front of it sits the per-CPU decode cache (``icache``), keyed by
   address alone; rewritten binaries are static (no self-modifying
   code — the same restriction E9Patch has), so it only invalidates on
-  an explicit :meth:`CPU.flush_icache` (which also drops the superblock
-  cache built on top of it).
+  an explicit :meth:`CPU.flush_icache` (which also drops the per-CPU
+  views of the superblocks and traces built on top of it).
 - Execution is tiered (DESIGN.md §9).  The *superblock* tier runs
-  straight-line runs of decoded instructions pre-translated into fused
-  step closures (:mod:`repro.vm.superblock`); the *trace* tier above it
+  straight-line runs of decoded instructions pre-translated into step
+  functions shared by every run of the image
+  (:mod:`repro.vm.superblock`); the *trace* tier above it
   profiles taken application back-edges and compiles hot loops into
   exec-generated Python functions with guarded side exits
   (:mod:`repro.vm.trace`).
@@ -164,12 +165,13 @@ class CPU:
         return instruction
 
     def flush_icache(self) -> None:
-        """Drop all decoded instructions *and* everything built from them
-        — the caches are coupled: superblock step closures capture decoded
-        instructions and compiled traces bake them (plus their immediates
-        and branch targets) into generated code, so a stale block or trace
-        would outlive a flushed decode.  The per-image decode memo stays:
-        it is keyed by the code bytes, so it cannot go stale."""
+        """Drop this CPU's views of the decoded code: the icache, the
+        superblock cache and the compiled traces (blocks and traces are
+        built from decoded instructions, so a stale one would outlive a
+        flushed decode).  The per-image caches stay, because none can
+        serve stale code: the decode memo is keyed by the code bytes,
+        and an image's blocks and traces are byte-checked against this
+        CPU's memory before they are taken again."""
         self.icache.clear()
         self.superblock.invalidate()
         self.trace.invalidate()
@@ -430,38 +432,7 @@ class CPU:
         self.runtime.call(instruction.operands[0].value, self, instruction)
 
     def _build_dispatch(self) -> Dict[int, Callable]:
-        table: Dict[int, Callable] = {
-            Opcode.MOV: self._exec_mov,
-            Opcode.MOVS: self._exec_movs,
-            Opcode.LEA: self._exec_lea,
-            Opcode.CMP: self._exec_cmp,
-            Opcode.TEST: self._exec_test,
-            Opcode.NOT: self._exec_not,
-            Opcode.NEG: self._exec_neg,
-            Opcode.PUSH: self._exec_push,
-            Opcode.POP: self._exec_pop,
-            Opcode.PUSHF: self._exec_pushf,
-            Opcode.POPF: self._exec_popf,
-            Opcode.JMP: self._exec_jmp,
-            Opcode.CALL: self._exec_call,
-            Opcode.JMPR: self._exec_jmpr,
-            Opcode.CALLR: self._exec_callr,
-            Opcode.RET: self._exec_ret,
-            Opcode.NOP: self._exec_nop,
-            Opcode.TRAP: self._exec_trap,
-            Opcode.RTCALL: self._exec_rtcall,
-        }
-        for opcode in (
-            Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-            Opcode.IMUL, Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD,
-            Opcode.SHL, Opcode.SHR, Opcode.SAR,
-        ):
-            table[opcode] = self._exec_alu
-        for opcode in _JCC:
-            table[opcode] = self._exec_jcc
-        for opcode in _SETCC:
-            table[opcode] = self._exec_setcc
-        return table
+        return {opcode: handler.__get__(self) for opcode, handler in HANDLERS.items()}
 
     # -- run loop ---------------------------------------------------------------------
 
@@ -488,7 +459,7 @@ class CPU:
         superblocks (see :mod:`repro.vm.trace` / superblock) — with
         bit-identical results to the single-step loop, which remains the
         fallback whenever a DBI ``access_hook`` is installed (specialized
-        closures and compiled traces would bypass it) or the engines are
+        steps and compiled traces would bypass it) or the engines are
         disabled/degraded.
         """
         if self.coverage is not None:
@@ -543,6 +514,9 @@ class CPU:
         cache = engine.cache
         icache = self.icache
         dispatch = self._dispatch
+        regs = self.regs
+        read_int = self.memory.read_int
+        write_int = self.memory.write_int
         executed = 0
         try:
             while executed < max_instructions:
@@ -561,9 +535,9 @@ class CPU:
                     executed += 1
                     continue
                 try:
-                    for next_rip, fn, arg in block.steps:
+                    for next_rip, fn in block.steps:
                         self.rip = next_rip
-                        fn(arg)
+                        fn(self, regs, read_int, write_int)
                 except BaseException:
                     executed += block.retired_before(self.rip)
                     raise
@@ -638,9 +612,9 @@ class CPU:
                     executed += 1
                     continue
                 try:
-                    for next_rip, fn, arg in block.steps:
+                    for next_rip, fn in block.steps:
                         self.rip = next_rip
-                        fn(arg)
+                        fn(self, regs, read_int, write_int)
                 except BaseException:
                     executed += block.retired_before(self.rip)
                     raise
@@ -686,6 +660,9 @@ class CPU:
         use_blocks = engine.enabled and self.access_hook is None
         icache = self.icache
         dispatch = self._dispatch
+        regs = self.regs
+        read_int = self.memory.read_int
+        write_int = self.memory.write_int
         executed = 0
         try:
             while executed < max_instructions:
@@ -708,9 +685,9 @@ class CPU:
                         edge(rip, self.rip)
                     continue
                 try:
-                    for next_rip, fn, arg in block.steps:
+                    for next_rip, fn in block.steps:
                         self.rip = next_rip
-                        fn(arg)
+                        fn(self, regs, read_int, write_int)
                 except BaseException:
                     executed += block.retired_before(self.rip)
                     raise
@@ -794,9 +771,9 @@ class CPU:
                     executed += 1
                     continue
                 try:
-                    for next_rip, fn, arg in block.steps:
+                    for next_rip, fn in block.steps:
                         self.rip = next_rip
-                        fn(arg)
+                        fn(self, regs, read_int, write_int)
                 except BaseException:
                     retired = block.retired_before(self.rip)
                     executed += retired
@@ -834,3 +811,39 @@ class CPU:
             tele.gauge("vm.fuel_budget", max_instructions)
         tele.event("vm_timeout", fuel=max_instructions)
         raise VMTimeoutError(max_instructions)
+
+
+#: Opcode -> unbound ``CPU._exec_*`` handler.  Each CPU dispatches
+#: through its bound copy (``CPU._dispatch``); superblock steps, which
+#: must not hold a CPU, call these with the CPU as first argument.
+HANDLERS: Dict[int, Callable] = {
+    Opcode.MOV: CPU._exec_mov,
+    Opcode.MOVS: CPU._exec_movs,
+    Opcode.LEA: CPU._exec_lea,
+    Opcode.CMP: CPU._exec_cmp,
+    Opcode.TEST: CPU._exec_test,
+    Opcode.NOT: CPU._exec_not,
+    Opcode.NEG: CPU._exec_neg,
+    Opcode.PUSH: CPU._exec_push,
+    Opcode.POP: CPU._exec_pop,
+    Opcode.PUSHF: CPU._exec_pushf,
+    Opcode.POPF: CPU._exec_popf,
+    Opcode.JMP: CPU._exec_jmp,
+    Opcode.CALL: CPU._exec_call,
+    Opcode.JMPR: CPU._exec_jmpr,
+    Opcode.CALLR: CPU._exec_callr,
+    Opcode.RET: CPU._exec_ret,
+    Opcode.NOP: CPU._exec_nop,
+    Opcode.TRAP: CPU._exec_trap,
+    Opcode.RTCALL: CPU._exec_rtcall,
+}
+for _opcode in (
+    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.IMUL, Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD,
+    Opcode.SHL, Opcode.SHR, Opcode.SAR,
+):
+    HANDLERS[_opcode] = CPU._exec_alu
+for _opcode in _JCC:
+    HANDLERS[_opcode] = CPU._exec_jcc
+for _opcode in _SETCC:
+    HANDLERS[_opcode] = CPU._exec_setcc

@@ -50,6 +50,23 @@ def _map_image(memory: Memory, binary: Binary, rebase: int) -> None:
             memory.write(vaddr, data)
 
 
+def _attach_image_caches(cpu: CPU, binary: Binary) -> None:
+    """Share *binary*'s per-image caches with *cpu*, creating them on
+    the image's first load.
+
+    They ride on the Binary object, so every run of the same image
+    reuses the instructions earlier runs decoded (vm/cpu.py), the
+    superblocks they translated (vm/superblock.py) and the traces they
+    compiled (vm/trace.py).  None can serve stale code: the decode memo
+    is keyed by the code bytes, and blocks and traces are byte-checked
+    against this CPU's memory before they are taken.
+    """
+    caches = vars(binary)
+    cpu.decode_memo = caches.setdefault("_decode_memo", {})
+    cpu.superblock.shared_cache = caches.setdefault("_block_cache", {})
+    cpu.trace.shared_cache = caches.setdefault("_trace_cache", {})
+
+
 def load_binary(
     binary: Binary,
     runtime: RuntimeEnvironment,
@@ -76,18 +93,7 @@ def load_binary(
     cpu = CPU(memory, runtime)
     if telemetry is not None:
         cpu.telemetry = telemetry
-    # The cross-run caches ride on the Binary object: every run of the
-    # same image revives its compiled traces (after byte-verifying the
-    # code they cover) instead of re-recording them (vm/trace.py), and
-    # reuses the instructions earlier runs decoded (vm/cpu.py).
-    cache = getattr(binary, "_trace_cache", None)
-    if cache is None:
-        cache = binary._trace_cache = {}
-    cpu.trace.shared_cache = cache
-    memo = getattr(binary, "_decode_memo", None)
-    if memo is None:
-        memo = binary._decode_memo = {}
-    cpu.decode_memo = memo
+    _attach_image_caches(cpu, binary)
     if binary.has_segment(".tramp"):
         # Always published: the traced loop attributes "checks executed"
         # with it, and the trace tier's check fusion needs to know which

@@ -4,9 +4,9 @@ A *superblock* is a straight-line run of decoded instructions starting at
 some address and ending at the first control transfer (jump, conditional
 jump, call, indirect jump/call, return), runtime boundary (``rtcall``,
 ``trap``) or trampoline-span crossing.  The engine pre-translates each
-run into a list of fused step closures that thread register and flag
-state directly — no per-instruction fetch, no icache probe, no dispatch
-dict lookup — and caches the result keyed on the start address.
+run into a list of step functions that thread register and flag state
+directly — no per-instruction fetch, no icache probe, no dispatch dict
+lookup — and caches the result keyed on the start address.
 
 Equivalence contract (DESIGN.md §5f): executing a superblock must be
 *bit-identical* to single-stepping the same instructions, including the
@@ -17,21 +17,26 @@ partial architectural state left behind by a mid-block fault:
   step *k* leaves the same ``rip`` either way and a not-taken
   conditional branch falls through correctly;
 - step bodies either replicate a handler's semantics exactly
-  (specialized closures, including flag types — Python ``bool``\\ s) or
-  *are* the handler (the generic fallback calls the bound method with
-  the decoded instruction — the same call the dispatch loop makes);
+  (specialized steps, including flag types — Python ``bool``\\ s) or
+  *call* the handler (the generic step passes the CPU and the decoded
+  instruction to the unbound ``CPU._exec_*`` method);
 - blocks never span the ``.tramp`` boundary, so every block is entirely
   trampoline code or entirely application code — the traced loop's
-  "checks executed" attribution stays exact;
-- the caches are coupled: :meth:`repro.vm.cpu.CPU.flush_icache` clears
-  the superblock cache together with the decode cache, because step
-  closures capture decoded instructions.
+  "checks executed" attribution stays exact.
 
-Degradation: the ``vm.superblock`` fault point fires at translation
-time (low frequency, off the per-instruction hot path).  When it fires
-the engine latches itself off for the rest of the run — the CPU falls
-back to the single-step loop, never crashes — and the run is accounted
-as DEGRADED by the fault campaign.  Because the trace tier
+Sharing: a step receives the per-run state as arguments —
+``fn(cpu, regs, read_int, write_int)`` — and closes over constants and
+decoded instructions only, so a block belongs to the image, not to one
+CPU.  The loader hangs one block cache on the Binary; a CPU takes a
+block from it when its own memory holds the same code bytes under the
+same trampoline span, and translates (and publishes) otherwise.
+:meth:`repro.vm.cpu.CPU.flush_icache` clears the per-CPU view only.
+
+Degradation: the ``vm.superblock`` fault point fires when a block is
+installed (low frequency, off the per-instruction hot path).  When it
+fires the engine latches itself off for the rest of the run — the CPU
+falls back to the single-step loop, never crashes — and the run is
+accounted as DEGRADED by the fault campaign.  Because the trace tier
 (:mod:`repro.vm.trace`) compiles stitched superblocks, degrading this
 engine also latches the trace tier off: the full degradation ladder is
 trace → superblock → single-step, with the single-step oracle at the
@@ -45,14 +50,16 @@ the whole ladder, ``"superblock"`` caps execution at this tier, and
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import VMError
+from repro.errors import VMError, VMFault
 from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
-from repro.isa.operands import Imm, Mem, Reg
+from repro.isa.operands import Imm, Reg
 from repro.isa.registers import RSP, Register
+from repro.vm.trace import _JCC_EXPR, _SETCC_EXPR
 
 _M64 = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -137,16 +144,22 @@ def engine_override(engine):
 class Superblock:
     """One translated straight-line run.
 
-    ``steps`` holds ``(next_rip, fn, arg)`` triples: the run loop stores
-    ``next_rip`` into ``cpu.rip`` and calls ``fn(arg)``.  Specialized
-    closures ignore *arg*; generic steps are ``(bound handler,
-    instruction)`` pairs — the exact call the dispatch loop would make.
+    ``steps`` holds ``(next_rip, fn)`` pairs: the run loop stores
+    ``next_rip`` into ``cpu.rip`` and calls ``fn(cpu, regs, read_int,
+    write_int)`` — the per-run state as arguments, the same convention
+    as a compiled trace's ``fn``.  A step closes over constants and
+    decoded instructions only, so the block is a pure function of the
+    ``code`` bytes it covers at ``start`` and of the trampoline
+    ``span`` it was cut against: any run whose memory holds the same
+    bytes under the same span can execute it.
     """
 
-    __slots__ = ("start", "steps", "length", "in_trampoline", "last_transfer")
+    __slots__ = ("start", "steps", "length", "in_trampoline", "last_transfer",
+                 "code", "span")
 
     def __init__(self, start: int, steps: List[tuple], in_trampoline: bool,
-                 last_transfer: Optional[int] = None) -> None:
+                 last_transfer: Optional[int] = None, code: Optional[bytes] = None,
+                 span: Optional[tuple] = None) -> None:
         self.start = start
         self.steps = steps
         self.length = len(steps)
@@ -160,6 +173,11 @@ class Superblock:
         #: edges from it — the exact edge the single-step loop records
         #: when the same transfer retires.
         self.last_transfer = last_transfer
+        #: The instruction bytes the steps were decoded from (None when
+        #: guest memory no longer held them at translation time, which
+        #: keeps the block out of the image's cache).
+        self.code = code
+        self.span = span
 
     def retired_before(self, rip: int) -> int:
         """How many steps retired before the one that left ``cpu.rip``
@@ -170,7 +188,7 @@ class Superblock:
         faulting step is the unique one whose ``next_rip`` matches.
         """
         retired = 0
-        for next_rip, _fn, _arg in self.steps:
+        for next_rip, _fn in self.steps:
             if next_rip == rip:
                 return retired
             retired += 1
@@ -178,10 +196,18 @@ class Superblock:
 
 
 class SuperblockEngine:
-    """Per-CPU translation cache + degradation latch."""
+    """Per-CPU view of the translated blocks + degradation latch.
+
+    ``cache`` is the run loops' hot lookup.  Behind it sits
+    ``shared_cache``, the image's blocks (installed by the loader; it
+    rides on the Binary next to the decode memo and the trace cache):
+    a miss takes the image's block when this CPU's memory holds the same
+    code bytes under the same trampoline span, and otherwise translates
+    and publishes a new one.
+    """
 
     __slots__ = ("cpu", "cache", "enabled", "degraded", "degraded_reason",
-                 "translations")
+                 "translations", "shared_cache", "revived")
 
     def __init__(self, cpu, enabled: Optional[bool] = None) -> None:
         self.cpu = cpu
@@ -190,9 +216,15 @@ class SuperblockEngine:
         self.degraded = False
         self.degraded_reason = ""
         self.translations = 0
+        #: The image's blocks by start address; None when the CPU was
+        #: built without a Binary (unit tests).
+        self.shared_cache: Optional[Dict[int, Superblock]] = None
+        self.revived = 0
 
     def invalidate(self) -> None:
-        """Drop every translated block (call when decoded code changes)."""
+        """Drop this CPU's view of the blocks (call when decoded code
+        changes).  The image's blocks stay: each is byte-checked before
+        it is taken again."""
         self.cache.clear()
 
     def degrade(self, reason: str) -> None:
@@ -203,6 +235,8 @@ class SuperblockEngine:
         the run as degraded, never crashed.  The trace tier sits on top
         of this one (its traces stitch superblocks), so degrading here
         cascades: trace → superblock → single-step is the full ladder.
+        Other CPUs of the same image are unaffected: the image's blocks
+        are left alone.
         """
         self.enabled = False
         self.degraded = True
@@ -217,7 +251,9 @@ class SuperblockEngine:
             tele.event("superblock_degraded", reason=reason)
 
     def translate(self, address: int) -> Optional[Superblock]:
-        """Translate and cache the superblock starting at *address*.
+        """Install the superblock starting at *address* in this CPU's
+        cache: the image's block when its code bytes still match, else
+        a fresh translation.
 
         Returns None when the engine is (or just became) degraded.  A
         decode failure on the *first* instruction propagates — single-
@@ -232,6 +268,16 @@ class SuperblockEngine:
             self.degrade("injected superblock translation fault")
             return None
         cpu = self.cpu
+        shared = self.shared_cache
+        if shared is not None:
+            block = shared.get(address)
+            if block is not None and self._matches(block):
+                self.cache[address] = block
+                self.revived += 1
+                tele = cpu.telemetry
+                if tele is not None:
+                    tele.count("vm.superblocks_revived")
+                return block
         icache = cpu.icache
         decode_at = cpu._decode_at
         span = cpu.trampoline_span
@@ -257,403 +303,309 @@ class SuperblockEngine:
             rip += instruction.length
         last = instructions[-1]
         block = Superblock(
-            address, _compile_steps(cpu, instructions), start_in_tramp,
+            address, [(i.address + i.length, _specialize(i)) for i in instructions],
+            start_in_tramp,
             last.address if last.opcode in TRANSFER_OPCODES else None,
+            _code_of(cpu, instructions), span,
         )
         self.cache[address] = block
+        if shared is not None and block.code is not None:
+            shared[address] = block
         self.translations += 1
         tele = cpu.telemetry
         if tele is not None:
             tele.count("vm.superblocks_translated")
         return block
 
+    def _matches(self, block: Superblock) -> bool:
+        """Whether this CPU would translate *block* itself: same span,
+        same code bytes (the check trace revival makes)."""
+        if block.span != self.cpu.trampoline_span:
+            return False
+        code = block.code
+        try:
+            return self.cpu.memory.read(block.start, len(code)) == code
+        except VMFault:
+            return False
+
     def stats(self) -> dict:
         return {
             "translations": self.translations,
+            "revived": self.revived,
             "cached_blocks": len(self.cache),
             "degraded": self.degraded,
         }
 
 
+def _code_of(cpu, instructions) -> Optional[bytes]:
+    """The bytes *instructions* were decoded from, or None when guest
+    memory no longer holds them.
+
+    The per-CPU icache outlives a change to the bytes under it (a
+    ``vm.bitflip`` mid-run); such a block is still this CPU's to run —
+    single-stepping would execute the same stale decode — but it must
+    not be offered to other runs as the translation of the new bytes.
+    An instruction is current exactly when the decode memo maps its
+    present fetch window back to it.
+    """
+    read_upto = cpu.memory.read_upto
+    memo = cpu.decode_memo
+    parts = []
+    for instruction in instructions:
+        window = read_upto(instruction.address, 16)
+        if memo.get((instruction.address, window)) is not instruction:
+            return None
+        parts.append(window[:instruction.length])
+    return b"".join(parts)
+
+
 # -- the specializer ---------------------------------------------------------
 #
-# Each helper returns a closure taking one ignored argument so the run
-# loop can treat specialized and generic steps uniformly.  Closures bind
-# ``regs`` (the CPU's register list — assigned once, never replaced),
-# the memory's bound accessors, and ``cpu`` for flags/rip; they must
-# leave *identical* architectural state to the handler they replace,
-# including flag value types (``bool``).
+# A step is ``step(cpu, regs, read_int, write_int)`` built from a body
+# template: the body names the per-run arguments and a handful of
+# constants (register indices, immediates, displacements, sizes,
+# targets), and the constants become the closure's cells.  Effective
+# addresses are written into the body, specialised by addressing mode.
+# Bodies must leave *identical* architectural state to the handler they
+# replace, including flag value types (``bool``) and the order in which
+# a faulting access sees ``rsp`` updated.
+
+_M = str(_M64)
+_S = str(_SIGN)
+_WRAP = str(1 << 64)
+_SP = f"regs[{int(RSP)}]"
 
 
-def _compile_steps(cpu, instructions) -> List[tuple]:
-    steps = []
-    for instruction in instructions:
-        next_rip = instruction.address + instruction.length
-        compiled = _specialize(cpu, instruction)
-        if compiled is None:
-            steps.append(
-                (next_rip, cpu._dispatch[instruction.opcode], instruction)
-            )
-        else:
-            steps.append((next_rip, compiled, None))
-    return steps
+def _flag_expr(expression: str) -> str:
+    return re.sub(r"\b(zf|sf|cf|of)\b", r"cpu.\1", expression)
 
 
-def _make_ea(instruction, mem, regs):
-    """An effective-address thunk mirroring ``CPU.effective_address``."""
-    disp = mem.disp
-    base = mem.base
-    index = mem.index
-    scale = mem.scale
+_JCC_COND = {opcode: _flag_expr(expr) for opcode, expr in _JCC_EXPR.items()}
+_SETCC_COND = {opcode: _flag_expr(expr) for opcode, expr in _SETCC_EXPR.items()}
+
+_ZS = f"cpu.zf = r == 0; cpu.sf = bool(r & {_S})"
+_LOGIC = "regs[d] = r; cpu.cf = False; cpu.of = False; " + _ZS
+
+#: ALU bodies over ``a = regs[d]`` and the source expression ``SRC``,
+#: mirroring ``CPU._alu`` (SHL/SHR/SAR update only zf/sf).
+_ALU_BODIES = {
+    Opcode.ADD: (f"a = regs[d]; b = SRC; t = a + b; r = t & {_M}; regs[d] = r; "
+                 f"cpu.cf = t > {_M}; cpu.of = bool((~(a ^ b) & (a ^ r)) & {_S}); "
+                 + _ZS),
+    Opcode.SUB: (f"a = regs[d]; b = SRC; r = (a - b) & {_M}; regs[d] = r; "
+                 f"cpu.cf = b > a; cpu.of = bool(((a ^ b) & (a ^ r)) & {_S}); "
+                 + _ZS),
+    Opcode.AND: "r = regs[d] & SRC; " + _LOGIC,
+    Opcode.OR: "r = regs[d] | SRC; " + _LOGIC,
+    Opcode.XOR: "r = regs[d] ^ SRC; " + _LOGIC,
+    Opcode.IMUL: (f"a = regs[d]; b = SRC; "
+                  f"r = ((a - {_WRAP} if a & {_S} else a) "
+                  f"* (b - {_WRAP} if b & {_S} else b)) & {_M}; regs[d] = r; "
+                  + _ZS + "; cpu.cf = cpu.of = False"),
+    Opcode.SHL: f"r = (regs[d] << (SRC & 63)) & {_M}; regs[d] = r; " + _ZS,
+    Opcode.SHR: "r = regs[d] >> (SRC & 63); regs[d] = r; " + _ZS,
+    Opcode.SAR: (f"a = regs[d]; r = ((a - {_WRAP} if a & {_S} else a) >> (SRC & 63)) "
+                 f"& {_M}; regs[d] = r; " + _ZS),
+}
+
+#: Step factories by (body, constant names), each compiled once.
+_FACTORIES: Dict[tuple, object] = {}
+
+
+def _step(body: str, **constants):
+    """A step running *body* with *constants* bound as closure cells."""
+    names = tuple(sorted(constants))
+    key = (body, names)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        source = (f"def factory({', '.join(names)}):\n"
+                  f"    def step(cpu, regs, read_int, write_int):\n"
+                  f"        {body}\n"
+                  f"    return step\n")
+        namespace: dict = {}
+        exec(source, namespace)
+        factory = _FACTORIES[key] = namespace["factory"]
+    return factory(**constants)
+
+
+def _ea(instruction, mem, constants) -> str:
+    """The effective-address expression of *mem*, mirroring
+    ``CPU.effective_address``; binds its constants into *constants*."""
+    disp, base, index = mem.disp, mem.base, mem.index
     if base is _RIP:
-        constant = (disp + instruction.address + instruction.length) & _M64
-        return lambda: constant
+        constants["ea"] = (disp + instruction.address + instruction.length) & _M64
+        return "ea"
     if base is None and index is None:
-        constant = disp & _M64
-        return lambda: constant
+        constants["ea"] = disp & _M64
+        return "ea"
+    constants["disp"] = disp
     if index is None:
-        return lambda: (regs[base] + disp) & _M64
+        constants["base"] = int(base)
+        return f"(regs[base] + disp) & {_M}"
+    constants["index"] = int(index)
+    constants["scale"] = mem.scale
     if base is None:
-        return lambda: (disp + regs[index] * scale) & _M64
-    return lambda: (regs[base] + disp + regs[index] * scale) & _M64
+        return f"(disp + regs[index] * scale) & {_M}"
+    constants["base"] = int(base)
+    return f"(regs[base] + disp + regs[index] * scale) & {_M}"
 
 
-def _read_thunk(cpu, instruction, operand, size):
-    """A value thunk mirroring ``CPU._read_operand`` (hook-free: the
-    engine only runs when no ``access_hook`` is installed)."""
-    regs = cpu.regs
+def _value(operand, name: str, constants) -> Optional[str]:
+    """The expression reading a register or immediate *operand* (None
+    for a memory operand), with its constant bound as *name*."""
     if type(operand) is Reg:
-        reg = operand.reg
-        return lambda: regs[reg]
+        constants[name] = int(operand.reg)
+        return f"regs[{name}]"
     if type(operand) is Imm:
-        value = operand.value & _M64
-        return lambda: value
-    ea = _make_ea(instruction, operand, regs)
-    read_int = cpu.memory.read_int
-    return lambda: read_int(ea(), size)
+        constants[name] = operand.value & _M64
+        return name
+    return None
 
 
-def _specialize(cpu, instruction):  # noqa: C901 - one big opcode switch
-    from repro.vm.cpu import _CONDITIONS, _JCC, _SETCC, _signed
+def _specialize(instruction):
+    """The step executing *instruction*: a specialised body for the hot
+    forms, else a call of the generic ``CPU._exec_*`` handler."""
+    constants: dict = {}
+    body = _body(instruction, constants)
+    if body is None:
+        from repro.vm.cpu import HANDLERS
 
+        return _step("handler(cpu, instruction)",
+                     handler=HANDLERS[instruction.opcode], instruction=instruction)
+    return _step(body, **constants)
+
+
+def _body(instruction, constants) -> Optional[str]:  # noqa: C901 - one big opcode switch
+    """The step body for *instruction* (binding its constants), or None
+    when only the generic handler will do."""
     opcode = instruction.opcode
     operands = instruction.operands
     size = instruction.size
-    regs = cpu.regs
-    memory = cpu.memory
-    read_int = memory.read_int
-    write_int = memory.write_int
 
     if opcode is Opcode.MOV:
         dst, src = operands
         if type(dst) is Reg:
-            d = dst.reg
+            constants["d"] = int(dst.reg)
             if type(src) is Reg:
-                s = src.reg
+                constants["s"] = int(src.reg)
                 if size == 8:
-                    def step(_):
-                        regs[d] = regs[s]
-                else:
-                    mask = (1 << (size * 8)) - 1
-
-                    def step(_):
-                        regs[d] = regs[s] & mask
-                return step
+                    return "regs[d] = regs[s]"
+                constants["mask"] = (1 << (size * 8)) - 1
+                return "regs[d] = regs[s] & mask"
             if type(src) is Imm:
                 value = src.value & _M64
                 if size != 8:
                     value &= (1 << (size * 8)) - 1
-
-                def step(_):
-                    regs[d] = value
-                return step
-            ea = _make_ea(instruction, src, regs)
-
-            def step(_):
-                regs[d] = read_int(ea(), size)
-            return step
-        if type(dst) is Mem:
-            ea = _make_ea(instruction, dst, regs)
-            if type(src) is Reg:
-                s = src.reg
-
-                def step(_):
-                    write_int(ea(), regs[s], size)
-                return step
-            if type(src) is Imm:
-                value = src.value & _M64
-
-                def step(_):
-                    write_int(ea(), value, size)
-                return step
-        return None
+                constants["s"] = value
+                return "regs[d] = s"
+            constants["size"] = size
+            return f"regs[d] = read_int({_ea(instruction, src, constants)}, size)"
+        value = _value(src, "s", constants)
+        if value is None:
+            return None
+        constants["size"] = size
+        return f"write_int({_ea(instruction, dst, constants)}, {value}, size)"
 
     if opcode is Opcode.MOVS:
-        dst, src = operands
-        d = dst.reg
-        ea = _make_ea(instruction, src, regs)
-
-        def step(_):
-            regs[d] = read_int(ea(), size, True) & _M64
-        return step
+        constants["d"] = int(operands[0].reg)
+        constants["size"] = size
+        return (f"regs[d] = read_int({_ea(instruction, operands[1], constants)}, "
+                f"size, True) & {_M}")
 
     if opcode is Opcode.LEA:
-        dst, src = operands
-        d = dst.reg
-        ea = _make_ea(instruction, src, regs)
+        constants["d"] = int(operands[0].reg)
+        return f"regs[d] = {_ea(instruction, operands[1], constants)}"
 
-        def step(_):
-            regs[d] = ea()
-        return step
-
-    if opcode in _ALU_SPECIALIZERS:
+    if opcode in _ALU_BODIES:
         dst, src = operands
         if type(dst) is not Reg:
             return None
-        if type(src) is Reg:
-            s = src.reg
-            load_b = lambda: regs[s]  # noqa: E731
-        elif type(src) is Imm:
-            value = src.value & _M64
-            load_b = lambda: value  # noqa: E731
-        else:
-            return None  # memory source: generic handler (hookable path)
-        return _ALU_SPECIALIZERS[opcode](cpu, regs, dst.reg, load_b, _signed)
+        value = _value(src, "s", constants)
+        if value is None:
+            return None  # memory source: generic handler
+        constants["d"] = int(dst.reg)
+        return _ALU_BODIES[opcode].replace("SRC", value)
 
     if opcode is Opcode.CMP:
         dst, src = operands
-        if type(src) is Mem:
+        b = _value(src, "s", constants)
+        if b is None:
             return None
-        load_a = _read_thunk(cpu, instruction, dst, size)
-        load_b = _read_thunk(cpu, instruction, src, size)
-
-        def step(_):
-            a = load_a()
-            b = load_b()
-            result = (a - b) & _M64
-            cpu.cf = b > a
-            cpu.of = bool(((a ^ b) & (a ^ result)) & _SIGN)
-            cpu.zf = result == 0
-            cpu.sf = bool(result & _SIGN)
-        return step
+        a = _value(dst, "d", constants)
+        if a is None:
+            constants["size"] = size
+            a = f"read_int({_ea(instruction, dst, constants)}, size)"
+        return (f"a = {a}; b = {b}; r = (a - b) & {_M}; cpu.cf = b > a; "
+                f"cpu.of = bool(((a ^ b) & (a ^ r)) & {_S}); " + _ZS)
 
     if opcode is Opcode.TEST:
-        dst, src = operands
-        if type(dst) is Mem or type(src) is Mem:
+        a = _value(operands[0], "d", constants)
+        b = _value(operands[1], "s", constants)
+        if a is None or b is None:
             return None
-        load_a = _read_thunk(cpu, instruction, dst, 8)
-        load_b = _read_thunk(cpu, instruction, src, 8)
-
-        def step(_):
-            result = load_a() & load_b()
-            cpu.cf = False
-            cpu.of = False
-            cpu.zf = result == 0
-            cpu.sf = bool(result & _SIGN)
-        return step
+        return f"r = {a} & {b}; cpu.cf = False; cpu.of = False; " + _ZS
 
     if opcode is Opcode.NOT:
-        r = operands[0].reg
-
-        def step(_):
-            regs[r] = (~regs[r]) & _M64
-        return step
+        constants["d"] = int(operands[0].reg)
+        return f"regs[d] = (~regs[d]) & {_M}"
 
     if opcode is Opcode.NEG:
-        r = operands[0].reg
+        constants["d"] = int(operands[0].reg)
+        return f"a = regs[d]; r = (-a) & {_M}; regs[d] = r; cpu.cf = a != 0; " + _ZS
 
-        def step(_):
-            value = regs[r]
-            result = (-value) & _M64
-            regs[r] = result
-            cpu.cf = value != 0
-            cpu.zf = result == 0
-            cpu.sf = bool(result & _SIGN)
-        return step
-
-    if opcode in _SETCC:
-        condition = _CONDITIONS[_SETCC[opcode]]
-        r = operands[0].reg
-
-        def step(_):
-            regs[r] = 1 if condition(cpu.zf, cpu.sf, cpu.cf, cpu.of) else 0
-        return step
+    if opcode in _SETCC_COND:
+        constants["d"] = int(operands[0].reg)
+        return f"regs[d] = 1 if {_SETCC_COND[opcode]} else 0"
 
     if opcode is Opcode.PUSH:
-        s = operands[0].reg
-
-        def step(_):
-            regs[RSP] = rsp = (regs[RSP] - 8) & _M64
-            write_int(rsp, regs[s], 8)
-        return step
+        constants["s"] = int(operands[0].reg)
+        return f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, regs[s], 8)"
 
     if opcode is Opcode.POP:
-        d = operands[0].reg
-
-        def step(_):
-            rsp = regs[RSP]
-            regs[d] = read_int(rsp, 8)
-            regs[RSP] = (rsp + 8) & _M64
-        return step
+        constants["d"] = int(operands[0].reg)
+        return f"rsp = {_SP}; regs[d] = read_int(rsp, 8); {_SP} = (rsp + 8) & {_M}"
 
     if opcode is Opcode.PUSHF:
-        def step(_):
-            regs[RSP] = rsp = (regs[RSP] - 8) & _M64
-            write_int(
-                rsp,
-                (1 if cpu.zf else 0) | (2 if cpu.sf else 0)
-                | (4 if cpu.cf else 0) | (8 if cpu.of else 0),
-                8,
-            )
-        return step
+        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, "
+                "(1 if cpu.zf else 0) | (2 if cpu.sf else 0) "
+                "| (4 if cpu.cf else 0) | (8 if cpu.of else 0), 8)")
 
     if opcode is Opcode.POPF:
-        def step(_):
-            rsp = regs[RSP]
-            value = read_int(rsp, 8)
-            cpu.zf = bool(value & 1)
-            cpu.sf = bool(value & 2)
-            cpu.cf = bool(value & 4)
-            cpu.of = bool(value & 8)
-            regs[RSP] = (rsp + 8) & _M64
-        return step
+        return (f"rsp = {_SP}; v = read_int(rsp, 8); cpu.zf = bool(v & 1); "
+                "cpu.sf = bool(v & 2); cpu.cf = bool(v & 4); cpu.of = bool(v & 8); "
+                f"{_SP} = (rsp + 8) & {_M}")
 
+    return_address = instruction.address + instruction.length
     if opcode is Opcode.JMP:
-        target = (
-            instruction.address + instruction.length + operands[0].value
-        ) & _M64
+        constants["target"] = (return_address + operands[0].value) & _M64
+        return "cpu.rip = target"
 
-        def step(_):
-            cpu.rip = target
-        return step
-
-    if opcode in _JCC:
-        condition = _CONDITIONS[_JCC[opcode]]
-        target = (
-            instruction.address + instruction.length + operands[0].value
-        ) & _M64
-
-        def step(_):
-            if condition(cpu.zf, cpu.sf, cpu.cf, cpu.of):
-                cpu.rip = target
-        return step
+    if opcode in _JCC_COND:
+        constants["target"] = (return_address + operands[0].value) & _M64
+        return f"if {_JCC_COND[opcode]}: cpu.rip = target"
 
     if opcode is Opcode.CALL:
-        return_address = instruction.address + instruction.length
-        target = (return_address + operands[0].value) & _M64
-
-        def step(_):
-            regs[RSP] = rsp = (regs[RSP] - 8) & _M64
-            write_int(rsp, return_address, 8)
-            cpu.rip = target
-        return step
+        constants["ret"] = return_address
+        constants["target"] = (return_address + operands[0].value) & _M64
+        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, ret, 8); "
+                "cpu.rip = target")
 
     if opcode is Opcode.JMPR:
-        r = operands[0].reg
-
-        def step(_):
-            cpu.rip = regs[r]
-        return step
+        constants["s"] = int(operands[0].reg)
+        return "cpu.rip = regs[s]"
 
     if opcode is Opcode.CALLR:
-        return_address = instruction.address + instruction.length
-        r = operands[0].reg
-
-        def step(_):
-            regs[RSP] = rsp = (regs[RSP] - 8) & _M64
-            write_int(rsp, return_address, 8)
-            cpu.rip = regs[r]
-        return step
+        constants["ret"] = return_address
+        constants["s"] = int(operands[0].reg)
+        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, ret, 8); "
+                "cpu.rip = regs[s]")
 
     if opcode is Opcode.RET:
-        def step(_):
-            rsp = regs[RSP]
-            cpu.rip = read_int(rsp, 8)
-            regs[RSP] = (rsp + 8) & _M64
-        return step
+        return f"rsp = {_SP}; cpu.rip = read_int(rsp, 8); {_SP} = (rsp + 8) & {_M}"
 
     if opcode is Opcode.NOP:
-        def step(_):
-            return None
-        return step
+        return "pass"
 
     # TRAP, RTCALL, DIV/MOD/IDIV/IMOD, memory-destination ALU, and
-    # anything exotic run through the original bound handler.
+    # anything exotic run through the generic handler.
     return None
-
-
-def _spec_add(cpu, regs, d, load_b, _signed):
-    def step(_):
-        a = regs[d]
-        b = load_b()
-        result = (a + b) & _M64
-        regs[d] = result
-        cpu.cf = (a + b) > _M64
-        cpu.of = bool((~(a ^ b) & (a ^ result)) & _SIGN)
-        cpu.zf = result == 0
-        cpu.sf = bool(result & _SIGN)
-    return step
-
-
-def _spec_sub(cpu, regs, d, load_b, _signed):
-    def step(_):
-        a = regs[d]
-        b = load_b()
-        result = (a - b) & _M64
-        regs[d] = result
-        cpu.cf = b > a
-        cpu.of = bool(((a ^ b) & (a ^ result)) & _SIGN)
-        cpu.zf = result == 0
-        cpu.sf = bool(result & _SIGN)
-    return step
-
-
-def _spec_logic(operator):
-    def make(cpu, regs, d, load_b, _signed):
-        def step(_):
-            result = operator(regs[d], load_b())
-            regs[d] = result
-            cpu.cf = False
-            cpu.of = False
-            cpu.zf = result == 0
-            cpu.sf = bool(result & _SIGN)
-        return step
-    return make
-
-
-def _spec_imul(cpu, regs, d, load_b, _signed):
-    def step(_):
-        result = (_signed(regs[d]) * _signed(load_b())) & _M64
-        regs[d] = result
-        cpu.zf = result == 0
-        cpu.sf = bool(result & _SIGN)
-        cpu.cf = cpu.of = False
-    return step
-
-
-def _spec_shift(operator):
-    # SHL/SHR/SAR update only zf/sf (cf/of keep their prior values),
-    # mirroring ``CPU._alu``.
-    def make(cpu, regs, d, load_b, _signed):
-        def step(_):
-            result = operator(regs[d], load_b() & 63, _signed)
-            regs[d] = result
-            cpu.zf = result == 0
-            cpu.sf = bool(result & _SIGN)
-        return step
-    return make
-
-
-_ALU_SPECIALIZERS = {
-    Opcode.ADD: _spec_add,
-    Opcode.SUB: _spec_sub,
-    Opcode.AND: _spec_logic(lambda a, b: a & b),
-    Opcode.OR: _spec_logic(lambda a, b: a | b),
-    Opcode.XOR: _spec_logic(lambda a, b: a ^ b),
-    Opcode.IMUL: _spec_imul,
-    Opcode.SHL: _spec_shift(lambda a, count, _signed: (a << count) & _M64),
-    Opcode.SHR: _spec_shift(lambda a, count, _signed: a >> count),
-    Opcode.SAR: _spec_shift(
-        lambda a, count, _signed: (_signed(a) >> count) & _M64
-    ),
-}

@@ -7,9 +7,9 @@ from oracle to hottest:
    dispatch, retire one instruction at a time.  The semantics oracle:
    every other tier must be bit-identical to it.
 2. **superblock** (:mod:`repro.vm.superblock`) — straight-line runs
-   pre-translated to fused closure lists; stops at every control
+   pre-translated to lists of step functions; stops at every control
    transfer, so a hot loop still pays one dispatch per block and one
-   closure call per instruction.
+   step call per instruction.
 3. **trace** (this module) — profile-guided: the dispatch loop counts
    taken *back edges* (a retired application transfer whose target
    does not lie after it; trampoline return jumps only look backward
@@ -87,9 +87,10 @@ architectural state left behind by a mid-trace fault:
   guards anyway.  An anchor whose recording aborted is remembered as
   ``None`` (recording is execution, so skipping it is semantically
   neutral — the anchor is simply blacklisted up front).
-- **invalidation**: :meth:`repro.vm.cpu.CPU.flush_icache` drops every
-  trace together with the decode and superblock caches (compiled
-  functions bake in decoded instructions and immediates).
+- **invalidation**: :meth:`repro.vm.cpu.CPU.flush_icache` drops this
+  CPU's traces together with its decode and superblock caches
+  (compiled functions bake in decoded instructions and immediates);
+  the cross-run cache stays, gated by its byte check.
 
 Degradation: the ``vm.trace`` fault point fires on the back-edge
 profiling tick (off the compiled hot path).  When it fires the tier

@@ -4,11 +4,13 @@ The engine is only allowed to exist because it is *unobservable*: every
 test here compares a superblock run against the single-step reference
 loop and requires bit-identical architectural state — registers, rip,
 flags, retired-instruction counts, guest output, and every mapped
-memory page.  Plus the perfscope recorder that keeps it honest over
-time.
+memory page.  Blocks are shared by every run of an image, so the
+sharing rules (byte checks, rebases, degradation) are pinned here too.
+Plus the perfscope recorder that keeps it honest over time.
 """
 
 import json
+import types
 
 import pytest
 
@@ -16,7 +18,17 @@ from repro.cc import compile_source
 from repro.core import RedFat, RedFatOptions
 from repro.errors import GuestMemoryError, VMTimeoutError
 from repro.faults.campaign import DEGRADED, compile_campaign_program, run_campaign
+from repro.isa.assembler import assemble_text
+from repro.isa.encoding import decode_all
+from repro.isa.opcodes import Opcode
+from repro.isa.operands import Imm
+from repro.isa.registers import RSP
+from repro.runtime.glibc import GlibcRuntime
 from repro.telemetry.hub import Telemetry
+from repro.vm.cpu import CPU
+from repro.vm.loader import load_binary
+from repro.vm.memory import Memory
+from repro.vm.runtime_iface import Service
 from repro.vm.superblock import (
     MAX_BLOCK,
     SuperblockEngine,
@@ -287,6 +299,288 @@ class TestTracedLoop:
             ))
         assert counters[0] == counters[1]
         assert counters[0][0] > 0
+
+
+#: Every specialised step form under every addressing mode (base,
+#: index, base+index, absolute, rip-relative), sized moves, flags saved
+#: with ``pushf`` after each flag-setting family, and generic steps
+#: (DIV, a memory-destination ALU, RTCALL).  Mapped at 0x1000 with a
+#: callee at 0x1800, an exit stub at 0x1c00 and data at 0x8000.
+ISA_MIX = """
+mov %rbx, $0x8000
+mov %rcx, $3
+mov %rdx, $-7
+mov (%rbx), $0x1234567890
+mov 8(%rbx), %rdx
+mov 16(%rbx,%rcx,8), %rcx
+mov 0x8000(,%rcx,8), $77
+mov %rax, (%rbx)
+mov %rsi, 8(%rbx)
+mov %rdi, 0x8018()
+mov 0x8020(), %rdi
+movsb %r9, 0x10(%rbx,%rcx,4)
+movb %r8, 8(%rbx)
+push %r8
+movsb %r9, 8(%rbx)
+movw %r13, 0x7ffe(,%rcx,1)
+push %r13
+movl %r14, %rdx
+push %r14
+movb %r15, $0x1ff
+lea %r10, 8(%rbx,%rcx,4)
+lea %r11, 0x40(,%rcx,2)
+mov %r12, 2(%rip)
+add %rax, %rdx
+pushf
+sub %rax, $0x7fffffff
+pushf
+and %rsi, $0xff0
+or %rsi, %rcx
+xor %rsi, $-1
+pushf
+imul %rdx, %rcx
+pushf
+shl %rdx, $60
+pushf
+shr %rdx, %rcx
+sar %r9, $2
+sar %rdx, %rcx
+pushf
+cmp (%rbx), $5
+setl %rax
+setb %rsi
+seta %rdi
+cmp 8(%rbx,%rcx,8), %rdx
+setge %r8
+cmp %rdx, $-1
+setle %r13
+test %rdx, %rcx
+sete %r14
+test %rdx, $0xff
+setne %r15
+mov %rdx, $-5
+neg %rdx
+pushf
+not %rdx
+popf
+pushf
+pop %r11
+div %r11, %rcx
+add (%rbx), %rcx
+call fn
+mov %rcx, $0x1800
+callr %rcx
+jl skip
+mov %rax, $1
+skip:
+jge over
+mov %rax, $2
+over:
+mov %rcx, $0x1c00
+jmpr %rcx
+fn:
+mov %r10, $9
+ret
+"""
+
+
+def _mix_cpu():
+    memory = Memory()
+    memory.map_range(0x1000, 0x1000)
+    for address, text in ((0x1000, ISA_MIX), (0x1800, "mov %r10, $9\nret"),
+                          (0x1C00, f"mov %rdi, %rax\nrtcall ${int(Service.EXIT)}")):
+        memory.write(address, assemble_text(text + "\n", address))
+    memory.map_range(0x7000, 0x3000)
+    memory.map_range(0x1F000, 0x2000)
+    cpu = CPU(memory, GlibcRuntime())
+    cpu.rip = 0x1000
+    cpu.regs[RSP] = 0x20000
+    return cpu
+
+
+class TestStepForms:
+    def test_every_form_matches_single_step(self):
+        states = []
+        for engine in ("superblock", "single-step"):
+            with engine_override(engine):
+                cpu = _mix_cpu()
+            status = cpu.run(1000)
+            states.append((status, cpu.instructions_executed, list(cpu.regs),
+                           cpu.rip, (cpu.zf, cpu.sf, cpu.cf, cpu.of),
+                           cpu.memory.page_contents()))
+            if engine == "superblock":
+                assert cpu.superblock.translations > 1
+        assert states[0] == states[1]
+
+
+def _captured(fn):
+    """*fn* and every value it closes over or defaults to, through
+    nested functions."""
+    pending, seen = [fn], set()
+    while pending:
+        value = pending.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if isinstance(value, types.FunctionType):
+            for cell in value.__closure__ or ():
+                try:
+                    pending.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+            pending.extend(value.__defaults__ or ())
+            pending.extend((value.__kwdefaults__ or {}).values())
+
+
+def _is_run_state(value, cpu) -> bool:
+    if isinstance(value, (CPU, Memory)) or value is cpu.regs:
+        return True
+    return (isinstance(value, types.MethodType)
+            and isinstance(value.__self__, (CPU, Memory)))
+
+
+def _immediate_site(blocks, value):
+    """(address of the byte holding *value*, block start) for the first
+    ``mov reg, $value`` in the image's translated blocks."""
+    for block in blocks.values():
+        for instruction in decode_all(block.code, block.start):
+            operand = instruction.operands[-1] if instruction.operands else None
+            if (instruction.opcode is Opcode.MOV and type(operand) is Imm
+                    and operand.value == value):
+                offset = instruction.address - block.start
+                raw = block.code[offset:offset + instruction.length]
+                return instruction.address + raw.rindex(value), block.start
+    raise AssertionError(f"no mov of ${value} in the translated blocks")
+
+
+def _cpu_state(cpu, status):
+    return (status, tuple(cpu.runtime.output), cpu.instructions_executed,
+            list(cpu.regs), cpu.rip, (cpu.zf, cpu.sf, cpu.cf, cpu.of))
+
+
+class TestSharedBlocks:
+    """One translated block serves every run of its image."""
+
+    def test_blocks_hold_no_run_state(self):
+        """No step may reach a CPU, a Memory, a register list or a bound
+        method of either — what lets a block outlive the run that
+        translated it."""
+        program = compile_source(PROGRAMS["heap"])
+        harden = RedFat(RedFatOptions.preset("unoptimized")).instrument(
+            program.binary.strip()
+        )
+        with engine_override("superblock"):
+            result = program.run(binary=harden.binary,
+                                 runtime=harden.create_runtime(mode="log"))
+            mix = _mix_cpu()
+        mix.run(1000)
+        for cpu in (result.cpu, mix):
+            assert cpu.superblock.cache
+            for block in cpu.superblock.cache.values():
+                for step in block.steps:
+                    for value in _captured(step[1]):
+                        assert not _is_run_state(value, cpu), (
+                            f"block {block.start:#x} holds {value!r}"
+                        )
+
+    def test_second_run_translates_nothing(self):
+        program = compile_source(PROGRAMS["branchy"])
+        with engine_override("superblock"):
+            first = program.run()
+            second = program.run()
+        with engine_override("single-step"):
+            reference = program.run()
+        assert first.cpu.superblock.translations > 0
+        assert second.cpu.superblock.translations == 0
+        assert second.cpu.superblock.revived == first.cpu.superblock.translations
+        assert _state(second) == _state(reference)
+
+    def test_changed_code_byte_translates_that_block_again(self):
+        program = compile_source("int main() { int x = 7; print(x); return x; }")
+        with engine_override("superblock"):
+            program.run()
+        blocks = program.binary._block_cache
+        site, start = _immediate_site(blocks, 7)
+        states, engines = [], []
+        for engine in ("superblock", "single-step"):
+            with engine_override(engine):
+                cpu = load_binary(program.binary, GlibcRuntime())
+            cpu.memory.write(site, bytes([9]))
+            states.append(_cpu_state(cpu, cpu.run()))
+            engines.append(cpu.superblock)
+        assert states[0] == states[1]
+        assert states[0][:2] == (9, ("9",))
+        fast = engines[0]
+        assert fast.translations == 1
+        assert fast.revived > 0
+        assert blocks[start] is fast.cache[start]  # the new block is published
+
+    def test_stale_decode_is_not_published(self):
+        """A block built from icache entries whose bytes changed since
+        (a bit flip mid-run) runs on its own CPU but is never offered to
+        other runs as the translation of the new bytes."""
+        program = compile_source(PROGRAMS["alu-loop"])
+        with engine_override("superblock"):
+            cpu = load_binary(program.binary, GlibcRuntime())
+        entry = cpu.rip
+        cpu._decode_at(entry)
+        cpu.memory.write(entry + 1, bytes([cpu.memory.read(entry + 1, 1)[0] ^ 1]))
+        block = cpu.superblock.translate(entry)
+        assert block.code is None
+        assert entry not in program.binary._block_cache
+
+    def test_rebased_pic_image_never_shares(self):
+        program = compile_source(PROGRAMS["branchy"], pic=True)
+        harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
+        results = []
+        for rebase in (0, 0x1000):
+            with engine_override("superblock"):
+                results.append(program.run(
+                    binary=harden.binary, rebase=rebase,
+                    runtime=harden.create_runtime(mode="log"),
+                ))
+        engine = results[1].cpu.superblock
+        assert engine.translations > 0
+        assert engine.revived == 0
+        assert results[0].output == results[1].output
+
+    def test_degrading_one_cpu_spares_the_others(self):
+        program = compile_source(PROGRAMS["alu-loop"])
+        with engine_override("superblock"):
+            reference = program.run()
+            degraded = load_binary(program.binary, GlibcRuntime())
+            healthy = load_binary(program.binary, GlibcRuntime())
+        degraded.superblock.degrade("test latch")
+        assert program.binary._block_cache
+        states = [_cpu_state(cpu, cpu.run()) for cpu in (degraded, healthy)]
+        assert states[0] == states[1] == _cpu_state(reference.cpu, reference.status)
+        engine = healthy.superblock
+        assert engine.enabled and not engine.degraded
+        assert engine.translations == 0 and engine.revived > 0
+
+    def test_flush_keeps_the_image_blocks(self):
+        program = compile_source(PROGRAMS["alu-loop"])
+        with engine_override("superblock"):
+            cpu = program.run().cpu
+        start = next(iter(cpu.superblock.cache))
+        cpu.flush_icache()
+        assert not cpu.superblock.cache
+        assert cpu.superblock.translate(start) is program.binary._block_cache[start]
+
+    def test_telemetry_counts_translations_and_revivals_apart(self):
+        program = compile_source(PROGRAMS["branchy"])
+        counters = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            with engine_override("superblock"):
+                program.run(telemetry=telemetry)
+            counters.append(telemetry.counters)
+        assert counters[0]["vm.superblocks_translated"] > 0
+        assert "vm.superblocks_revived" not in counters[0]
+        assert "vm.superblocks_translated" not in counters[1]
+        assert (counters[1]["vm.superblocks_revived"]
+                == counters[0]["vm.superblocks_translated"])
 
 
 class TestEngineControls:
