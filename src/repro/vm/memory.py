@@ -15,10 +15,30 @@ untouched page before using it.  Every observable treats an untouched
 page as a mapped page of zeros: :meth:`Memory.is_mapped`,
 :meth:`Memory.mapped_bytes`, :meth:`Memory.mapped_page_indices`,
 :meth:`Memory.page_contents`, unmapping and aliasing.
+
+Each backed page also has a quadword view, ``memoryview(page).cast("Q")``,
+that shares the page's buffer.  An unsigned, 8-aligned, 8-byte
+:meth:`Memory.read_int` / :meth:`Memory.write_int` on a backed page is
+one index into that view.  Almost every guest data access is one: stack
+slots and a check's low-fat SIZES and redzone SIZE loads.
+Every other access (sizes 1, 2 and 4, signed reads, unaligned
+addresses, untouched and unmapped pages) slices the ``bytearray``.  The
+invariant is that ``_words`` and ``_pages`` have the same keys and each
+view shares its page's buffer.  Three places keep it: :meth:`_back`
+creates a view whenever a page gets backing, :meth:`alias_range` gives
+the source page the target's view, and :meth:`unmap_range` drops it.
+Pages are never resized, so exporting their buffer is safe.  A ``"Q"``
+view reads native byte order, so views exist only on a little-endian
+host.  On a big-endian host ``_words`` stays empty and every access
+takes the byte path.
+
+A store that straddles pages checks every page before it writes a
+byte, so a store that faults commits nothing, as on x86.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Optional, Set
 
 from repro.errors import VMFault
@@ -28,18 +48,23 @@ _PAGE_SHIFT = 12
 _PAGE_MASK = PAGE_SIZE - 1
 _M64 = (1 << 64) - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
+#: Guest memory is little-endian and a ``"Q"`` view reads host order.
+_WORD_VIEWS = sys.byteorder == "little"
 
 
 class Memory:
     """Sparse byte-addressable memory with page-granular mapping."""
 
-    __slots__ = ("_pages", "_untouched")
+    __slots__ = ("_pages", "_untouched", "_words")
 
     def __init__(self) -> None:
         #: Backed pages, by page index.
         self._pages: Dict[int, bytearray] = {}
         #: Mapped pages no access has touched yet (disjoint from _pages).
         self._untouched: Set[int] = set()
+        #: A quadword view of each backed page, sharing its buffer: the
+        #: same keys as _pages on a little-endian host, empty otherwise.
+        self._words: Dict[int, memoryview] = {}
 
     def _back(self, page_index: int) -> Optional[bytearray]:
         """The backing of *page_index*, allocated on first touch; None
@@ -48,6 +73,8 @@ class Memory:
         if page is None and page_index in self._untouched:
             self._untouched.discard(page_index)
             page = self._pages[page_index] = bytearray(PAGE_SIZE)
+            if _WORD_VIEWS:
+                self._words[page_index] = memoryview(page).cast("Q")
         return page
 
     # -- mapping ----------------------------------------------------------
@@ -70,6 +97,7 @@ class Memory:
         last = (address + size) >> _PAGE_SHIFT
         for page_index in range(first, last):
             self._pages.pop(page_index, None)
+            self._words.pop(page_index, None)
             self._untouched.discard(page_index)
 
     def alias_range(self, address: int, target: int, size: int) -> None:
@@ -91,6 +119,8 @@ class Memory:
                 raise VMFault((first_dst + index) << _PAGE_SHIFT)
             self._untouched.discard(first_src + index)
             self._pages[first_src + index] = backing
+            if _WORD_VIEWS:
+                self._words[first_src + index] = self._words[first_dst + index]
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
         first = address >> _PAGE_SHIFT
@@ -155,15 +185,20 @@ class Memory:
         if offset + size <= PAGE_SIZE:
             page[offset : offset + size] = data
             return
-        written = 0
-        while written < size:
-            page = self._back(page_index)
+        # Crosses a page boundary.  Back every page before writing any
+        # byte: a store that faults commits nothing, as on x86.
+        pages = [page]
+        last = (address + size - 1) >> _PAGE_SHIFT
+        for index in range(page_index + 1, last + 1):
+            page = self._back(index)
             if page is None:
-                raise VMFault(page_index << _PAGE_SHIFT)
+                raise VMFault(index << _PAGE_SHIFT)
+            pages.append(page)
+        written = 0
+        for page in pages:
             chunk = min(size - written, PAGE_SIZE - offset)
             page[offset : offset + chunk] = data[written : written + chunk]
             written += chunk
-            page_index += 1
             offset = 0
 
     def read_upto(self, address: int, size: int) -> bytes:
@@ -192,12 +227,18 @@ class Memory:
     # -- integer access ------------------------------------------------------------
 
     def read_int(self, address: int, size: int, signed: bool = False) -> int:
-        # In-page fast path: the overwhelmingly common case for the VM's
-        # data accesses (stack slots, heap words).  Unmapped and
-        # untouched pages and page-straddling reads take the slow path,
-        # which backs an untouched page and raises the same VMFault a
-        # byte-wise read would on an unmapped one.
+        # Quadword fast path: an unsigned, aligned 8-byte read of a
+        # backed page is one index into its word view.  Nearly every
+        # guest data access is one (stack slots, check metadata).
         address &= _M64
+        if size == 8 and not (address & 7 or signed):
+            words = self._words.get(address >> _PAGE_SHIFT)
+            if words is not None:
+                return words[(address & _PAGE_MASK) >> 3]
+        # Byte path for every other access.  Unmapped and untouched
+        # pages and page-straddling reads take the slow path, which
+        # backs an untouched page and raises the same VMFault a
+        # byte-wise read would on an unmapped one.
         offset = address & _PAGE_MASK
         if offset + size <= PAGE_SIZE:
             page = self._pages.get(address >> _PAGE_SHIFT)
@@ -208,8 +249,13 @@ class Memory:
         return int.from_bytes(self.read(address, size), "little", signed=signed)
 
     def write_int(self, address: int, value: int, size: int) -> None:
-        mask = (1 << (size * 8)) - 1
         address &= _M64
+        if size == 8 and not address & 7:
+            words = self._words.get(address >> _PAGE_SHIFT)
+            if words is not None:
+                words[(address & _PAGE_MASK) >> 3] = value & _M64
+                return
+        mask = (1 << (size * 8)) - 1
         offset = address & _PAGE_MASK
         if offset + size <= PAGE_SIZE:
             page = self._pages.get(address >> _PAGE_SHIFT)
