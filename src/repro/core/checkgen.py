@@ -42,6 +42,11 @@ from repro.core.options import RedFatOptions
 
 _REGION_MASK = MAX_REGIONS - 1
 
+#: One shared operand per register.  Checks repeat a handful of register
+#: operands thousands of times; sharing them saves the allocations and
+#: lets the assembler's encoding memo compare keys by identity.
+_REG = {register: Reg(register) for register in Register}
+
 
 @dataclass
 class CheckContext:
@@ -60,7 +65,7 @@ class CheckContext:
 
 
 def _ins(opcode: Opcode, *operands, size: int = 8, **kw) -> Instruction:
-    return Instruction(opcode, tuple(operands), size=size, **kw)
+    return Instruction(opcode, operands, size=size, **kw)
 
 
 class CheckGenerator:
@@ -88,13 +93,13 @@ class CheckGenerator:
         if self.context.save_flags:
             items.append(_ins(Opcode.PUSHF))
         for register in self.context.save_registers:
-            items.append(_ins(Opcode.PUSH, Reg(register)))
+            items.append(_ins(Opcode.PUSH, _REG[register]))
         return items
 
     def _epilogue(self) -> List[Item]:
         items: List[Item] = []
         for register in reversed(self.context.save_registers):
-            items.append(_ins(Opcode.POP, Reg(register)))
+            items.append(_ins(Opcode.POP, _REG[register]))
         if self.context.save_flags:
             items.append(_ins(Opcode.POPF))
         return items
@@ -116,27 +121,27 @@ class CheckGenerator:
     def _pointer_items(self, destination: Register, base: Register) -> List[Item]:
         """Materialise the original value of *base* into *destination*."""
         if base is RSP:
-            return [_ins(Opcode.LEA, Reg(destination),
+            return [_ins(Opcode.LEA, _REG[destination],
                          Mem(8 * self.context.push_count, RSP))]
-        return [_ins(Opcode.MOV, Reg(destination), Reg(base))]
+        return [_ins(Opcode.MOV, _REG[destination], _REG[base])]
 
     def _table_lookup(self, value_reg: Register, table_reg: Register) -> List[Item]:
         """``value_reg = SIZES[value_reg >> 35 & mask]`` (clobbers table_reg on PIC)."""
         items = [
-            _ins(Opcode.SHR, Reg(value_reg), Imm(REGION_SHIFT)),
-            _ins(Opcode.AND, Reg(value_reg), Imm(_REGION_MASK)),
+            _ins(Opcode.SHR, _REG[value_reg], Imm(REGION_SHIFT)),
+            _ins(Opcode.AND, _REG[value_reg], Imm(_REGION_MASK)),
         ]
         if self.context.pic:
             items.append(
-                _ins(Opcode.LEA, Reg(table_reg), Mem(0, Register.RIP),
+                _ins(Opcode.LEA, _REG[table_reg], Mem(0, Register.RIP),
                      abs_target=self.context.sizes_table)
             )
             items.append(
-                _ins(Opcode.MOV, Reg(value_reg), Mem(0, table_reg, value_reg, 8))
+                _ins(Opcode.MOV, _REG[value_reg], Mem(0, table_reg, value_reg, 8))
             )
         else:
             items.append(
-                _ins(Opcode.MOV, Reg(value_reg),
+                _ins(Opcode.MOV, _REG[value_reg],
                      Mem(self.context.sizes_table, None, value_reg, 8))
             )
         return items
@@ -159,72 +164,72 @@ class CheckGenerator:
 
         items: List[Item] = []
         # STEP 1: LB into t0.
-        items.append(_ins(Opcode.LEA, Reg(t0), self._adjusted_operand(access_range)))
+        items.append(_ins(Opcode.LEA, _REG[t0], self._adjusted_operand(access_range)))
 
         # STEP 2: candidate pointer into t1, class size into t2.
         if use_lowfat:
             items += self._pointer_items(t1, access_range.base)
         else:
-            items.append(_ins(Opcode.MOV, Reg(t1), Reg(t0)))
-        items.append(_ins(Opcode.MOV, Reg(t2), Reg(t1)))
+            items.append(_ins(Opcode.MOV, _REG[t1], _REG[t0]))
+        items.append(_ins(Opcode.MOV, _REG[t2], _REG[t1]))
         items += self._table_lookup(t2, t3)
-        items.append(_ins(Opcode.TEST, Reg(t2), Reg(t2)))
+        items.append(_ins(Opcode.TEST, _REG[t2], _REG[t2]))
         if use_lowfat:
             fat = f"{prefix}_fat"
             items.append(_ins(Opcode.JNE, Label(fat)))
             # (Redzone) fallback: the pointer is non-fat; derive the base
             # from the accessed address instead (Fig. 4 lines 13-14).
-            items.append(_ins(Opcode.MOV, Reg(t1), Reg(t0)))
-            items.append(_ins(Opcode.MOV, Reg(t2), Reg(t1)))
+            items.append(_ins(Opcode.MOV, _REG[t1], _REG[t0]))
+            items.append(_ins(Opcode.MOV, _REG[t2], _REG[t1]))
             items += self._table_lookup(t2, t3)
-            items.append(_ins(Opcode.TEST, Reg(t2), Reg(t2)))
+            items.append(_ins(Opcode.TEST, _REG[t2], _REG[t2]))
             items.append(_ins(Opcode.JE, Label(done)))
             items.append(Label(fat))
         else:
             items.append(_ins(Opcode.JE, Label(done)))
 
         # t1 = BASE = ptr - ptr % class_size.
-        items.append(_ins(Opcode.MOV, Reg(t3), Reg(t1)))
-        items.append(_ins(Opcode.MOD, Reg(t3), Reg(t2)))
-        items.append(_ins(Opcode.SUB, Reg(t1), Reg(t3)))
+        items.append(_ins(Opcode.MOV, _REG[t3], _REG[t1]))
+        items.append(_ins(Opcode.MOD, _REG[t3], _REG[t2]))
+        items.append(_ins(Opcode.SUB, _REG[t1], _REG[t3]))
 
         # STEP 3: metadata SIZE into t3 (SIZE == 0 means Free).
-        items.append(_ins(Opcode.MOV, Reg(t3), Mem(0, t1)))
+        items.append(_ins(Opcode.MOV, _REG[t3], Mem(0, t1)))
 
         # STEP 4a: metadata hardening (Fig. 4 lines 23-24).
         if options.size_hardening:
             size_ok = f"{prefix}_szok"
-            items.append(_ins(Opcode.SUB, Reg(t2), Imm(REDZONE_SIZE)))
-            items.append(_ins(Opcode.CMP, Reg(t3), Reg(t2)))
+            items.append(_ins(Opcode.SUB, _REG[t2], Imm(REDZONE_SIZE)))
+            items.append(_ins(Opcode.CMP, _REG[t3], _REG[t2]))
             items.append(_ins(Opcode.JBE, Label(size_ok)))
             items += self._trap(TrapCode.METADATA, site, done)
             items.append(Label(size_ok))
 
         if options.merge:
             # STEP 4b (merged): single-branch bounds via u32 underflow.
-            items.append(_ins(Opcode.ADD, Reg(t1), Imm(REDZONE_SIZE)))
-            items.append(_ins(Opcode.SUB, Reg(t0), Reg(t1)))
-            items.append(_ins(Opcode.MOV, Reg(t0), Reg(t0), size=4))
-            items.append(_ins(Opcode.ADD, Reg(t0), Imm(access_range.length)))
-            items.append(_ins(Opcode.CMP, Reg(t0), Reg(t3)))
+            items.append(_ins(Opcode.ADD, _REG[t1], Imm(REDZONE_SIZE)))
+            items.append(_ins(Opcode.SUB, _REG[t0], _REG[t1]))
+            items.append(_ins(Opcode.MOV, _REG[t0], _REG[t0], size=4))
+            items.append(_ins(Opcode.ADD, _REG[t0], Imm(access_range.length)))
+            items.append(_ins(Opcode.CMP, _REG[t0], _REG[t3]))
             items.append(_ins(Opcode.JBE, Label(done)))
             items += self._trap(TrapCode.OOB_UPPER, site, done)
         else:
             # STEP 4b (separate branches, as written in Fig. 4).
             live = f"{prefix}_live"
-            items.append(_ins(Opcode.TEST, Reg(t3), Reg(t3)))
+            items.append(_ins(Opcode.TEST, _REG[t3], _REG[t3]))
             items.append(_ins(Opcode.JNE, Label(live)))
             items += self._trap(TrapCode.USE_AFTER_FREE, site, done)
             items.append(Label(live))
             lb_ok = f"{prefix}_lbok"
-            items.append(_ins(Opcode.ADD, Reg(t1), Imm(REDZONE_SIZE)))
-            items.append(_ins(Opcode.CMP, Reg(t0), Reg(t1)))
+            items.append(_ins(Opcode.ADD, _REG[t1], Imm(REDZONE_SIZE)))
+            items.append(_ins(Opcode.CMP, _REG[t0], _REG[t1]))
             items.append(_ins(Opcode.JAE, Label(lb_ok)))
             items += self._trap(TrapCode.OOB_LOWER, site, done)
             items.append(Label(lb_ok))
-            items.append(_ins(Opcode.ADD, Reg(t1), Reg(t3)))
-            items.append(_ins(Opcode.ADD, Reg(t0), Imm(access_range.length)))
-            items.append(_ins(Opcode.CMP, Reg(t0), Reg(t1)))
+            items.append(_ins(Opcode.ADD, _REG[t1], _REG[t3]))
+            items.append(_ins(Opcode.ADD, _REG[t0], Imm(access_range.length)))
+            items.append(_ins(Opcode.CMP, _REG[t0], _REG[t1]))
             items.append(_ins(Opcode.JBE, Label(done)))
             items += self._trap(TrapCode.OOB_UPPER, site, done)
         items.append(Label(done))

@@ -1,10 +1,23 @@
 """Two-pass assembler: instruction streams (or text) -> bytes.
 
 Operand order is destination-first throughout the library (``mov %rax, $5``
-sets rax to 5) while operand *syntax* is AT&T-style.  Labels may appear as
-jump/call targets and are resolved to rel32 displacements during layout;
-every other instruction has a value-determined length, so a single sizing
-pass suffices before resolution.
+sets rax to 5) while operand *syntax* is AT&T-style.
+
+The sizing pass assigns addresses and keeps the bytes of every
+instruction that layout cannot change, so each of those is encoded once.
+The emit pass encodes (again) only the items whose operands layout
+rewrites:
+
+* jumps and calls, whose :class:`Label` target becomes a rel32 immediate
+  once every label has an address;
+* ``abs_target`` fixups, whose rel32 or rip-relative displacement is
+  re-derived from the instruction's final address.
+
+Both keep their length across the rewrite (a jump is always ``JUMP_LEN``
+bytes; a rip-relative operand always encodes a disp32), so a single
+sizing pass suffices and no re-encoding moves a later item.  Equal
+instructions share one encoding through the memo in
+:mod:`repro.isa.encoding`.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from repro.errors import AssemblyError, EncodingError
 from repro.isa.encoding import JUMP_LEN, encode
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import JUMP_OPCODES, Opcode
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.operands import INT32_MAX, INT32_MIN, Imm, Label, Mem, Reg
 from repro.isa.registers import Register
 
 #: Items accepted by the assembler: label definitions or instructions.
@@ -65,9 +78,15 @@ class Assembler:
         return assemble(self.items, base_address)
 
 
-def _sizing_pass(items: Sequence[Item], base_address: int) -> dict:
-    """Assign addresses to every item; return the label table."""
+def _sizing_pass(items: Sequence[Item], base_address: int) -> Tuple[dict, list]:
+    """Assign addresses to every item; return the label table and the pieces.
+
+    A piece is an instruction's final bytes, or the instruction itself
+    when layout still rewrites its operands (a jump, or an ``abs_target``
+    fixup); those alone are encoded again by :func:`assemble`.
+    """
     labels = {}
+    pieces: list = []
     address = base_address
     for item in items:
         if isinstance(item, Label):
@@ -78,13 +97,15 @@ def _sizing_pass(items: Sequence[Item], base_address: int) -> dict:
         item.address = address
         if item.opcode in JUMP_OPCODES:
             item.length = JUMP_LEN
+            pieces.append(item)
         else:
             try:
-                encode(item)  # sets .length
+                raw = encode(item)  # sets .length
             except EncodingError as exc:
                 raise AssemblyError(str(exc)) from exc
+            pieces.append(raw if item.abs_target is None else item)
         address += item.length
-    return labels
+    return labels, pieces
 
 
 def assemble(items: Sequence[Item], base_address: int = 0) -> bytes:
@@ -94,10 +115,11 @@ def assemble(items: Sequence[Item], base_address: int = 0) -> bytes:
     resolved rel32 immediates; instruction ``address``/``length`` fields
     are filled in.
     """
-    labels = _sizing_pass(items, base_address)
+    labels, pieces = _sizing_pass(items, base_address)
     output = bytearray()
-    for item in items:
-        if isinstance(item, Label):
+    for item in pieces:
+        if isinstance(item, bytes):
+            output += item
             continue
         if item.abs_target is not None:
             _apply_abs_target(item)
@@ -120,7 +142,9 @@ def _apply_abs_target(item: Instruction) -> None:
     Direct jumps get their rel32 recomputed; rip-relative memory operands
     get their displacement recomputed.  Both encodings have layout-stable
     lengths (jumps are always 5 bytes; rip-relative displacements always
-    encode as disp32), so fixups never perturb the sizing pass.
+    encode as disp32), so fixups never perturb the sizing pass.  A
+    target out of 32-bit reach raises :class:`AssemblyError`, as an
+    overflowing rel32 does when the jump is encoded.
     """
     target = item.abs_target
     if item.opcode in JUMP_OPCODES:
@@ -131,6 +155,11 @@ def _apply_abs_target(item: Instruction) -> None:
     for operand in item.operands:
         if isinstance(operand, Mem) and operand.is_rip_relative:
             new_disp = target - (item.address + item.length)
+            if not INT32_MIN <= new_disp <= INT32_MAX:
+                raise AssemblyError(
+                    f"rip-relative displacement {new_disp:#x} from "
+                    f"{item.address:#x} to {target:#x} exceeds disp32"
+                )
             new_operands.append(operand.with_disp(new_disp))
             fixed = True
         else:

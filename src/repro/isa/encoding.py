@@ -24,7 +24,7 @@ group-displacement tactic exactly as E9Patch must on real x86_64.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.errors import EncodingError
 from repro.isa.instructions import Instruction
@@ -68,6 +68,15 @@ INT32_RANGE = (-(1 << 31), (1 << 31) - 1)
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 U64 = 1 << 64
+
+#: Encodings of non-jump instructions by ``(opcode, operands, size)``:
+#: the fields ``Instruction.__eq__`` compares, and all that ``encode``
+#: reads for them.  Only successful encodings are stored, so an invalid
+#: instruction raises on every call.  Jumps stay out: their rel32 is
+#: rewritten at every layout.  Cleared when it holds ``_MEMO_LIMIT``
+#: entries, which bounds it without bookkeeping on the hit path.
+_MEMO: Dict[tuple, bytes] = {}
+_MEMO_LIMIT = 1 << 14
 
 
 def _to_signed64(value: int) -> int:
@@ -173,6 +182,22 @@ def _decode_mem(data: bytes, offset: int) -> Tuple[Mem, int]:
 def encode(instruction: Instruction) -> bytes:
     """Encode *instruction* to bytes; sets ``instruction.length``."""
     opcode = instruction.opcode
+    if opcode in JUMP_OPCODES:
+        raw = _encode(instruction)
+    else:
+        key = (opcode, instruction.operands, instruction.size)
+        raw = _MEMO.get(key)
+        if raw is None:
+            raw = _encode(instruction)
+            if len(_MEMO) >= _MEMO_LIMIT:
+                _MEMO.clear()
+            _MEMO[key] = raw
+    instruction.length = len(raw)
+    return raw
+
+
+def _encode(instruction: Instruction) -> bytes:
+    opcode = instruction.opcode
     operands = instruction.operands
     if opcode in BARE_OPCODES:
         if operands:
@@ -224,7 +249,6 @@ def encode(instruction: Instruction) -> bytes:
             else:
                 raise EncodingError(f"cannot encode operand {operand!r}")
         raw = bytes([opcode, form_byte]) + bytes(payload)
-    instruction.length = len(raw)
     return raw
 
 

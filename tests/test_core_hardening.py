@@ -12,11 +12,18 @@ from hypothesis import strategies as st
 
 from repro.errors import GuestMemoryError
 from repro.binfmt import BinaryBuilder, BinaryType
+from repro.cc import compile_source
 from repro.isa.assembler import parse
+from repro.isa.encoding import decode, encode
+from repro.isa.opcodes import Opcode
+from repro.isa.operands import Mem
+from repro.layout import SIZES_TABLE_ADDR
+from repro.rewriter.rewriter import TRAMPOLINE_SEGMENT
 from repro.runtime.redfat import RedFatRuntime
 from repro.runtime.reporting import ErrorKind
 from repro.core import Profiler, RedFat, RedFatOptions
 from repro.vm.loader import run_binary
+from repro.workloads.spec import get_benchmark
 
 CONFIGS = {
     "unoptimized": RedFatOptions.preset("unoptimized"),
@@ -291,6 +298,48 @@ class TestHardenedUnderGlibc:
         harden = RedFat(RedFatOptions()).instrument(binary)
         result = run_binary(harden.binary)  # default glibc runtime
         assert result.status == 0
+
+
+class TestTrampolineRoundTrip:
+    """Every trampoline byte decodes and re-encodes to itself, so no
+    instruction was emitted from a stale (pre-layout) encoding."""
+
+    @pytest.mark.parametrize("pic", [False, True], ids=["exec", "pic"])
+    def test_gcc_unoptimized(self, pic):
+        program = compile_source(get_benchmark("gcc").source, pic=pic)
+        harden = RedFat(RedFatOptions.preset("unoptimized")).instrument(
+            program.binary
+        )
+        tramp = next(segment for segment in harden.binary.segments
+                     if segment.name == TRAMPOLINE_SEGMENT)
+        table_loads = 0
+        for start, end, _head in harden.rewrite.trampoline_ranges:
+            listing = []
+            address = start
+            while address < end:
+                offset = address - tramp.vaddr
+                instruction = decode(tramp.data, offset, address)
+                raw = tramp.data[offset : offset + instruction.length]
+                assert encode(instruction) == raw, instruction
+                listing.append(instruction)
+                address = instruction.end_address
+            assert address == end
+            for first, second in zip(listing, listing[1:]):
+                mem = second.operands[-1] if second.operands else None
+                if not (second.opcode is Opcode.MOV and isinstance(mem, Mem)
+                        and mem.scale == 8 and mem.index is not None):
+                    continue
+                if pic and mem.base is not None and first.opcode is Opcode.LEA \
+                        and first.operands[0].reg is mem.base:
+                    # The SIZES table, addressed rip-relatively.
+                    table = first.operands[1]
+                    assert table.is_rip_relative
+                    assert first.end_address + table.disp == SIZES_TABLE_ADDR
+                    table_loads += 1
+                elif not pic and mem.base is None and mem.disp == SIZES_TABLE_ADDR:
+                    table_loads += 1
+        # One table lookup per check at least.
+        assert table_loads >= len(harden.rewrite.trampoline_ranges) > 100
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import RewriteError
 from repro.binfmt import BinaryBuilder
+from repro.cc import compile_source
 from repro.isa.assembler import parse
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
@@ -384,3 +385,37 @@ class TestRipRelativeRelocation:
         rewriter.request(PatchRequest(load.address, [Instruction(Opcode.NOP)]))
         result = rewriter.finalize()
         assert run_binary(result.binary).status == 77
+
+    def _far_lea_rewriter(self, keep_going):
+        """A PIC program whose first rip-relative lea is patched into
+        trampolines too far from the data for any disp32."""
+        program = compile_source(
+            "int g[4];\nint main() { g[1] = 5; print(g[1]); return 0; }",
+            pic=True,
+        )
+        lea = next(
+            instruction
+            for instruction in recover_control_flow(program.binary).instructions
+            if instruction.opcode is Opcode.LEA
+            and instruction.operands[1].is_rip_relative
+        )
+        rewriter = Rewriter(
+            program.binary, trampoline_base=0x7F0000000000, keep_going=keep_going
+        )
+        rewriter.request(PatchRequest(lea.address, [Instruction(Opcode.NOP)]))
+        return program, lea, rewriter
+
+    def test_far_rip_relative_fixup_is_quarantined(self):
+        program, lea, rewriter = self._far_lea_rewriter(keep_going=True)
+        result = rewriter.finalize()
+        assert result.patched == []
+        assert [head for head, _ in result.encode_failures] == [lea.address]
+        assert "exceeds disp32" in result.encode_failures[0][1]
+        assert result.trampoline_bytes == 0
+        # The quarantined site keeps its original bytes and still works.
+        assert program.run(binary=result.binary).output == program.run().output
+
+    def test_far_rip_relative_fixup_aborts_without_keep_going(self):
+        _, lea, rewriter = self._far_lea_rewriter(keep_going=False)
+        with pytest.raises(RewriteError, match=f"{lea.address:#x}.*disp32"):
+            rewriter.finalize()
