@@ -13,7 +13,9 @@ Every run must land in a *closed* outcome set:
                   or the fuel watchdog killed a hung guest);
 - ``degraded``  — sites fell down the protection ladder
                   (lowfat+redzone -> redzone-only -> quarantined);
-- ``clean``     — the fault landed in unchecked state.
+- ``clean``     — the fault fired but landed in unchecked state;
+- ``unfired``   — the armed point was never reached, so the run
+                  tested nothing.
 
 Anything else — any non-ReproError escaping the pipeline — is UNCAUGHT
 and fails the campaign.
@@ -57,4 +59,4 @@ print()
 result = run_campaign(seeds=50)
 print(result.render())
 assert not result.uncaught(), "pipeline leaked an untyped exception"
-print("\nall runs accounted for: detected, degraded, or clean.")
+print("\nall runs accounted for: detected, degraded, clean, or unfired.")

@@ -133,29 +133,6 @@ def harden_many(
         farm.close()
 
 
-def serve(
-    state_dir: Union[str, Path],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    telemetry: Optional[Telemetry] = None,
-    **config_overrides,
-):
-    """Start an in-process hardening service and return it (started).
-
-    The returned :class:`~repro.service.daemon.HardeningService` is
-    listening (``service.port``), has replayed its journal, and accepts
-    HTTP submissions; call ``.stop()`` (drains by default) when done.
-    ``redfat serve`` is the foreground CLI wrapper over the same
-    machinery.  Extra keyword arguments become
-    :class:`~repro.service.daemon.ServiceConfig` fields.
-    """
-    from repro.service.daemon import HardeningService, ServiceConfig
-
-    config = ServiceConfig(state_dir=state_dir, host=host, port=port,
-                           **config_overrides)
-    return HardeningService(config, telemetry=telemetry).start()
-
-
 def audit(
     target: Target,
     telemetry: Optional[Telemetry] = None,
@@ -242,7 +219,6 @@ def run(
     telemetry: Optional[Telemetry] = None,
     engine: Optional[str] = None,
     seed: int = 1,
-    preload: Optional[str] = None,
 ) -> RunResult:
     """Execute *target* on the VM and return the :class:`RunResult`.
 
@@ -258,22 +234,10 @@ def run(
     ``"single-step"`` (the reference loop; see
     :mod:`repro.vm.superblock`) — for this run only; results are
     identical in every tier.
-
-    ``preload=`` is the deprecated pre-registry spelling of
-    ``runtime=`` and emits a :class:`DeprecationWarning`.
     """
-    import warnings
-
     from repro.runtime import registry
     from repro.vm.superblock import engine_override
 
-    if preload is not None:
-        warnings.warn(
-            "run(preload=...) is deprecated; pass runtime=<registry spec>",
-            DeprecationWarning, stacklevel=2,
-        )
-        if runtime is None:
-            runtime = preload
     program = load(target)
     environment = registry.create(
         runtime if runtime is not None else "glibc",
@@ -302,5 +266,4 @@ __all__ = [
     "hunt",
     "profile",
     "run",
-    "serve",
 ]

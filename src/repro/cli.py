@@ -218,12 +218,6 @@ def _cmd_farm(arguments) -> int:
     return 1 if smoke_failures else 0
 
 
-def _cmd_serve(arguments) -> int:
-    from repro.service.daemon import build_config, serve
-
-    return serve(build_config(arguments))
-
-
 def _cmd_profile(arguments) -> int:
     report = api.profile(
         arguments.binary, args=arguments.args, output=arguments.output
@@ -473,14 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export the farm telemetry (cache hits/misses, retries, "
              "worker counters)")
     farm_cmd.set_defaults(handler=_cmd_farm)
-
-    from repro.service.daemon import add_arguments as _serve_arguments
-
-    serve_cmd = commands.add_parser(
-        "serve", help="run the hardening service daemon: an async job API "
-                      "(submit / poll / fetch) with a crash-safe journal")
-    _serve_arguments(serve_cmd)
-    serve_cmd.set_defaults(handler=_cmd_serve)
 
     profile_cmd = commands.add_parser("profile",
                                       help="generate an allow-list (Fig. 5)")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
@@ -44,7 +43,7 @@ class RedFatOptions:
 
     The Table 1 columns correspond to::
 
-        unoptimized   RedFatOptions.unoptimized()
+        unoptimized   RedFatOptions.preset("unoptimized")
         +elim         ... elim=True
         +batch        ... + batch=True
         +merge        ... + merge=True           (= fully optimized)
@@ -146,35 +145,6 @@ class RedFatOptions:
     def production(cls, allowlist: AllowList, **overrides) -> "RedFatOptions":
         """The deployment configuration of Fig. 5, step (2)."""
         return replace(cls(allowlist=allowlist), **overrides)
-
-    # -- deprecated constructor aliases (use :meth:`preset`) ---------------
-
-    @classmethod
-    def unoptimized(cls, **overrides) -> "RedFatOptions":
-        warnings.warn(
-            "RedFatOptions.unoptimized() is deprecated; use "
-            "RedFatOptions.preset('unoptimized', ...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return cls.preset("unoptimized", **overrides)
-
-    @classmethod
-    def fully_optimized(cls, **overrides) -> "RedFatOptions":
-        warnings.warn(
-            "RedFatOptions.fully_optimized() is deprecated; use "
-            "RedFatOptions.preset('fully', ...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return cls.preset("fully", **overrides)
-
-    @classmethod
-    def profile(cls, **overrides) -> "RedFatOptions":
-        warnings.warn(
-            "RedFatOptions.profile() is deprecated; use "
-            "RedFatOptions.preset('profile', ...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return cls.preset("profile", **overrides)
 
     def with_(self, **overrides) -> "RedFatOptions":
         return replace(self, **overrides)

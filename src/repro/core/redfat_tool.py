@@ -72,7 +72,6 @@ class HardenResult:
         seed: int = 1,
         telemetry: Optional[Telemetry] = None,
         runtime: Optional[str] = None,
-        preload: Optional[str] = None,
     ):
         """A runtime wired for precise error attribution on this binary.
 
@@ -83,22 +82,9 @@ class HardenResult:
         control free-list randomization of the low-fat allocator (the
         seed also feeds the randomized backends); *telemetry* threads a
         hub through allocator and error-report counters.
-
-        ``preload=`` is the deprecated pre-registry spelling of
-        ``runtime=`` and emits a :class:`DeprecationWarning`.
         """
-        import warnings
-
         from repro.runtime import registry
 
-        if preload is not None:
-            warnings.warn(
-                "create_runtime(preload=...) is deprecated; "
-                "pass runtime=<registry spec> instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if runtime is None:
-                runtime = preload
         spec = registry.parse_spec(runtime if runtime is not None else "redfat")
         options = {"mode": mode, "seed": seed, "telemetry": telemetry}
         if registry.resolve(spec.name).name == "redfat":

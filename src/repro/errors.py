@@ -85,7 +85,7 @@ class AllocatorError(ReproError):
 class UnknownRuntimeError(ReproError, ValueError):
     """A runtime spec named a backend the registry does not know.
 
-    Carries the registered names so surfaces (CLI, service, API) can say
+    Carries the registered names so surfaces (CLI, API, shootout) can say
     what *would* have worked.  Also a :class:`ValueError` because the
     pre-registry API raised bare ``ValueError`` for unknown runtime names.
     """
@@ -109,59 +109,6 @@ class InstrumentationError(RewriteError):
     down the protection ladder (lowfat+redzone -> redzone -> none); it
     only escapes to callers when ``keep_going`` is disabled and a site
     cannot be instrumented at all.
-    """
-
-
-class ServiceError(ReproError):
-    """The hardening service refused or failed a request (always typed)."""
-
-
-class CircuitOpenError(ServiceError):
-    """Fail-fast: the per-job-key circuit breaker is open.
-
-    ``retry_after_s`` hints when the breaker will half-open and admit a
-    probe; the daemon maps it onto an HTTP ``Retry-After`` header.
-    """
-
-    def __init__(self, key: str, retry_after_s: float, message: str = "") -> None:
-        super().__init__(
-            message or f"circuit open for job key {key[:16]}...; "
-                       f"retry after {retry_after_s:.1f}s"
-        )
-        self.key = key
-        self.retry_after_s = retry_after_s
-
-
-class QuotaExceededError(ServiceError):
-    """A client drained its token bucket (HTTP 429 + Retry-After)."""
-
-    def __init__(self, client: str, retry_after_s: float) -> None:
-        super().__init__(
-            f"client {client!r} is over quota; "
-            f"retry after {retry_after_s:.2f}s"
-        )
-        self.client = client
-        self.retry_after_s = retry_after_s
-
-
-class BackpressureError(ServiceError):
-    """The service job queue is full (HTTP 429 + Retry-After)."""
-
-    def __init__(self, depth: int, retry_after_s: float) -> None:
-        super().__init__(
-            f"job queue full ({depth} queued); "
-            f"retry after {retry_after_s:.1f}s"
-        )
-        self.depth = depth
-        self.retry_after_s = retry_after_s
-
-
-class JournalError(ServiceError):
-    """The job journal could not be read or written at all.
-
-    Per-record corruption is *not* this error — corrupt records are
-    skipped, counted, and repaired; this is for an unusable journal file
-    (the recovery path then rebuilds from the artifact directory).
     """
 
 

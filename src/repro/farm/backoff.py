@@ -1,5 +1,5 @@
-"""Retry pacing shared by the farm and the service: exponential backoff
-with deterministic jitter, and *interruptible* waits.
+"""Retry pacing for the farm scheduler: exponential backoff with
+deterministic jitter, and *interruptible* waits.
 
 One policy object answers two questions every retry loop asks:
 
@@ -11,12 +11,12 @@ One policy object answers two questions every retry loop asks:
   delay sequence — campaign runs and tests stay deterministic;
 - **how to wait** — :meth:`BackoffPolicy.wait` sleeps on a
   :class:`threading.Event` when the caller provides one, so a pending
-  backoff is *interruptible*: shutdown and drain paths set the event and
-  the sleeper returns immediately instead of blocking the exit on a
-  retry that no longer matters.
+  backoff is *interruptible*: shutdown sets the event and the sleeper
+  returns immediately instead of blocking the exit on a retry that no
+  longer matters.
 
-The farm scheduler and the service job manager share one policy shape so
-"retry with backoff" means the same thing at every layer.
+The scheduler's serial and parallel retry loops share one policy, so
+"retry with backoff" means the same thing on both paths.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class BackoffPolicy:
         """Pause for :meth:`delay`; True when *wake* cut the pause short.
 
         With no event the wait is a plain sleep (the serial paths);
-        with one, ``wake.set()`` — shutdown, drain — ends it at once.
+        with one, ``wake.set()`` (shutdown) ends it at once.
         """
         pause = self.delay(attempt)
         if wake is None:

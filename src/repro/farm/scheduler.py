@@ -164,7 +164,6 @@ class Farm:
         job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-        backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         """*jobs* is the worker-process count; 0 (or 1) computes inline —
         no subprocesses — which is also what every degraded path uses."""
@@ -177,12 +176,11 @@ class Farm:
         self.job_timeout_s = job_timeout_s
         self.queue_capacity = queue_capacity
         self.retry_backoff_s = retry_backoff_s
-        #: Retry pacing (shared policy shape with the service layer).
-        self.backoff = backoff if backoff is not None \
-            else BackoffPolicy(base_s=retry_backoff_s)
+        #: Retry pacing for crashed or timed-out jobs.
+        self.backoff = BackoffPolicy(base_s=retry_backoff_s)
         self.stats = FarmStats()
         self._pool: Optional[WorkerPool] = None
-        #: Set on close/drain: any pending retry backoff returns at once
+        #: Set on close: any pending retry backoff returns at once
         #: instead of blocking shutdown on a sleep.
         self._wake = threading.Event()
 
@@ -198,14 +196,6 @@ class Farm:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-    def interrupt_waits(self) -> None:
-        """Cut every pending (and future) retry backoff short.
-
-        The drain path's lever: retries still happen, they just stop
-        pausing first.  Latches until the farm is discarded.
-        """
-        self._wake.set()
 
     def __enter__(self) -> "Farm":
         return self

@@ -4,9 +4,9 @@ Run: ``python -m repro.faults.campaign --seeds 50``
 
 Each seed arms one :class:`~repro.faults.injector.FaultInjector` and
 drives the full pipeline — strip, harden (``keep_going``) through the
-service layer's admission ladder and job journal into the farm's serial
-path, load, run under the VM watchdog — against a heap-heavy guest
-program.  Every run must end in one of three accounted outcomes:
+farm's serial path, load, run under the VM watchdog — against a
+heap-heavy guest program.  Every run must end in one of four accounted
+outcomes:
 
 ``detected``
     A defense fired: a :class:`~repro.errors.GuestMemoryError` /
@@ -22,10 +22,16 @@ program.  Every run must end in one of three accounted outcomes:
     ``quarantined_sites`` / ``HardenResult.quarantine``).
 
 ``clean``
-    Nothing fired — typically the fault point was never reached, or the
-    flipped bit landed in unchecked state.  Silent output corruption is
-    flagged (``output_mismatch``) but still counts as clean: redzone and
-    low-fat checks make no promise about arbitrary data bits.
+    The fault fired but nothing noticed — the flipped bit landed in
+    unchecked state.  Silent output corruption is flagged
+    (``output_mismatch``) and tallied as its own count, but the outcome
+    stays clean: redzone and low-fat checks make no promise about
+    arbitrary data bits.
+
+``unfired``
+    The run finished untouched because the armed fault point was never
+    reached.  It says nothing about the point's defenses, so it is kept
+    apart from ``clean``.
 
 Anything else — an ``AttributeError``, a ``KeyError``, any non-
 :class:`~repro.errors.ReproError` escaping the pipeline — is recorded as
@@ -47,16 +53,18 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cc import CompiledProgram, compile_source
 from repro.core import RedFatOptions
 from repro.errors import GuestMemoryError, ReproError, VMTimeoutError
+from repro.farm import Farm
 from repro.faults.injector import FaultInjector, injection
 from repro.faults.points import point_names
-from repro.service.jobs import JobManager
 from repro.telemetry.hub import Telemetry, coerce
 
 #: Outcome labels (the complete, closed set).
 DETECTED = "detected"
 DEGRADED = "degraded"
 CLEAN = "clean"
+UNFIRED = "unfired"
 UNCAUGHT = "uncaught"
+OUTCOMES = (DETECTED, DEGRADED, CLEAN, UNFIRED, UNCAUGHT)
 
 #: Watchdog fuel for one campaign run; the clean guest needs ~20k
 #: instructions, so a hung guest burns this budget in well under a second.
@@ -128,10 +136,6 @@ class FaultRunRecord:
     #: The VM's trace tier latched itself off (``vm.trace`` fault point)
     #: and the run finished on the superblock tier (or below).
     trace_degraded: bool = False
-    #: The service layer absorbed a fault (journal repair/skip, handler
-    #: key repair, quota fail-open, breaker latch) and still delivered —
-    #: the accounted survival of the ``service.*`` fault points.
-    service_degraded: bool = False
     #: Runtime registry spec the run executed under.  ``runtime.*``
     #: fault points pull their own backend onto the attack surface
     #: (``runtime.mesh.merge`` runs under ``mesh``); everything else
@@ -155,7 +159,7 @@ class CampaignResult:
     elapsed_seconds: float = 0.0
 
     def outcomes(self) -> Dict[str, int]:
-        tally: Dict[str, int] = {DETECTED: 0, DEGRADED: 0, CLEAN: 0, UNCAUGHT: 0}
+        tally = dict.fromkeys(OUTCOMES, 0)
         for record in self.records:
             tally[record.outcome] += 1
         return tally
@@ -166,30 +170,31 @@ class CampaignResult:
     def by_point(self) -> Dict[str, Dict[str, int]]:
         table: Dict[str, Dict[str, int]] = {}
         for record in self.records:
-            row = table.setdefault(
-                record.point, {DETECTED: 0, DEGRADED: 0, CLEAN: 0, UNCAUGHT: 0}
-            )
+            row = table.setdefault(record.point, dict.fromkeys(OUTCOMES, 0))
             row[record.outcome] += 1
         return table
+
+    def output_mismatches(self) -> int:
+        """Runs whose guest output differed from the fault-free run."""
+        return sum(1 for r in self.records if r.output_mismatch)
 
     def render(self) -> str:
         tally = self.outcomes()
         lines = [
             f"fault campaign: {len(self.records)} runs — "
             f"{tally[DETECTED]} detected, {tally[DEGRADED]} degraded, "
-            f"{tally[CLEAN]} clean, {tally[UNCAUGHT]} UNCAUGHT"
+            f"{tally[CLEAN]} clean, {tally[UNFIRED]} unfired, "
+            f"{tally[UNCAUGHT]} UNCAUGHT; "
+            f"{self.output_mismatches()} output mismatch(es)"
         ]
         for point, row in sorted(self.by_point().items()):
             total = sum(row.values())
             lines.append(
                 f"  {point:18s} {total:3d} runs: "
                 f"{row[DETECTED]:3d} detected {row[DEGRADED]:3d} degraded "
-                f"{row[CLEAN]:3d} clean"
+                f"{row[CLEAN]:3d} clean {row[UNFIRED]:3d} unfired"
                 + (f" {row[UNCAUGHT]} UNCAUGHT" if row[UNCAUGHT] else "")
             )
-        mismatches = sum(1 for r in self.records if r.output_mismatch)
-        if mismatches:
-            lines.append(f"  ({mismatches} clean run(s) with silent output corruption)")
         for record in self.uncaught():
             lines.append(f"  UNCAUGHT seed={record.seed} {record.point}: {record.detail}")
         lines.append(f"(completed in {self.elapsed_seconds:.1f}s)")
@@ -263,24 +268,18 @@ def run_one(
     # while spans/events record, export corruption when the report
     # serialises.  Either must degrade the hub, never the run.
     tele = Telemetry(max_events=64, meta={"kind": "fault_run", "seed": seed})
-    # Hardening goes through the service's admission ladder and job
-    # store (quota -> handler key guard -> breaker -> journal) into the
-    # farm's serial path, so the service.* points sit on the campaign's
-    # attack surface alongside the farm.* points (cache frame
-    # corruption, worker crash, queue corruption) and the pipeline's
-    # own.  ``max_attempts=1`` keeps the original single-shot semantics:
-    # one harden attempt per run (the farm still retries a crashed
-    # worker once internally).
-    state_dir = tempfile.TemporaryDirectory(prefix="redfat-fault-run-")
-    manager = JobManager(state_dir.name, executors=0, max_attempts=1,
-                         telemetry=tele)
-    farm = manager.farm
+    # Hardening goes through the farm's serial path with an on-disk
+    # cache, so the farm.* points (cache frame corruption, worker crash,
+    # queue corruption) sit on the campaign's attack surface alongside
+    # the pipeline's own.  One harden attempt per run; the farm still
+    # retries a crashed worker once internally.
+    cache_dir = tempfile.TemporaryDirectory(prefix="redfat-fault-run-")
+    farm = Farm(jobs=0, cache_dir=cache_dir.name, telemetry=tele)
     with injection(injector):
         try:
             stripped = program.binary.strip()
-            harden = manager.harden_sync(
-                stripped.to_bytes(), options=RedFatOptions(keep_going=True),
-                label="campaign", client="campaign",
+            harden = farm.harden_one(
+                stripped, options=RedFatOptions(keep_going=True),
             )
             runtime = harden.create_runtime(
                 mode="log", telemetry=tele, runtime=record.runtime,
@@ -343,15 +342,6 @@ def run_one(
                     f"{farm.stats.serial_fallbacks} serial, "
                     f"{farm.cache.stats.rejects} cache rejects"
                 )
-            elif manager.degradation_events():
-                record.outcome = DEGRADED
-                record.detail = (
-                    f"service degraded: "
-                    f"journal {manager.journal.degradation_events()}, "
-                    f"handler {manager.stats.handler_faults}, "
-                    f"quota fail-open {manager.quota.stats.fail_open}, "
-                    f"breaker latched {manager.breaker.stats.latched}"
-                )
             elif result.cpu is not None and result.cpu.superblock.degraded:
                 # The vm.superblock point fired at translation time; the
                 # VM finished the run on the single-step loop.
@@ -386,17 +376,18 @@ def run_one(
                 record.outcome = DEGRADED
                 record.detail = f"telemetry: {tele.degraded_reason}"
     record.fired = injector.fired
+    if record.outcome == CLEAN and not record.fired:
+        record.outcome = UNFIRED
     record.backend_degraded = bool(getattr(runtime, "degraded", False))
     record.telemetry_degraded = tele.degraded
     record.farm_degraded = bool(farm.degradation_events())
-    record.service_degraded = bool(manager.degradation_events())
     if harden is not None:
         record.degraded_sites = harden.stats.degraded_sites
         record.quarantined_sites = harden.stats.quarantined_sites
         record.analysis_fallback = bool(harden.stats.analysis_fallbacks)
         record.interproc_fallback = bool(harden.stats.interproc_fallbacks)
-    manager.close()
-    state_dir.cleanup()
+    farm.close()
+    cache_dir.cleanup()
     return record
 
 
@@ -433,6 +424,8 @@ def run_campaign(
             tele.count(f"campaign.point.{record.point}.{record.outcome}")
             if record.fired:
                 tele.count("campaign.fired")
+            if record.output_mismatch:
+                tele.count("campaign.output_mismatch")
             if record.telemetry_degraded:
                 tele.count("campaign.telemetry_degraded")
             if record.outcome == UNCAUGHT:

@@ -152,36 +152,6 @@ register(
     "of losing it or crashing the farm",
 )
 register(
-    "service.journal",
-    "corrupt one job-journal record as it is appended "
-    "(service/journal.py append) — the write-back verification must "
-    "catch it, repair the record in place, and flag the journal "
-    "degraded; replay skips (and counts) any record that still fails "
-    "its checksum, rebuilding job state from the artifact dir",
-)
-register(
-    "service.handler",
-    "corrupt one request admission (service/jobs.py submit) — the "
-    "manager re-derives the job's content key from the durable input "
-    "bytes, repairs the record, and counts the handled fault; the "
-    "daemon answers requests with typed errors, never a naked 500 "
-    "traceback",
-)
-register(
-    "service.quota",
-    "corrupt the per-client token-bucket table (service/quota.py "
-    "admit) — the quota layer fails OPEN to a single conservative "
-    "global bucket (serial admission), counted and flagged, instead of "
-    "refusing all traffic or crashing the daemon",
-)
-register(
-    "service.breaker",
-    "corrupt a circuit breaker's state record (service/breaker.py "
-    "allow) — the board latches that key's breaker open (subsequent "
-    "submissions fail fast), lets the in-flight admission through "
-    "without breaker protection, and flags itself degraded",
-)
-register(
     "runtime.s2malloc.slot",
     "corrupt the randomized in-slot offset of a fresh allocation "
     "(runtime/backends/s2malloc.py malloc) — the placement invariant "

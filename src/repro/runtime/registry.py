@@ -1,8 +1,8 @@
 """The runtime registry: named, pluggable preloadable runtimes.
 
 One entry point serves every layer that needs a runtime —
-``RedFat.create_runtime``, ``api.run``/``profile``, the CLI, the farm,
-the service's job payloads and the bench harness all call
+``RedFat.create_runtime``, ``api.run``/``profile``, the CLI, the farm
+and the bench harness all call
 :func:`create` with a *spec*:
 
     "redfat"                      a registered name
@@ -15,8 +15,8 @@ string always wins over plumbing defaults.  Unknown names raise
 registered.
 
 Registering a backend makes it appear everywhere at once: ``redfat
-runtimes`` (discoverability), ``redfat run/bench/farm --runtime``, the
-service's ``runtime`` job field and the shootout matrix.  Every factory
+runtimes`` (discoverability), ``redfat run/bench/farm --runtime`` and
+the shootout matrix.  Every factory
 accepts at least ``mode``/``seed``/``telemetry`` keywords; baseline
 runtimes ignore what they cannot use.
 """

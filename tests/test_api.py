@@ -151,18 +151,6 @@ def test_preset_names_cover_registry():
         RedFatOptions.preset(name)  # every entry constructs
 
 
-def test_deprecated_aliases_delegate_with_warning():
-    with pytest.warns(DeprecationWarning):
-        legacy = RedFatOptions.unoptimized()
-    assert legacy == RedFatOptions.preset("unoptimized")
-    with pytest.warns(DeprecationWarning):
-        legacy_full = RedFatOptions.fully_optimized()
-    assert legacy_full == RedFatOptions.preset("fully")
-    with pytest.warns(DeprecationWarning):
-        profile = RedFatOptions.profile()
-    assert profile.profile_mode is True
-
-
 # -- stats protocol ----------------------------------------------------------
 
 

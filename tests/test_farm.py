@@ -524,12 +524,12 @@ class TestBackoffPolicy:
         assert time.monotonic() - started >= 0.04
 
     def test_farm_retry_sleep_interrupted_by_shutdown(self, program):
-        """A farm mid-backoff must not block close(): interrupt_waits()
-        cuts the pending retry pause short."""
+        """A farm mid-backoff must not block close(): closing cuts the
+        pending retry pause short."""
         farm = Farm(jobs=0)
         farm.backoff = BackoffPolicy(base_s=30.0, factor=1.0, max_s=30.0,
                                      jitter=0.0)
-        releaser = threading.Timer(0.2, farm.interrupt_waits)
+        releaser = threading.Timer(0.2, farm.close)
         releaser.start()
         started = time.monotonic()
         with injection(FaultInjector(0, point="farm.worker", trigger_hit=0,

@@ -12,6 +12,7 @@ from repro.faults.campaign import (
     DEGRADED,
     DETECTED,
     UNCAUGHT,
+    UNFIRED,
     compile_campaign_program,
     run_campaign,
     run_one,
@@ -230,7 +231,8 @@ class TestCampaign:
         tally = result.outcomes()
         assert tally[UNCAUGHT] == 0
         assert tally[DETECTED] > 0
-        assert tally[DETECTED] + tally[DEGRADED] + tally[CLEAN] == 21
+        assert (tally[DETECTED] + tally[DEGRADED] + tally[CLEAN]
+                + tally[UNFIRED]) == 21
 
     def test_sweep_covers_every_point(self):
         result = run_campaign(seeds=len(point_names()), fuel=200_000)
@@ -248,29 +250,34 @@ class TestCampaign:
         second = run_one(7, program, reference.output, fuel=200_000)
         assert first == second
 
-    def test_service_points_land_in_degraded_or_clean(self):
-        for point in ("service.journal", "service.handler",
-                      "service.quota", "service.breaker"):
-            result = run_campaign(seeds=2, point=point, fuel=200_000)
-            for record in result.records:
-                assert record.outcome != UNCAUGHT, (point, record.detail)
-                if record.fired:
-                    assert record.service_degraded
+    def test_unreached_point_is_unfired_not_clean(self):
+        """A run whose armed point is never reached tested nothing: it
+        is ``unfired``, and ``clean`` is left to faults that fired."""
+        result = run_campaign(seeds=2, point="analysis.ranges",
+                              fuel=200_000)
+        assert [r.outcome for r in result.records] == [UNFIRED, UNFIRED]
+        assert not any(r.fired for r in result.records)
+        assert result.outcomes()[CLEAN] == 0
+        bitflips = run_campaign(seeds=4, point="vm.bitflip", fuel=200_000)
+        for record in bitflips.records:
+            assert record.outcome != UNFIRED or not record.fired
+            assert record.outcome != CLEAN or record.fired
 
-    def test_simultaneous_farm_and_service_faults_stay_caught(self):
-        """Two faults armed at once — a worker crash while the journal
-        corrupts a record — must still never go uncaught."""
+    def test_simultaneous_farm_and_rewriter_faults_stay_caught(self):
+        """Two faults armed at once — a worker crash while a trampoline
+        fails to encode — must still never go uncaught."""
         program = compile_campaign_program()
         reference = program.run(args=[24])
         hit_both = 0
-        for seed in (2, 14, 19, 28):
+        for seed in range(8):
             record = run_one(
                 seed, program, reference.output, fuel=200_000,
-                point=("farm.worker", "service.journal"),
+                point=("farm.worker", "rewriter.encode"),
             )
             assert record.outcome != UNCAUGHT, record.detail
-            assert record.point == "farm.worker+service.journal"
-            if record.farm_degraded and record.service_degraded:
+            assert record.point == "farm.worker+rewriter.encode"
+            if record.farm_degraded and (record.degraded_sites
+                                         or record.quarantined_sites):
                 hit_both += 1
         assert hit_both > 0  # at least one seed exercised both layers
 
@@ -278,4 +285,5 @@ class TestCampaign:
         result = run_campaign(seeds=7, fuel=200_000)
         text = result.render()
         assert "detected" in text and "degraded" in text and "clean" in text
+        assert "unfired" in text and "output mismatch" in text
         assert "UNCAUGHT" in text  # the headline count, reading 0

@@ -1,11 +1,10 @@
-"""The runtime registry, spec grammar, and the ``preload=`` shims.
+"""The runtime registry, spec grammar, and ``create_runtime``.
 
 The registry is the single entry point every layer uses to pick a
-runtime (API, CLI, farm, service, shootout), so its contract gets its
-own suite: name/alias resolution, the ``name:key=val,...`` spec grammar
-with option coercion, the typed :class:`UnknownRuntimeError`, the
-deprecated ``preload=`` spellings, and the service's journal-compatible
-``runtime`` job field.
+runtime (API, CLI, farm, shootout), so its contract gets its own suite:
+name/alias resolution, the ``name:key=val,...`` spec grammar with option
+coercion, the typed :class:`UnknownRuntimeError`, and the registry specs
+:meth:`HardenResult.create_runtime` accepts.
 """
 
 import pytest
@@ -18,8 +17,6 @@ from repro.runtime.backends.s2malloc import S2MallocRuntime
 from repro.runtime.redfat import RedFatRuntime
 from repro.runtime.registry import RuntimeSpec
 from repro.runtime.shadow import ShadowRuntime
-from repro.service import JobManager
-from repro.service.journal import decode_line, encode_record
 
 SOURCE = """
 int main() {
@@ -118,7 +115,7 @@ class TestCreate:
             registry.create("banana:seed=1")
 
 
-# -- the deprecated preload= spellings ---------------------------------------
+# -- HardenResult.create_runtime ---------------------------------------------
 
 
 class TestPreloadShims:
@@ -130,25 +127,6 @@ class TestPreloadShims:
     def hardened(self, program):
         return api.harden(program.binary.strip())
 
-    def test_api_run_preload_warns_but_works(self, program):
-        with pytest.warns(DeprecationWarning, match="preload"):
-            result = api.run(program, args=[4], preload="glibc")
-        assert result.status == 0
-
-    def test_api_run_runtime_wins_over_preload(self, program):
-        with pytest.warns(DeprecationWarning):
-            result = api.run(program, args=[4], runtime="glibc",
-                             preload="banana")  # ignored, never resolved
-        assert result.status == 0
-
-    def test_create_runtime_preload_warns_and_maps(self, hardened):
-        with pytest.warns(DeprecationWarning, match="preload"):
-            runtime = hardened.create_runtime(mode="log",
-                                              preload="s2malloc:seed=5")
-        assert isinstance(runtime, S2MallocRuntime)
-        assert runtime.seed == 5
-        assert runtime.site_resolver is not None
-
     def test_create_runtime_defaults_to_redfat(self, hardened):
         runtime = hardened.create_runtime(mode="log")
         assert isinstance(runtime, RedFatRuntime)
@@ -158,49 +136,3 @@ class TestPreloadShims:
         assert isinstance(runtime, S2MallocRuntime)
         assert runtime.mode == "abort"
         assert runtime.site_resolver is not None
-
-
-# -- the service's runtime job field -----------------------------------------
-
-
-class TestServiceRuntimeField:
-    @pytest.fixture(scope="class")
-    def blob(self):
-        return compile_source(SOURCE).binary.to_bytes()
-
-    def test_submit_normalizes_alias_and_options(self, tmp_path, blob):
-        with JobManager(tmp_path, executors=0) as manager:
-            job = manager.submit(blob, runtime="memcheck:redzone=32")
-            assert job.runtime == "shadow:redzone=32"
-            assert manager.jobs()[0].as_dict()["runtime"] == \
-                "shadow:redzone=32"
-
-    def test_submit_rejects_unknown_runtime(self, tmp_path, blob):
-        with JobManager(tmp_path, executors=0) as manager:
-            with pytest.raises(UnknownRuntimeError):
-                manager.submit(blob, runtime="banana")
-            assert manager.jobs() == []  # nothing journaled
-
-    def test_runtime_survives_journal_replay(self, tmp_path, blob):
-        with JobManager(tmp_path, executors=0) as manager:
-            manager.submit(blob, label="j", runtime="s2malloc:seed=3")
-        with JobManager(tmp_path, executors=0) as manager:
-            manager.recover()
-            assert manager.jobs()[0].runtime == "s2malloc:seed=3"
-
-    def test_pre_registry_journal_replays_as_redfat(self, tmp_path, blob):
-        with JobManager(tmp_path, executors=0) as manager:
-            manager.submit(blob, label="old")
-        journal = tmp_path / "journal.jsonl"
-        lines = []
-        for line in journal.read_text().splitlines():
-            record = decode_line(line)
-            assert record is not None
-            # Rewrite the journal as a pre-registry daemon wrote it.
-            record.pop("runtime", None)
-            lines.append(encode_record(record))
-        journal.write_text("".join(lines))
-        with JobManager(tmp_path, executors=0) as manager:
-            manager.recover()
-            job = manager.jobs()[0]
-            assert job.runtime == "redfat"
