@@ -231,7 +231,7 @@ def run(
     *engine* forces the VM's execution tier — ``"trace"`` (default,
     the full three-tier JIT; see :mod:`repro.vm.trace`),
     ``"superblock"`` (the superblock engine with tracing disabled) or
-    ``"single-step"`` (the reference loop; see
+    ``"single-step"`` (the reference engine; see
     :mod:`repro.vm.superblock`) — for this run only; results are
     identical in every tier.
     """

@@ -2,7 +2,7 @@
 
 Measures the VM's three execution tiers — the trace JIT
 (:mod:`repro.vm.trace`), the superblock hot path
-(:mod:`repro.vm.superblock`) and the single-step reference loop — on
+(:mod:`repro.vm.superblock`) and the single-step reference engine — on
 small versions of the Figure-8 (Chrome/Kraken) and Table-1 (SPEC)
 harness loops, and appends a versioned snapshot to ``BENCH_vm.json`` at
 the repository root.  The snapshot file is the repo's *perf trajectory*:
@@ -23,7 +23,7 @@ Methodology:
   that equivalence invariant is machine-independent and is checked on
   every run;
 - the headline numbers are geometric means of per-workload speedups
-  against the single-step loop — one for the superblock tier, one for
+  against the single-step engine — one for the superblock tier, one for
   the trace tier.  Ratios of two runs on the same machine are far more
   stable across hosts than absolute times, which is what makes
   ``--check`` usable in CI.

@@ -63,8 +63,8 @@ class CompiledProgram:
 
         *args* are written into the ``__args`` global before execution and
         read by the guest via ``arg(i)`` — the stand-in for command-line
-        inputs/workload files.  *telemetry* switches the VM onto its
-        traced loop (retired instructions, checks executed, fuel).
+        inputs/workload files.  A *telemetry* hub observes the VM's run
+        loop (retired instructions, checks executed, fuel).
         """
         if runtime is None:
             from repro.runtime.glibc import GlibcRuntime

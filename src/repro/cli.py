@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="force the VM execution tier (default: trace, the full "
              "three-tier JIT; superblock disables tracing; single-step "
-             "is the reference loop — results are identical)")
+             "is the reference engine — results are identical)")
     run_cmd.add_argument(
         "--metrics", metavar="OUT.json",
         help="export the VM telemetry report (instructions, checks, fuel)")

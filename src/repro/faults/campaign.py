@@ -131,7 +131,7 @@ class FaultRunRecord:
     #: artifact — the accounted survival of the ``farm.*`` fault points.
     farm_degraded: bool = False
     #: The VM's superblock engine latched itself off (``vm.superblock``
-    #: fault point) and the run finished on the single-step loop.
+    #: fault point) and the run finished single-stepping.
     superblock_degraded: bool = False
     #: The VM's trace tier latched itself off (``vm.trace`` fault point)
     #: and the run finished on the superblock tier (or below).
@@ -344,7 +344,7 @@ def run_one(
                 )
             elif result.cpu is not None and result.cpu.superblock.degraded:
                 # The vm.superblock point fired at translation time; the
-                # VM finished the run on the single-step loop.
+                # VM finished the run single-stepping.
                 record.outcome = DEGRADED
                 record.superblock_degraded = True
                 record.detail = (

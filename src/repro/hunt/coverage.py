@@ -1,12 +1,12 @@
 """Edge-coverage maps for the hunt loop (the VM's ``cpu.coverage`` hook).
 
-The CPU's coverage run loop (:meth:`repro.vm.cpu.CPU._run_coverage`)
-calls ``edge(src, dst)`` once per *retired control transfer* — the
-address of a JMP/JCC/CALL/RET-family instruction and the ``rip`` it
-landed on.  That definition is engine-independent: under superblocks
-only a block's final instruction can be a transfer, and a faulting
-transfer never retires in either loop, so the single-step and
-superblock engines produce bit-identical maps (tested in
+The CPU's run loop (:meth:`repro.vm.cpu.CPU.run`) calls
+``edge(src, dst)`` once per *retired control transfer* — the address of
+a JMP/JCC/CALL/RET-family instruction and the ``rip`` it landed on.
+That definition is engine-independent: under superblocks only a block's
+final instruction can be a transfer, a faulting transfer never retires
+on either tier, and a coverage run stays below the trace tier, so every
+engine produces bit-identical maps (tested in
 ``test_vm_superblock.py``).
 
 Edges subsume blocks (every edge target starts a dynamic block), so the

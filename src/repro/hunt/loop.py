@@ -38,7 +38,7 @@ from repro.hunt.mutators import Input, MutationEngine
 from repro.hunt.report import HuntReport
 from repro.hunt.triage import TriageResult, matches_class, triage_entry
 from repro.runtime.reporting import MemoryErrorReport
-from repro.telemetry.hub import Telemetry, coerce
+from repro.telemetry.hub import NULL, Telemetry, coerce
 from repro.vm.loader import load_binary
 
 #: Default mutant executions per entry (seed replays included).
@@ -170,13 +170,15 @@ def _execute(
 
     Never raises for guest failures: a wild mutant that faults outside
     instrumented code is a ``crash`` outcome, a hung one a ``timeout``.
-    *telemetry* receives the run's superblock translations and the
-    blocks it took from the image's cache.
+    A real *telemetry* hub rides on the CPU, which counts the run's
+    retired instructions, checks, fuel and superblock translations and
+    revivals into it; the null hub leaves the CPU untraced.
     """
     outcome, detail = "clean", ""
-    cpu = None
     try:
-        cpu = load_binary(binary, runtime)
+        cpu = load_binary(
+            binary, runtime, telemetry=None if telemetry is NULL else telemetry,
+        )
         entry.program.poke_args(cpu, list(args))
         if coverage is not None:
             cpu.coverage = coverage
@@ -187,9 +189,6 @@ def _execute(
         outcome, detail = "aborted", str(error)
     except ReproError as error:
         outcome, detail = "crash", f"{type(error).__name__}: {error}"
-    if cpu is not None:
-        telemetry.count("vm.superblocks_translated", cpu.superblock.translations)
-        telemetry.count("vm.superblocks_revived", cpu.superblock.revived)
     reports = list(getattr(runtime, "errors", ()))
     if reports:
         # The oracle fired; a subsequent fault on the same run does not

@@ -26,7 +26,7 @@ allocator under an *already hardened* binary:
   the oracle (see DESIGN.md §6).
 
 Installing the hook automatically drops the VM to its single-step
-reference loop (the superblock engine only runs hook-free), which is
+tier (the superblock engine only runs hook-free), which is
 the correct execution vehicle for an observed run.
 """
 

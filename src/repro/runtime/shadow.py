@@ -98,7 +98,7 @@ class ShadowRuntime(RuntimeEnvironment):
 
         # The DBI vehicle: observe every access against the shadow map.
         # (The Memcheck baseline installs its own counting hook over
-        # this one; either way the VM runs its single-step loop.)
+        # this one; either way the VM single-steps the run.)
         def hook(address, size, is_read, is_write, instruction):
             self.accesses += 1
             self.check_access(address, size, is_write,

@@ -6,12 +6,15 @@ factors in the experiments are ratios of instructions executed by the
 hardened vs. original binary, which is deterministic and machine
 independent (see DESIGN.md, "Overhead metric").
 
-Execution has two engines (DESIGN.md §5f): the **superblock** hot path
-(straight-line instruction runs fused into closures) and the
-**single-step** reference loop, bit-identical by contract.  Select per
-run with :func:`~repro.vm.superblock.engine_override`, ``api.run(
-engine=...)``, or ``redfat run --engine ...``; ``redfat perf`` tracks
-the speedup over time.
+Execution has three engines, tiers of the one run loop in
+:meth:`~repro.vm.cpu.CPU.run` (DESIGN.md §5f, §9): **trace** (hot loops
+compiled to Python functions, above superblocks), **superblock**
+(straight-line instruction runs pre-translated into step functions) and
+**single-step**, the reference all tiers are bit-identical to by
+contract.  Select per run with
+:func:`~repro.vm.superblock.engine_override`, ``api.run(engine=...)``,
+or ``redfat run --engine ...``; ``redfat perf`` tracks the speedup over
+time.
 """
 
 from repro.vm.memory import Memory, PAGE_SIZE

@@ -14,17 +14,17 @@ Design notes:
   code — the same restriction E9Patch has), so it only invalidates on
   an explicit :meth:`CPU.flush_icache` (which also drops the per-CPU
   views of the superblocks and traces built on top of it).
-- Execution is tiered (DESIGN.md §9).  The *superblock* tier runs
-  straight-line runs of decoded instructions pre-translated into step
-  functions shared by every run of the image
-  (:mod:`repro.vm.superblock`); the *trace* tier above it
-  profiles taken application back-edges and compiles hot loops into
-  exec-generated Python functions with guarded side exits
-  (:mod:`repro.vm.trace`).
-  Both tiers are bit-identical to the single-step loop — the semantics
-  oracle at the bottom of the ladder; the CPU falls down the ladder when
-  a DBI ``access_hook`` is installed, when the remaining watchdog fuel
-  cannot cover a whole block/iteration, or when the ``vm.trace`` /
+- Execution is tiered (DESIGN.md §9) inside one run loop,
+  :meth:`CPU.run`.  The *superblock* tier runs straight-line runs of
+  decoded instructions pre-translated into step functions shared by
+  every run of the image (:mod:`repro.vm.superblock`); the *trace* tier
+  above it profiles taken application back-edges and compiles hot loops
+  into exec-generated Python functions with guarded side exits
+  (:mod:`repro.vm.trace`).  Both tiers are bit-identical to
+  single-stepping (:meth:`CPU.step`) — the semantics oracle at the
+  bottom of the ladder; the loop falls down the ladder when a DBI
+  ``access_hook`` is installed, when the remaining watchdog fuel cannot
+  cover a whole block/iteration, or when the ``vm.trace`` /
   ``vm.superblock`` fault points degrade a tier (trace degradation lands
   on superblocks; superblock degradation lands on single-step).
 - ``instructions_executed`` counts every retired instruction, including
@@ -33,12 +33,14 @@ Design notes:
 - ``run`` enforces the watchdog *fuel* budget exactly: a guest retiring
   ``max_instructions`` without exiting raises
   :class:`~repro.errors.VMTimeoutError` at the same instruction under
-  either execution engine.
+  every execution engine.
 - An optional ``access_hook`` observes every data memory access; it is how
-  the Memcheck baseline (DBI) and the coverage tooling attach.
-- An optional ``telemetry`` hub switches :meth:`CPU.run` onto traced
-  loops that additionally count retired instructions, trampoline
-  ("check") instructions and fuel; untraced runs pay nothing for this.
+  the Memcheck baseline (DBI) and the access-checking runtimes attach.
+- Two optional observers of the run loop compose: a ``coverage`` map
+  (edges of retired control transfers, for ``redfat hunt``) and a
+  ``telemetry`` hub (retired instructions, trampoline "check"
+  instructions and fuel).  Neither changes which instructions retire;
+  the counts live in locals and reach the hub only when one is attached.
 """
 
 from __future__ import annotations
@@ -115,17 +117,17 @@ class CPU:
         #: Optional observer: fn(address, size, is_read, is_write, instruction).
         self.access_hook = None
         #: Optional coverage collector (an object with ``edge(src, dst)``,
-        #: see :mod:`repro.hunt.coverage`).  When set, :meth:`run` uses
-        #: the coverage loop, which records one edge per retired control
-        #: transfer — identically under both execution engines.  The
-        #: default loops carry zero extra cost.
+        #: see :mod:`repro.hunt.coverage`): :meth:`run` records one edge
+        #: per retired control transfer, identically under every engine.
+        #: A coverage run stays below the trace tier (traces record no
+        #: edges).
         self.coverage = None
-        #: Optional telemetry hub; when set, :meth:`run` uses the traced
-        #: loop (retired-instruction and check-execution counters).  The
-        #: default loop carries zero extra cost.
+        #: Optional telemetry hub: :meth:`run` adds its retired-instruction,
+        #: check-execution and fuel counters to it.  Composes with
+        #: ``coverage``.
         self.telemetry = None
         #: ``(start, end)`` of the ``.tramp`` segment, installed by the
-        #: loader so the traced loop can attribute "checks executed".
+        #: loader so :meth:`run` can attribute "checks executed".
         self.trampoline_span: Optional[tuple] = None
         self._dispatch = self._build_dispatch()
         #: The superblock translation cache (see :mod:`repro.vm.superblock`).
@@ -137,7 +139,7 @@ class CPU:
         #: Exception side-channel from compiled traces and the trace
         #: recorder: the exact (retired, check-instruction) counts of the
         #: partially executed trace, published just before the exception
-        #: propagates so the run loops account a mid-trace fault
+        #: propagates so the run loop accounts a mid-trace fault
         #: identically to the single-step oracle.
         self._trace_pending = 0
         self._trace_pending_checks = 0
@@ -455,269 +457,41 @@ class CPU:
         stand-in for a wall-clock timeout).  Faults and memory errors
         propagate as their own :class:`VMError` subclasses.
 
-        Execution normally goes through the tiered engines — trace above
-        superblocks (see :mod:`repro.vm.trace` / superblock) — with
-        bit-identical results to the single-step loop, which remains the
-        fallback whenever a DBI ``access_hook`` is installed (specialized
-        steps and compiled traces would bypass it) or the engines are
-        disabled/degraded.
-        """
-        if self.coverage is not None:
-            return self._run_coverage(max_instructions)
-        if self.telemetry is not None:
-            return self._run_traced(max_instructions)
-        if self.superblock.enabled and self.access_hook is None:
-            if self.trace.enabled:
-                return self._run_trace(max_instructions)
-            return self._run_superblocks(max_instructions)
-        return self._run_single(max_instructions)
+        This is the VM's one run loop.  Its tiers are picked once, on
+        entry: superblocks unless the engine is off or a DBI
+        ``access_hook`` is installed (specialized steps would bypass
+        it), and compiled traces on top unless the trace tier is off or
+        a ``coverage`` map is attached (traces record no edges).  A
+        ``translate`` that returns None (the engine degraded mid-run)
+        drops both tiers for the rest of the run.  Each ``rip`` then
+        runs one of three things, bit-identically (DESIGN.md §5f, §9):
 
-    def _run_single(self, max_instructions: int) -> int:
-        """The single-step loop: fetch/dispatch one instruction at a time.
+        - a compiled trace, when a whole iteration fits the remaining
+          fuel; it returns its exact ``(retired, checks)`` counts, and a
+          mid-trace exception publishes them through
+          ``cpu._trace_pending`` / ``_trace_pending_checks``;
+        - else the superblock at ``rip``, when it fits the fuel; each
+          step commits ``rip`` before it executes and a mid-block
+          exception is accounted through :meth:`Superblock.retired_before`;
+        - else one single-stepped instruction (:meth:`step`'s fetch and
+          dispatch), so the watchdog fires at exactly the same
+          instruction under every engine.
 
-        This is the semantic reference the superblock engine must match
-        bit for bit, and the fallback when superblocks are unavailable.
-        """
-        icache = self.icache
-        dispatch = self._dispatch
-        executed = 0
-        try:
-            while executed < max_instructions:
-                rip = self.rip
-                instruction = icache.get(rip)
-                if instruction is None:
-                    instruction = self._decode_at(rip)
-                self.rip = rip + instruction.length
-                dispatch[instruction.opcode](instruction)
-                executed += 1
-        except GuestExit as exit_signal:
-            executed += 1  # the exiting rtcall did retire
-            self.exit_status = exit_signal.status
-            return exit_signal.status
-        finally:
-            self.instructions_executed += executed
-        raise VMTimeoutError(max_instructions)
-
-    def _run_superblocks(self, max_instructions: int) -> int:
-        """The superblock loop: execute translated straight-line runs.
-
-        Equivalence with :meth:`_run_single` (DESIGN.md §5f): each step
-        commits ``rip`` before it executes and a mid-block exception is
-        accounted through :meth:`Superblock.retired_before`, so faults
-        leave identical architectural state and instruction counts.  A
-        block that would overrun the fuel budget is single-stepped
-        instead, making the watchdog fire at exactly the same
-        instruction; a degraded engine (``vm.superblock`` fault point)
-        single-steps the rest of the run.
-        """
-        engine = self.superblock
-        cache = engine.cache
-        icache = self.icache
-        dispatch = self._dispatch
-        regs = self.regs
-        read_int = self.memory.read_int
-        write_int = self.memory.write_int
-        executed = 0
-        try:
-            while executed < max_instructions:
-                rip = self.rip
-                block = cache.get(rip)
-                if block is None:
-                    block = engine.translate(rip)
-                if block is None or executed + block.length > max_instructions:
-                    # Engine degraded, or not enough fuel for the whole
-                    # block: retire one instruction the single-step way.
-                    instruction = icache.get(rip)
-                    if instruction is None:
-                        instruction = self._decode_at(rip)
-                    self.rip = rip + instruction.length
-                    dispatch[instruction.opcode](instruction)
-                    executed += 1
-                    continue
-                try:
-                    for next_rip, fn in block.steps:
-                        self.rip = next_rip
-                        fn(self, regs, read_int, write_int)
-                except BaseException:
-                    executed += block.retired_before(self.rip)
-                    raise
-                executed += block.length
-        except GuestExit as exit_signal:
-            executed += 1  # the exiting rtcall did retire
-            self.exit_status = exit_signal.status
-            return exit_signal.status
-        finally:
-            self.instructions_executed += executed
-        raise VMTimeoutError(max_instructions)
-
-    def _run_trace(self, max_instructions: int) -> int:
-        """The trace-tier loop: compiled hot-loop traces above superblocks.
-
-        Equivalence with :meth:`_run_single` (DESIGN.md §9): a compiled
-        trace only runs when a whole iteration fits the remaining fuel
-        and returns its exact retired count; a mid-trace exception is
-        accounted through ``cpu._trace_pending`` (published by the
-        generated handler with the packed intra-iteration position).
-        Everything the trace tier does not cover — cold code, side-exit
-        targets, the tail of the fuel budget — executes on the
-        superblock tier exactly as :meth:`_run_superblocks` would, with
-        the same single-step fallbacks, so the watchdog and every fault
-        land on identical instructions under all three engines.  The
-        back-edge profile tick after a completed transfer block is where
-        new traces are recorded — and where the ``vm.trace`` fault point
-        can latch the tier off (the loop then degenerates to the
-        superblock loop with one dead dict probe per block).  Only
-        application blocks tick it: ``.tramp`` lies above ``.text``, so
-        every trampoline's return jump looks like a back-edge, and
-        profiling those would anchor one recording per check instead of
-        one per loop.
-        """
-        tengine = self.trace
-        traces = tengine.traces
-        engine = self.superblock
-        cache = engine.cache
-        icache = self.icache
-        dispatch = self._dispatch
-        regs = self.regs
-        read_int = self.memory.read_int
-        write_int = self.memory.write_int
-        executed = 0
-        try:
-            while executed < max_instructions:
-                rip = self.rip
-                trace = traces.get(rip)
-                if (trace is not None
-                        and executed + trace.length <= max_instructions):
-                    try:
-                        retired, _checks = trace.fn(
-                            self, regs, read_int, write_int,
-                            max_instructions - executed,
-                        )
-                    except BaseException:
-                        executed += self._trace_pending
-                        raise
-                    executed += retired
-                    continue
-                block = cache.get(rip)
-                if block is None:
-                    block = engine.translate(rip)
-                if block is None or executed + block.length > max_instructions:
-                    # Engine degraded, or not enough fuel for the whole
-                    # block: retire one instruction the single-step way.
-                    instruction = icache.get(rip)
-                    if instruction is None:
-                        instruction = self._decode_at(rip)
-                    self.rip = rip + instruction.length
-                    dispatch[instruction.opcode](instruction)
-                    executed += 1
-                    continue
-                try:
-                    for next_rip, fn in block.steps:
-                        self.rip = next_rip
-                        fn(self, regs, read_int, write_int)
-                except BaseException:
-                    executed += block.retired_before(self.rip)
-                    raise
-                executed += block.length
-                last = block.last_transfer
-                if (last is not None and self.rip <= last
-                        and not block.in_trampoline
-                        and tengine.hot(self.rip)):
-                    try:
-                        retired, _checks = tengine.record(
-                            self.rip, max_instructions - executed
-                        )
-                    except BaseException:
-                        executed += self._trace_pending
-                        raise
-                    executed += retired
-        except GuestExit as exit_signal:
-            executed += 1  # the exiting rtcall did retire
-            self.exit_status = exit_signal.status
-            return exit_signal.status
-        finally:
-            self.instructions_executed += executed
-        raise VMTimeoutError(max_instructions)
-
-    def _run_coverage(self, max_instructions: int) -> int:
-        """The coverage variant of :meth:`run` (``redfat hunt``).
-
-        Identical semantics to the default loops, plus one
-        ``coverage.edge(src, dst)`` call per retired control transfer
-        (:data:`~repro.vm.superblock.TRANSFER_OPCODES`).  The edge
-        definition is engine-independent: under superblocks only a
-        block's final instruction can be a transfer
-        (``Superblock.last_transfer``), and a block truncated at
-        ``MAX_BLOCK``/the trampoline boundary ends in a non-transfer, so
-        both engines record exactly the same edges — including under
-        mid-block faults, where the raising transfer never retires and
-        therefore contributes no edge in either loop.
+        Two observers ride on the loop and compose.  ``coverage`` gets
+        one ``edge(src, dst)`` per retired control transfer: at every
+        single-stepped transfer and at every block's ``last_transfer``
+        (trampoline blocks included).  ``telemetry`` gets the run's
+        retired instructions, trampoline ("check") instructions and fuel,
+        and the ``vm_timeout`` event.  A check is counted before it is
+        single-step dispatched, so a raising trampoline step counts as
+        ``retired + 1``.  The back-edge tick that anchors new traces
+        happens only after application blocks: ``.tramp`` lies above
+        ``.text``, so every trampoline's return jump looks like a
+        back-edge, and profiling those would anchor one recording per
+        check instead of one per loop.
         """
         coverage = self.coverage
-        edge = coverage.edge
-        engine = self.superblock
-        cache = engine.cache
-        use_blocks = engine.enabled and self.access_hook is None
-        icache = self.icache
-        dispatch = self._dispatch
-        regs = self.regs
-        read_int = self.memory.read_int
-        write_int = self.memory.write_int
-        executed = 0
-        try:
-            while executed < max_instructions:
-                rip = self.rip
-                block = None
-                if use_blocks:
-                    block = cache.get(rip)
-                    if block is None:
-                        block = engine.translate(rip)
-                        if block is None:
-                            use_blocks = False  # engine degraded mid-run
-                if block is None or executed + block.length > max_instructions:
-                    instruction = icache.get(rip)
-                    if instruction is None:
-                        instruction = self._decode_at(rip)
-                    self.rip = rip + instruction.length
-                    dispatch[instruction.opcode](instruction)
-                    executed += 1
-                    if instruction.opcode in TRANSFER_OPCODES:
-                        edge(rip, self.rip)
-                    continue
-                try:
-                    for next_rip, fn in block.steps:
-                        self.rip = next_rip
-                        fn(self, regs, read_int, write_int)
-                except BaseException:
-                    executed += block.retired_before(self.rip)
-                    raise
-                executed += block.length
-                if block.last_transfer is not None:
-                    edge(block.last_transfer, self.rip)
-        except GuestExit as exit_signal:
-            executed += 1  # the exiting rtcall did retire
-            self.exit_status = exit_signal.status
-            return exit_signal.status
-        finally:
-            self.instructions_executed += executed
-        raise VMTimeoutError(max_instructions)
-
-    def _run_traced(self, max_instructions: int) -> int:
-        """The telemetry variant of :meth:`run`.
-
-        Identical semantics — tiered execution with the same single-step
-        fallbacks — plus per-run accounting: instructions retired,
-        instructions retired inside the ``.tramp`` segment ("checks
-        executed"), and fuel consumption.  Kept as a separate loop so
-        un-instrumented runs pay nothing.  Blocks never straddle the
-        trampoline boundary, so a block executed to completion
-        contributes either ``0`` or ``length`` check instructions, and
-        compiled traces return their exact per-call check-instruction
-        count (fused check spans still count — fusion elides work, not
-        accounting); a mid-block or mid-trace fault attributes the
-        instructions that were actually dispatched, exactly like the
-        single-step accounting.
-        """
+        edge = coverage.edge if coverage is not None else None
         tele = self.telemetry
         span = self.trampoline_span
         tramp_start, tramp_end = span if span is not None else (0, 0)
@@ -726,14 +500,14 @@ class CPU:
         tengine = self.trace
         traces = tengine.traces
         use_blocks = engine.enabled and self.access_hook is None
-        use_traces = tengine.enabled and self.access_hook is None
+        use_traces = use_blocks and tengine.enabled and coverage is None
         icache = self.icache
         dispatch = self._dispatch
         regs = self.regs
         read_int = self.memory.read_int
         write_int = self.memory.write_int
         executed = 0
-        in_trampoline = 0
+        checks = 0
         try:
             while executed < max_instructions:
                 rip = self.rip
@@ -742,74 +516,80 @@ class CPU:
                     if (trace is not None
                             and executed + trace.length <= max_instructions):
                         try:
-                            retired, checks = trace.fn(
+                            retired, trace_checks = trace.fn(
                                 self, regs, read_int, write_int,
                                 max_instructions - executed,
                             )
                         except BaseException:
                             executed += self._trace_pending
-                            in_trampoline += self._trace_pending_checks
+                            checks += self._trace_pending_checks
                             raise
                         executed += retired
-                        in_trampoline += checks
+                        checks += trace_checks
                         continue
-                block = None
                 if use_blocks:
                     block = cache.get(rip)
                     if block is None:
                         block = engine.translate(rip)
                         if block is None:
-                            use_blocks = False  # engine degraded mid-run
-                if block is None or executed + block.length > max_instructions:
-                    instruction = icache.get(rip)
-                    if instruction is None:
-                        instruction = self._decode_at(rip)
-                    if tramp_start <= rip < tramp_end:
-                        in_trampoline += 1
-                    self.rip = rip + instruction.length
-                    dispatch[instruction.opcode](instruction)
-                    executed += 1
-                    continue
-                try:
-                    for next_rip, fn in block.steps:
-                        self.rip = next_rip
-                        fn(self, regs, read_int, write_int)
-                except BaseException:
-                    retired = block.retired_before(self.rip)
-                    executed += retired
-                    if block.in_trampoline:
-                        # The raising step was dispatched too — the
-                        # single-step loop counts it before dispatch.
-                        in_trampoline += retired + 1
-                    raise
-                executed += block.length
-                if block.in_trampoline:
-                    in_trampoline += block.length
-                last = block.last_transfer
-                if (use_traces and last is not None and self.rip <= last
-                        and not block.in_trampoline
-                        and tengine.hot(self.rip)):
-                    try:
-                        retired, checks = tengine.record(
-                            self.rip, max_instructions - executed
-                        )
-                    except BaseException:
-                        executed += self._trace_pending
-                        in_trampoline += self._trace_pending_checks
-                        raise
-                    executed += retired
-                    in_trampoline += checks
+                            use_blocks = use_traces = False  # degraded
+                    if (block is not None
+                            and executed + block.length <= max_instructions):
+                        try:
+                            for next_rip, fn in block.steps:
+                                self.rip = next_rip
+                                fn(self, regs, read_int, write_int)
+                        except BaseException:
+                            retired = block.retired_before(self.rip)
+                            executed += retired
+                            if block.in_trampoline:
+                                # The raising step was dispatched too.
+                                checks += retired + 1
+                            raise
+                        executed += block.length
+                        last = block.last_transfer
+                        if block.in_trampoline:
+                            checks += block.length
+                        elif (use_traces and last is not None
+                                and self.rip <= last and tengine.hot(self.rip)):
+                            try:
+                                retired, trace_checks = tengine.record(
+                                    self.rip, max_instructions - executed
+                                )
+                            except BaseException:
+                                executed += self._trace_pending
+                                checks += self._trace_pending_checks
+                                raise
+                            executed += retired
+                            checks += trace_checks
+                        if edge is not None and last is not None:
+                            edge(last, self.rip)
+                        continue
+                # No block tier, or not enough fuel for the whole block:
+                # retire one instruction the single-step way.
+                instruction = icache.get(rip)
+                if instruction is None:
+                    instruction = self._decode_at(rip)
+                if tramp_start <= rip < tramp_end:
+                    checks += 1
+                self.rip = rip + instruction.length
+                dispatch[instruction.opcode](instruction)
+                executed += 1
+                if edge is not None and instruction.opcode in TRANSFER_OPCODES:
+                    edge(rip, self.rip)
         except GuestExit as exit_signal:
-            executed += 1
+            executed += 1  # the exiting rtcall did retire
             self.exit_status = exit_signal.status
             return exit_signal.status
         finally:
             self.instructions_executed += executed
-            tele.count("vm.instructions_retired", executed)
-            tele.count("vm.checks_executed", in_trampoline)
-            tele.count("vm.fuel_consumed", executed)
-            tele.gauge("vm.fuel_budget", max_instructions)
-        tele.event("vm_timeout", fuel=max_instructions)
+            if tele is not None:
+                tele.count("vm.instructions_retired", executed)
+                tele.count("vm.checks_executed", checks)
+                tele.count("vm.fuel_consumed", executed)
+                tele.gauge("vm.fuel_budget", max_instructions)
+        if tele is not None:
+            tele.event("vm_timeout", fuel=max_instructions)
         raise VMTimeoutError(max_instructions)
 
 

@@ -95,7 +95,7 @@ def load_binary(
         cpu.telemetry = telemetry
     _attach_image_caches(cpu, binary)
     if binary.has_segment(".tramp"):
-        # Always published: the traced loop attributes "checks executed"
+        # Always published: a traced run attributes "checks executed"
         # with it, and the trace tier's check fusion needs to know which
         # recorded instructions are trampoline code (vm/trace.py).
         tramp = binary.segment(".tramp")

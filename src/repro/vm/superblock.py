@@ -21,7 +21,7 @@ partial architectural state left behind by a mid-block fault:
   *call* the handler (the generic step passes the CPU and the decoded
   instruction to the unbound ``CPU._exec_*`` method);
 - blocks never span the ``.tramp`` boundary, so every block is entirely
-  trampoline code or entirely application code — the traced loop's
+  trampoline code or entirely application code — the run loop's
   "checks executed" attribution stays exact.
 
 Sharing: a step receives the per-run state as arguments —
@@ -35,7 +35,7 @@ same trampoline span, and translates (and publishes) otherwise.
 Degradation: the ``vm.superblock`` fault point fires when a block is
 installed (low frequency, off the per-instruction hot path).  When it
 fires the engine latches itself off for the rest of the run — the CPU
-falls back to the single-step loop, never crashes — and the run is
+falls back to single-stepping, never crashes — and the run is
 accounted as DEGRADED by the fault campaign.  Because the trace tier
 (:mod:`repro.vm.trace`) compiles stitched superblocks, degrading this
 engine also latches the trace tier off: the full degradation ladder is
@@ -81,7 +81,7 @@ TERMINATORS = frozenset({
 #: Opcodes the coverage hook records edges for: real control transfers
 #: that redirect ``rip``.  TRAP/RTCALL end a block (runtime boundary)
 #: but fall through, so they are not coverage edges — keeping the edge
-#: definition identical between the single-step and superblock loops.
+#: definition identical between single-stepped and superblock code.
 TRANSFER_OPCODES = frozenset({
     Opcode.JMP, Opcode.CALL, Opcode.JMPR, Opcode.CALLR, Opcode.RET,
     Opcode.JE, Opcode.JNE, Opcode.JL, Opcode.JLE, Opcode.JG, Opcode.JGE,
@@ -106,35 +106,27 @@ def default_engine() -> str:
 
 def default_enabled() -> bool:
     """Whether new CPUs start with superblock translation on — i.e. the
-    default engine is anything above the single-step reference loop."""
+    default engine is anything above the single-step reference engine."""
     return _DEFAULT_ENGINE != "single-step"
-
-
-def _coerce_engine(engine) -> str:
-    if engine == "trace":
-        return "trace"
-    if engine in ("superblock", True):
-        return "superblock"
-    if engine in ("single-step", "singlestep", False):
-        return "single-step"
-    raise ValueError(
-        f"unknown VM engine {engine!r}; expected one of {ENGINE_NAMES}"
-    )
 
 
 @contextmanager
 def engine_override(engine):
     """Temporarily pick the execution engine for CPUs built inside.
 
-    *engine* is ``"trace"``, ``"superblock"`` or ``"single-step"``
-    (booleans still work for the latter two).  Used by ``redfat run
-    --engine``, :func:`repro.api.run` and the perfscope recorder to
-    measure all three loops on identical inputs.
+    *engine* is one of :data:`ENGINE_NAMES`: ``"trace"``,
+    ``"superblock"`` or ``"single-step"``, the spellings ``redfat run
+    --engine`` accepts.  Used by that switch, :func:`repro.api.run` and
+    the perfscope recorder to measure all three engines on identical
+    inputs.
     """
     global _DEFAULT_ENGINE
-    name = _coerce_engine(engine)
+    if engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown VM engine {engine!r}; expected one of {ENGINE_NAMES}"
+        )
     previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
+    _DEFAULT_ENGINE = engine
     try:
         yield
     finally:
@@ -169,9 +161,9 @@ class Superblock:
         self.in_trampoline = in_trampoline
         #: Address of the block's final instruction when that instruction
         #: is a control transfer (:data:`TRANSFER_OPCODES`), else None.
-        #: The coverage loop records ``(last_transfer, rip-after-block)``
-        #: edges from it — the exact edge the single-step loop records
-        #: when the same transfer retires.
+        #: A coverage run records ``(last_transfer, rip-after-block)``
+        #: edges from it — the exact edge single-stepping records when
+        #: the same transfer retires.
         self.last_transfer = last_transfer
         #: The instruction bytes the steps were decoded from (None when
         #: guest memory no longer held them at translation time, which
@@ -198,7 +190,7 @@ class Superblock:
 class SuperblockEngine:
     """Per-CPU view of the translated blocks + degradation latch.
 
-    ``cache`` is the run loops' hot lookup.  Behind it sits
+    ``cache`` is the run loop's hot lookup.  Behind it sits
     ``shared_cache``, the image's blocks (installed by the loader; it
     rides on the Binary next to the decode memo and the trace cache):
     a miss takes the image's block when this CPU's memory holds the same

@@ -3,14 +3,15 @@
 This is the third (and fastest) execution tier of the VM.  The tiers,
 from oracle to hottest:
 
-1. **single-step** (:meth:`repro.vm.cpu.CPU._run_single`) — fetch,
+1. **single-step** (:meth:`repro.vm.cpu.CPU.step`) — fetch,
    dispatch, retire one instruction at a time.  The semantics oracle:
    every other tier must be bit-identical to it.
 2. **superblock** (:mod:`repro.vm.superblock`) — straight-line runs
    pre-translated to lists of step functions; stops at every control
    transfer, so a hot loop still pays one dispatch per block and one
    step call per instruction.
-3. **trace** (this module) — profile-guided: the dispatch loop counts
+3. **trace** (this module) — profile-guided: the run loop
+   (:meth:`repro.vm.cpu.CPU.run`, which holds all three tiers) counts
    taken *back edges* (a retired application transfer whose target
    does not lie after it; trampoline return jumps only look backward
    because ``.tramp`` sits above ``.text``); when a target gets hot
@@ -44,7 +45,7 @@ architectural state left behind by a mid-trace fault:
   writes the flag locals back and publishes the exact retired /
   check-instruction counts through ``cpu._trace_pending`` /
   ``cpu._trace_pending_checks`` so the run loop accounts a fault at
-  instruction *k* of an iteration identically to the single-step loop
+  instruction *k* of an iteration identically to single-stepping
   (the raising instruction itself does not retire).
 - **watchdog exactness**: the compiled function bails out at the loop
   anchor whenever a whole iteration no longer fits the remaining fuel;
@@ -246,7 +247,7 @@ class Trace:
     ``fn(cpu, regs, rd, wr, fuel)`` executes whole iterations while a
     full iteration fits *fuel* and every guard matches; it returns
     ``(retired, check_instructions)``.  ``length``/``checks`` are the
-    per-iteration static counts the run loops use for fuel pre-checks.
+    per-iteration static counts the run loop uses for fuel pre-checks.
     ``code`` (the compiled code object) and ``generics`` (the
     ``(index, instruction)`` pairs bound to the generic-handler
     globals) are what the cross-run cache needs to revive the trace on

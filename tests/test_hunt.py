@@ -34,6 +34,7 @@ from repro.hunt.triage import (
     triage_entry,
 )
 from repro.runtime.reporting import ErrorKind, MemoryErrorReport
+from repro.telemetry.hub import Telemetry
 from repro.workloads import registry as workloads
 
 
@@ -321,6 +322,19 @@ class TestHuntEndToEnd:
         assert entry.expected_detected
         assert entry.executions == 1  # the seed replay itself fired
         assert entry.triage.findings[0].confidence == "static+dynamic"
+
+    def test_hub_receives_vm_counters(self):
+        """A hub rides on every executed CPU: coverage and telemetry
+        observe the same run loop."""
+        telemetry = Telemetry()
+        run_hunt(config=HuntConfig(
+            corpus="double-free", budget=10, presets=("fully",),
+            runtimes=("redfat",),
+        ), telemetry=telemetry)
+        counters = telemetry.counters
+        assert counters["vm.instructions_retired"] > 0
+        assert counters["vm.fuel_consumed"] == counters["vm.instructions_retired"]
+        assert "vm.superblocks_translated" in counters
 
 
 class TestHuntFaultCampaigns:

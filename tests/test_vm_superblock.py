@@ -16,7 +16,7 @@ import pytest
 
 from repro.cc import compile_source
 from repro.core import RedFat, RedFatOptions
-from repro.errors import GuestMemoryError, VMTimeoutError
+from repro.errors import GuestExit, GuestMemoryError, VMTimeoutError
 from repro.faults.campaign import DEGRADED, compile_campaign_program, run_campaign
 from repro.isa.assembler import assemble_text
 from repro.isa.encoding import decode_all
@@ -218,18 +218,38 @@ def _run_with_coverage(program, engine, binary=None, make_runtime=None,
             frozenset(coverage.edges))
 
 
+#: Every engine, fastest first (the spellings ``engine_override`` takes).
+ENGINES = ("trace", "superblock", "single-step")
+
+
 class TestCoverageHookEquivalence:
-    """The hunt coverage hook (cpu.coverage) is engine-invariant: both
-    loops must retire the same transfers, so the maps are identical —
+    """The hunt coverage hook (cpu.coverage) is engine-invariant: every
+    engine must retire the same transfers, so the maps are identical —
     the contract repro.hunt's mutation guidance is built on."""
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_plain_guest_identical_maps(self, name):
         program = compile_source(PROGRAMS[name])
-        fast = _run_with_coverage(program, "superblock")
-        reference = _run_with_coverage(program, "single-step")
-        assert fast == reference
+        trace, fast, reference = (
+            _run_with_coverage(program, engine) for engine in ENGINES
+        )
+        assert trace == fast == reference
         assert fast[3], "expected a non-empty edge map"
+
+    def test_trace_engine_coverage_records_no_trace(self):
+        """Traces record no edges, so a coverage run stays below them."""
+        from repro.hunt.coverage import CoverageMap
+
+        program = compile_source(PROGRAMS["alu-loop"])
+        recordings = []
+        for coverage in (CoverageMap(), None):
+            with engine_override("trace"):
+                cpu = load_binary(program.binary, GlibcRuntime())
+            cpu.coverage = coverage
+            cpu.run()
+            recordings.append(cpu.trace.recordings)
+        assert recordings[0] == 0
+        assert recordings[1] > 0, "the loop must be hot enough to trace"
 
     def test_coverage_loop_matches_default_loop(self):
         """Attaching a map must not perturb execution itself."""
@@ -253,9 +273,9 @@ class TestCoverageHookEquivalence:
                 make_runtime=lambda: harden.create_runtime(mode="log"),
                 args=case.malicious_args,
             )
-            for engine in ("superblock", "single-step")
+            for engine in ENGINES
         ]
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
     def test_mid_run_fault_identical_maps(self):
         """A faulting transfer never retires: no edge in either engine."""
@@ -268,17 +288,18 @@ class TestCoverageHookEquivalence:
                 make_runtime=lambda: harden.create_runtime(mode="abort"),
                 args=case.malicious_args,
             )
-            for engine in ("superblock", "single-step")
+            for engine in ENGINES
         ]
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         assert "GuestMemoryError" in str(results[0][0])
 
     @pytest.mark.parametrize("fuel", [7, MAX_BLOCK, 500])
     def test_fuel_truncated_identical_maps(self, fuel):
         program = compile_source(PROGRAMS["alu-loop"])
-        fast = _run_with_coverage(program, "superblock", fuel=fuel)
-        reference = _run_with_coverage(program, "single-step", fuel=fuel)
-        assert fast == reference
+        trace, fast, reference = (
+            _run_with_coverage(program, engine, fuel=fuel) for engine in ENGINES
+        )
+        assert trace == fast == reference
 
 
 class TestTracedLoop:
@@ -299,6 +320,80 @@ class TestTracedLoop:
             ))
         assert counters[0] == counters[1]
         assert counters[0][0] > 0
+
+
+class TestObserversCompose:
+    """Coverage and telemetry observe the one run loop; attaching both
+    gives each the result it gets alone, on every engine."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_coverage_and_telemetry_together(self, engine):
+        from repro.hunt.coverage import CoverageMap
+
+        program = compile_source(PROGRAMS["heap"])
+        harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
+        counters = ("vm.instructions_retired", "vm.checks_executed",
+                    "vm.fuel_consumed")
+
+        def observed(coverage, telemetry):
+            with engine_override(engine):
+                cpu = load_binary(harden.binary,
+                                  harden.create_runtime(mode="log"),
+                                  telemetry=telemetry)
+            cpu.coverage = coverage
+            cpu.run()
+            edges = frozenset(coverage.edges) if coverage is not None else None
+            counts = (tuple(telemetry.counters.get(name) for name in counters)
+                      if telemetry is not None else None)
+            return edges, counts
+
+        edges, _ = observed(CoverageMap(), None)
+        _, counts = observed(None, Telemetry())
+        assert observed(CoverageMap(), Telemetry()) == (edges, counts)
+        assert edges and counts[1] > 0
+
+
+def _step_oracle(cpu, fuel):
+    """The plainest possible run loop: ``cpu.step()`` until the guest
+    exits or *fuel* instructions retire."""
+    retired = 0
+    try:
+        while retired < fuel:
+            cpu.step()
+            retired += 1
+    except GuestExit as exit_signal:
+        cpu.instructions_executed += 1  # the exiting rtcall did retire
+        return exit_signal.status
+    return "timeout"
+
+
+class TestStepOracle:
+    """The single-step tier of ``CPU.run`` is held to ``CPU.step``: the
+    shared loop skeleton (fuel test, exit and timeout handling) adds
+    nothing of its own."""
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("fuel", [7, MAX_BLOCK, 500, 10_000_000])
+    def test_run_matches_plain_step_loop(self, name, fuel):
+        program = compile_source(PROGRAMS[name])
+        states = []
+        for oracle in (False, True):
+            runtime = GlibcRuntime()
+            with engine_override("single-step"):
+                cpu = load_binary(program.binary, runtime)
+            if oracle:
+                status = _step_oracle(cpu, fuel)
+            else:
+                try:
+                    status = cpu.run(fuel)
+                except VMTimeoutError as error:
+                    assert error.fuel == fuel
+                    status = "timeout"
+            states.append((status, cpu.instructions_executed, list(cpu.regs),
+                           cpu.rip, tuple(runtime.output)))
+        assert states[0] == states[1]
+        if fuel == 10_000_000:
+            assert states[0][0] != "timeout"
 
 
 #: Every specialised step form under every addressing mode (base,
@@ -590,19 +685,18 @@ class TestEngineControls:
     def test_override_coercion(self):
         with engine_override("single-step"):
             assert not default_enabled()
-        with engine_override("singlestep"):
-            assert not default_enabled()
-        with engine_override(False):
-            assert not default_enabled()
             with engine_override("superblock"):
                 assert default_enabled()
             assert not default_enabled()
         assert default_enabled()
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            with engine_override("jit"):
-                pass
+        # Only ENGINE_NAMES spellings: the legacy booleans and
+        # "singlestep" are gone.
+        for engine in ("jit", True, False, "singlestep"):
+            with pytest.raises(ValueError):
+                with engine_override(engine):
+                    pass
 
     def test_flush_icache_invalidates_blocks(self):
         program = compile_source(PROGRAMS["alu-loop"])
