@@ -31,14 +31,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List
 
-from repro.isa.instructions import Instruction
-from repro.isa.opcodes import CONDITIONAL_JUMPS, Opcode, SETCC_CONDITIONS
-from repro.isa.registers import GPRS, Register
+from repro.isa.instructions import FLAGS, Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import GPRS, RSP
 from repro.analysis.graph import BlockGraph
 from repro.analysis import solver
-
-#: Sentinel member of the live set standing for the flags register.
-FLAGS = "FLAGS"
 
 #: Every register live, flags live: the unknown-control conservative top.
 ALL_LIVE: FrozenSet = frozenset(GPRS) | {FLAGS}
@@ -46,30 +43,17 @@ ALL_LIVE: FrozenSet = frozenset(GPRS) | {FLAGS}
 #: Every register live, flags dead: the call/return ABI boundary.
 ALL_REGS_LIVE: FrozenSet = frozenset(GPRS)
 
+#: Registers a trampoline may use as scratch: all but the stack pointer.
+_SCRATCH_CANDIDATES: FrozenSet = frozenset(GPRS) - {RSP}
+
 #: Block terminators that hand control to ABI-respecting code.
 _ABI_BOUNDARY = (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RTCALL)
 
 
-def reads_flags(instruction: Instruction) -> bool:
-    """True when the instruction consumes CPU flags (jcc/setcc/adc-like)."""
-    return (
-        instruction.opcode in CONDITIONAL_JUMPS
-        or instruction.opcode in SETCC_CONDITIONS
-        or instruction.opcode is Opcode.PUSHF
-    )
-
-
 def step_backward(live: FrozenSet, instruction: Instruction) -> FrozenSet:
     """Live set *before* executing *instruction*, given the set after."""
-    updated = set(live)
-    for register in instruction.regs_written():
-        updated.discard(register)
-    if instruction.writes_flags() or instruction.opcode is Opcode.POPF:
-        updated.discard(FLAGS)
-    updated.update(instruction.regs_read())
-    if reads_flags(instruction):
-        updated.add(FLAGS)
-    return frozenset(updated)
+    effects = instruction.effects or instruction.derive_effects()
+    return (live - effects.kill) | effects.gen
 
 
 def effective_exit(graph: BlockGraph, node: int, successor_fact: FrozenSet) -> FrozenSet:
@@ -121,37 +105,36 @@ def compute_live_out(graph: BlockGraph) -> Dict[int, FrozenSet]:
     }
 
 
-def live_sets_within(block_instructions: List[Instruction],
-                     live_out: FrozenSet) -> List[FrozenSet]:
-    """Live set *before* each instruction of a block, front to back."""
-    sets: List[FrozenSet] = [frozenset()] * len(block_instructions)
+def _live_before(block_instructions: List[Instruction], index: int,
+                 live_out: FrozenSet) -> FrozenSet:
+    """Live set before ``block_instructions[index]``."""
     live = live_out
-    for index in range(len(block_instructions) - 1, -1, -1):
-        live = step_backward(live, block_instructions[index])
-        sets[index] = live
-    return sets
+    for position in range(len(block_instructions) - 1, index - 1, -1):
+        live = step_backward(live, block_instructions[position])
+    return live
 
 
 def dead_registers_at(block_instructions: List[Instruction], index: int,
                       live_out: FrozenSet) -> FrozenSet:
     """Registers a trampoline entered before *index* may clobber.
 
-    Equivalent to ``regusage.dead_registers_after`` when *live_out* is
-    :data:`ALL_LIVE`; with a real live-out it additionally reports
-    registers the suffix never mentions and no successor reads.
+    With :func:`block_local_live_out` this is the block-local rule
+    (``regusage.dead_registers_after``); with a solved live-out it
+    additionally reports registers the suffix never mentions and no
+    successor reads.
     """
-    live = live_out
-    for position in range(len(block_instructions) - 1, index - 1, -1):
-        live = step_backward(live, block_instructions[position])
-    dead = set(GPRS) - {r for r in live if isinstance(r, Register)}
-    dead.discard(Register.RSP)
-    return frozenset(dead)
+    return _SCRATCH_CANDIDATES - _live_before(block_instructions, index, live_out)
 
 
 def flags_dead_at(block_instructions: List[Instruction], index: int,
                   live_out: FrozenSet) -> bool:
     """Flags counterpart of :func:`dead_registers_at`."""
-    live = live_out
-    for position in range(len(block_instructions) - 1, index - 1, -1):
-        live = step_backward(live, block_instructions[position])
-    return FLAGS not in live
+    return FLAGS not in _live_before(block_instructions, index, live_out)
+
+
+def block_local_live_out(block_instructions: List[Instruction]) -> FrozenSet:
+    """The live-out a block-local analysis assumes: every register, and
+    the flags too unless the block ends at a call/return boundary."""
+    if block_instructions and block_instructions[-1].opcode in _ABI_BOUNDARY:
+        return ALL_REGS_LIVE
+    return ALL_LIVE

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.errors import EncodingError
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Effects, Instruction
 from repro.isa.opcodes import (
     BARE_OPCODES,
     FORM_I,
@@ -347,13 +347,28 @@ def _decode(data: bytes, offset: int, address: int) -> Instruction:
 
 
 def decode_all(data: bytes, base_address: int = 0) -> list:
-    """Linearly decode *data* into a list of instructions."""
+    """Linearly decode *data* into a list of instructions.
+
+    Each instruction gets the :class:`Effects` record of its encoding.
+    The records are derived once per distinct byte string and shared:
+    a large text repeats a few encodings many times, and the analyses
+    ask every instruction for its effects.  The table lives for this
+    call only.
+    """
+    data = bytes(data)
+    effects_of: Dict[bytes, Effects] = {}
     instructions = []
     offset = 0
     while offset < len(data):
         instruction = decode(data, offset, base_address + offset)
+        end = offset + instruction.length
+        raw = data[offset:end]
+        effects = effects_of.get(raw)
+        if effects is None:
+            effects = effects_of[raw] = instruction.derive_effects()
+        instruction.effects = effects
         instructions.append(instruction)
-        offset += instruction.length
+        offset = end
     return instructions
 
 

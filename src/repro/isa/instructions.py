@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import EncodingError
 from repro.isa.opcodes import (
@@ -26,6 +26,27 @@ from repro.isa.opcodes import (
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import ARG_REGS, RSP, Register
 
+#: Sentinel member of a live set standing for the flags register.
+FLAGS = "FLAGS"
+
+
+class Effects(NamedTuple):
+    """The static effects of one encoding, as the analyses ask for them.
+
+    Every field is a function of the opcode, operands and access size
+    alone, so instructions with equal bytes share one record
+    (:func:`repro.isa.encoding.decode_all`).  ``kill``/``gen`` are the
+    liveness transfer sets: registers written/read, plus :data:`FLAGS`
+    when the instruction writes/reads the flags.
+    """
+
+    reads: frozenset
+    writes: frozenset
+    kill: frozenset
+    gen: frozenset
+    access: Optional[Tuple[Mem, bool, bool, int]]
+    terminator: bool
+
 
 class Instruction:
     """One decoded/constructed instruction.
@@ -35,9 +56,19 @@ class Instruction:
     instructions without a size dimension.  ``address`` and ``length`` are
     filled in by the decoder/assembler and give the instruction's place in
     the binary image.
+
+    ``effects`` is the shared :class:`Effects` record of a decoded
+    instruction, or None for one built in code (compiler, checkgen,
+    assembler, the VM's single-instruction decode); the accessors read
+    the record when it is there and compute on demand otherwise.  The
+    record is never updated, so a decoded instruction must not be
+    mutated: code that needs a changed copy clones it.
     """
 
-    __slots__ = ("opcode", "operands", "size", "address", "length", "abs_target", "tag")
+    __slots__ = (
+        "opcode", "operands", "size", "address", "length", "abs_target", "tag",
+        "effects",
+    )
 
     def __init__(
         self,
@@ -65,6 +96,7 @@ class Instruction:
         #: Arbitrary marker propagated to rewrite metadata (e.g. which
         #: original access a generated trap instruction belongs to).
         self.tag = tag
+        self.effects = None
 
     # -- structural helpers -------------------------------------------------
 
@@ -124,6 +156,9 @@ class Instruction:
     @property
     def is_terminator(self) -> bool:
         """Ends a basic block (any control transfer or trap)."""
+        effects = self.effects
+        if effects is not None:
+            return effects.terminator
         return self.opcode in JUMP_OPCODES or self.opcode in (
             Opcode.JMPR,
             Opcode.CALLR,
@@ -162,6 +197,9 @@ class Instruction:
         This is what RedFat's analysis consumes: the accessed operand, the
         access direction(s) and the access width in bytes.
         """
+        effects = self.effects
+        if effects is not None:
+            return effects.access
         mem = self.memory_operand()
         if mem is None:
             return None
@@ -184,6 +222,9 @@ class Instruction:
 
     def regs_read(self) -> frozenset:
         """Registers whose values this instruction consumes."""
+        effects = self.effects
+        if effects is not None:
+            return effects.reads
         regs = set()
         form = self.form
         op = self.opcode
@@ -223,6 +264,9 @@ class Instruction:
 
     def regs_written(self) -> frozenset:
         """Registers whose values this instruction may change."""
+        effects = self.effects
+        if effects is not None:
+            return effects.writes
         regs = set()
         form = self.form
         op = self.opcode
@@ -252,6 +296,27 @@ class Instruction:
         return (
             self.opcode in ALU_RW
             or self.opcode in (Opcode.CMP, Opcode.TEST, Opcode.NOT, Opcode.NEG, Opcode.POPF)
+        )
+
+    def reads_flags(self) -> bool:
+        """True when the instruction consumes the flags (jcc/setcc/pushf)."""
+        return (
+            self.opcode in CONDITIONAL_JUMPS
+            or self.opcode in SETCC_CONDITIONS
+            or self.opcode is Opcode.PUSHF
+        )
+
+    def derive_effects(self) -> Effects:
+        """This instruction's :class:`Effects`, computed from its fields."""
+        reads = self.regs_read()
+        writes = self.regs_written()
+        return Effects(
+            reads,
+            writes,
+            writes | {FLAGS} if self.writes_flags() else writes,
+            reads | {FLAGS} if self.reads_flags() else reads,
+            self.memory_access(),
+            self.is_terminator,
         )
 
     # -- dunder -----------------------------------------------------------------

@@ -67,7 +67,7 @@ class ControlFlowInfo:
 
 def recover_control_flow(binary: Binary, telemetry=None) -> ControlFlowInfo:
     """Decode all executable segments and recover blocks/targets."""
-    from repro.telemetry.hub import coerce
+    from repro.telemetry.hub import NULL, coerce
 
     tele = coerce(telemetry)
     with tele.span("disasm"):
@@ -75,6 +75,10 @@ def recover_control_flow(binary: Binary, telemetry=None) -> ControlFlowInfo:
         for segment in binary.text_segments():
             instructions.extend(decode_all(segment.data, segment.vaddr))
     tele.count("cfg.instructions_decoded", len(instructions))
+    if tele is not NULL:
+        # decode_all shares one effects record per distinct encoding.
+        tele.count("cfg.distinct_encodings",
+                   len({id(instruction.effects) for instruction in instructions}))
     with tele.span("cfg"):
         return _build_control_flow(binary, instructions, tele)
 

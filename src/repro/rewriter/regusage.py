@@ -5,23 +5,24 @@ Saving and restoring them costs 2 instructions each per trampoline entry,
 so the paper specializes trampolines by a "simple static analysis to
 determine which registers (if any) are clobbered" after the patch point.
 
-The analysis here is a block-local backward-free scan: a register is dead
-at a site if, on the straight-line suffix of its basic block, it is
-written before it is ever read.  At the block boundary everything is
-conservatively assumed live, except across call/ret terminators where the
-ABI makes the flags dead.
+The rule here is block-local: a register is dead at a site if, on the
+straight-line suffix of its basic block, it is written before it is ever
+read.  At the block boundary everything is conservatively assumed live,
+except across call/ret terminators where the ABI makes the flags dead.
+It is the liveness step of :mod:`repro.analysis.liveness` run from that
+boundary assumption instead of a solved live-out.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, List
 
-from repro.isa.instructions import Instruction
-from repro.isa.opcodes import (
-    CONDITIONAL_JUMPS,
-    Opcode,
-    SETCC_CONDITIONS,
+from repro.analysis.liveness import (
+    block_local_live_out,
+    dead_registers_at,
+    flags_dead_at,
 )
+from repro.isa.instructions import Instruction
 from repro.isa.registers import GPRS, RSP, Register
 
 
@@ -32,25 +33,7 @@ def dead_registers_after(block: List[Instruction], index: int) -> FrozenSet[Regi
     the trampoline returns (starting with the displaced instruction
     itself, which still reads its own operands).
     """
-    live: set = set()
-    dead: set = set()
-    for instruction in block[index:]:
-        for register in instruction.regs_read():
-            if register not in dead:
-                live.add(register)
-        for register in instruction.regs_written():
-            if register not in live:
-                dead.add(register)
-    dead.discard(RSP)  # the stack pointer is never scratch material
-    return frozenset(dead)
-
-
-def _reads_flags(instruction: Instruction) -> bool:
-    return (
-        instruction.opcode in CONDITIONAL_JUMPS
-        or instruction.opcode in SETCC_CONDITIONS
-        or instruction.opcode is Opcode.PUSHF
-    )
+    return dead_registers_at(block, index, block_local_live_out(block))
 
 
 def flags_dead_after(block: List[Instruction], index: int) -> bool:
@@ -58,21 +41,13 @@ def flags_dead_after(block: List[Instruction], index: int) -> bool:
 
     Flags are dead if the suffix overwrites them before reading them, or
     the block ends in a call/ret (the ABI treats flags as clobbered).
-    Ending in a plain jump is conservatively treated as flags-live.
+    Ending in a plain jump is conservatively treated as flags-live, and
+    so is an empty suffix: with nothing executing after the site, no
+    terminator justifies clobbering the flags.
     """
-    suffix = block[index:]
-    if not suffix:
+    if index >= len(block):
         return False
-    for instruction in suffix:
-        if _reads_flags(instruction):
-            return False
-        if instruction.writes_flags() or instruction.opcode is Opcode.POPF:
-            return True
-    # The suffix neither reads nor writes the flags: the verdict rests on
-    # its own terminator, not the whole block's (``block[-1]`` would look
-    # past a mid-block *index* into instructions already handled above).
-    last = suffix[-1]
-    return last.opcode in (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RTCALL)
+    return flags_dead_at(block, index, block_local_live_out(block))
 
 
 def pick_scratch_registers(

@@ -30,6 +30,7 @@ from repro.vm.loader import load_binary
 from repro.vm.memory import Memory
 from repro.vm.runtime_iface import Service
 from repro.vm.superblock import (
+    ENGINE_NAMES,
     MAX_BLOCK,
     SuperblockEngine,
     default_enabled,
@@ -179,17 +180,24 @@ class TestEquivalenceHardened:
 
 class TestWatchdogEquivalence:
     @pytest.mark.parametrize("fuel", [1, 7, MAX_BLOCK - 1, MAX_BLOCK,
-                                      MAX_BLOCK + 1, 500])
+                                      MAX_BLOCK + 1, 500, 3_000])
     def test_timeout_fires_at_exact_budget(self, fuel):
+        """Every engine stops after exactly *fuel* instructions, in the
+        same architectural state."""
         program = compile_source(PROGRAMS["alu-loop"])
-        executed = []
-        for engine in ("superblock", "single-step"):
+        states = []
+        for engine in ENGINE_NAMES:
             with engine_override(engine):
-                with pytest.raises(VMTimeoutError) as excinfo:
-                    program.run(max_instructions=fuel)
+                cpu = load_binary(program.binary, GlibcRuntime())
+            with pytest.raises(VMTimeoutError) as excinfo:
+                cpu.run(fuel)
             assert excinfo.value.fuel == fuel
-            executed.append(fuel)
-        assert executed[0] == executed[1]
+            state = _cpu_state(cpu, "timeout")
+            states.append(state + (cpu.memory.page_contents(),))
+            if engine == "trace" and fuel == 3_000:
+                assert cpu.trace.compiled > 0, "the trace tier never ran"
+        assert states[0][2] == fuel
+        assert states[0] == states[1] == states[2]
 
 
 def _run_with_coverage(program, engine, binary=None, make_runtime=None,
