@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Hardening farm: batch instrumentation with a content-addressed cache.
 
-Hardening a fleet of binaries one ``api.harden`` call at a time wastes
-work twice over: identical inputs are re-instrumented from scratch, and
-independent inputs run one after another.  The farm fixes both:
+Hardening a fleet of binaries one ``api.harden`` call at a time
+re-instruments identical inputs from scratch.  ``api.harden_many`` fixes
+that:
 
 1. every artifact is cached under ``sha256(binary bytes)`` + the
    canonical options hash, so byte-identical work happens once — across
    batches, and across processes when the cache lives on disk;
-2. within a batch, duplicate jobs collapse onto one leader (dedup);
-3. the rest fan out over a crash-isolated worker pool (``--jobs``-style
-   parallelism with per-job timeouts and one retry);
-4. results are byte-identical to serial ``api.harden`` — caching and
-   parallelism are pure mechanism, never policy.
+2. targets are looked up in order, so a byte-identical twin later in the
+   same batch is already a cache hit;
+3. results are byte-identical to ``api.harden`` — caching is pure
+   mechanism, never policy.
 
 Run:  python examples/farm_batch.py
 """
@@ -21,7 +20,7 @@ import tempfile
 
 import repro.api as redfat
 from repro.cc import compile_source
-from repro.farm import Farm
+from repro.farm import ArtifactCache
 from repro.telemetry import Telemetry
 
 # A little fleet: three distinct services plus one byte-identical twin
@@ -50,29 +49,32 @@ def main() -> None:
     labels = [name for name, _ in FLEET]
     with tempfile.TemporaryDirectory() as cache_dir:
         telemetry = Telemetry(meta={"kind": "farm", "example": "farm_batch"})
+        cache = ArtifactCache(cache_dir=cache_dir, telemetry=telemetry)
 
-        print("\n== batch 1: cold cache, 2 workers ==")
-        with Farm(jobs=2, cache_dir=cache_dir, telemetry=telemetry) as farm:
-            report = farm.harden_many(programs, labels=labels)
-            for outcome in report.outcomes:
-                print(f"  {outcome.label:10s} source={outcome.source:6s} "
-                      f"{len(outcome.result.rewrite.patched)} patches")
-            stats = report.as_dict()
-            print(f"  cache: {stats['cache']['hits']} hits, "
-                  f"{stats['cache']['stores']} stores; "
-                  f"dedup: {stats['stats']['dedup']}")
-            assert report.stats.dedup == 1  # alpha-copy rode alpha's job
+        print("\n== batch 1: cold cache ==")
+        report = redfat.harden_many(programs, cache=cache,
+                                    telemetry=telemetry, labels=labels)
+        for outcome in report.outcomes:
+            source = "cache" if outcome.cached else "harden"
+            print(f"  {outcome.label:10s} source={source:6s} "
+                  f"{len(outcome.result.rewrite.patched)} patches")
+        stats = report.as_dict()
+        print(f"  cache: {stats['cache']['hits']} hits, "
+              f"{stats['cache']['stores']} stores")
+        twin = report.outcomes[labels.index("alpha-copy")]
+        assert twin.cached  # alpha-copy is served from alpha's artifact
 
-            print("\n== batch 2: same farm, warm cache ==")
-            again = farm.harden_many(programs, labels=labels)
-            hits = sum(1 for outcome in again.outcomes if outcome.cached)
-            print(f"  {hits}/{len(again.outcomes)} jobs served from cache "
-                  "(zero re-instrumentation)")
-            assert hits == len(again.outcomes)
+        print("\n== batch 2: same cache, warm ==")
+        again = redfat.harden_many(programs, cache=cache,
+                                   telemetry=telemetry, labels=labels)
+        hits = sum(1 for outcome in again.outcomes if outcome.cached)
+        print(f"  {hits}/{len(again.outcomes)} jobs served from cache "
+              "(zero re-instrumentation)")
+        assert hits == len(again.outcomes)
 
         print("\n== a fresh process: the disk tier remembers ==")
-        with Farm(jobs=0, cache_dir=cache_dir) as rehydrated:
-            third = rehydrated.harden_many(programs, labels=labels)
+        third = redfat.harden_many(programs, cache_dir=cache_dir,
+                                   labels=labels)
         cached = sum(1 for outcome in third.outcomes if outcome.cached)
         print(f"  {cached}/{len(third.outcomes)} artifacts rehydrated "
               f"from {cache_dir.split('/')[-1]}/")
@@ -86,7 +88,6 @@ def main() -> None:
 
     print(f"\ntelemetry: farm.cache.hits="
           f"{telemetry.counters.get('farm.cache.hits', 0)} "
-          f"farm.dedup={telemetry.counters.get('farm.dedup', 0)} "
           f"farm.jobs={telemetry.counters.get('farm.jobs', 0)}")
     print("done: batch hardening costs one instrumentation per distinct "
           "(binary, options) pair, ever.")

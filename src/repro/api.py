@@ -21,17 +21,14 @@ should prefer it to reaching into ``repro.core`` directly.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # the farm imports this module; keep the cycle lazy
-    from repro.farm.cache import ArtifactCache
-    from repro.farm.scheduler import FarmReport
+from typing import List, Optional, Sequence, Union
 
 from repro.binfmt.binary import Binary
 from repro.cc import CompiledProgram, compile_source
 from repro.core import AllowList, Profiler, RedFat, RedFatOptions
 from repro.core.profiler import ProfileReport
 from repro.core.redfat_tool import HardenResult
+from repro.farm.batch import harden_many
 from repro.runtime.redfat import RedFatRuntime
 from repro.telemetry.hub import Telemetry, coerce
 from repro.vm.loader import RunResult, load_binary
@@ -104,33 +101,6 @@ def harden(
     if output is not None:
         result.binary.save(str(output))
     return result
-
-
-def harden_many(
-    targets: Sequence[Target],
-    options: OptionsLike = None,
-    jobs: int = 0,
-    cache: Optional["ArtifactCache"] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> "FarmReport":
-    """Harden a batch of targets through the farm (see :mod:`repro.farm`).
-
-    Byte-identical inputs under equal options are served from the
-    content-addressed artifact cache; *jobs* >= 2 fans the rest out over
-    a crash-isolated worker pool.  Per-job failures land in their
-    :class:`~repro.farm.scheduler.JobOutcome` — the batch never raises
-    for one sick input.  Pass a shared *cache* (or *cache_dir*) to reuse
-    artifacts across calls and processes.
-    """
-    from repro.farm import Farm
-
-    farm = Farm(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                telemetry=telemetry)
-    try:
-        return farm.harden_many(targets, options=options)
-    finally:
-        farm.close()
 
 
 def audit(

@@ -8,7 +8,7 @@ Subcommands::
                     [--preset NAME] [--metrics out.json]
                     [--no-lowfat|--no-elim|--no-batch|--no-merge]
                     [--no-size] [--no-reads]
-    redfat farm     prog1.c prog2.melf ... [--jobs N] [--cache-dir DIR]
+    redfat farm     prog1.c prog2.melf ... [--cache-dir DIR]
                     [--output-dir DIR] [--preset NAME] [--metrics out.json]
     redfat profile  prog.melf -o allow.lst [--args N ...]
     redfat run      prog.melf [--args N ...] [--runtime SPEC]
@@ -134,8 +134,6 @@ def _cmd_harden(arguments) -> int:
 def _cmd_farm(arguments) -> int:
     from pathlib import Path
 
-    from repro.farm import Farm
-
     telemetry = None
     if arguments.metrics:
         telemetry = Telemetry(meta={
@@ -151,12 +149,9 @@ def _cmd_farm(arguments) -> int:
         from repro.runtime import registry
 
         registry.resolve(registry.parse_spec(arguments.runtime).name)
-    farm = Farm(jobs=arguments.jobs, cache_dir=arguments.cache_dir,
-                telemetry=telemetry)
-    try:
-        report = farm.harden_many(arguments.inputs, options=options)
-    finally:
-        farm.close()
+    report = api.harden_many(arguments.inputs, options=options,
+                             cache_dir=arguments.cache_dir,
+                             telemetry=telemetry)
     output_dir = Path(arguments.output_dir) if arguments.output_dir else None
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -169,11 +164,9 @@ def _cmd_farm(arguments) -> int:
             (output_dir or Path(outcome.label).parent) / f"{stem}.hard.melf"
         )
         outcome.result.binary.save(str(destination))
-        note = {"cache": "cached", "dedup": "dedup"}.get(outcome.source, "")
-        retried = f" ({outcome.retries} retry)" if outcome.retries else ""
         print(f"wrote {destination}: "
               f"{len(outcome.result.rewrite.patched)} patches"
-              + (f" [{note}]" if note else "") + retried)
+              + (" [cached]" if outcome.cached else ""))
     smoke_failures = []
     if arguments.runtime:
         from repro.vm.loader import run_binary
@@ -197,9 +190,7 @@ def _cmd_farm(arguments) -> int:
                   + (f", {detected} error(s) logged" if detected else ""))
     cache = report.cache_stats
     print(f"farm: {report.stats.completed} hardened "
-          f"({cache.get('hits', 0)} cache hits, {report.stats.dedup} dedup, "
-          f"{report.stats.retries} retries, "
-          f"{report.stats.serial_fallbacks} serial fallbacks, "
+          f"({cache.get('hits', 0)} cache hits, "
           f"{report.stats.failed} failed) in {report.elapsed_s:.1f}s")
     if telemetry is not None:
         telemetry.record_stats("farm", report)
@@ -208,12 +199,9 @@ def _cmd_farm(arguments) -> int:
     if failures:
         # The batch never raises per job; the summary (and the nonzero
         # exit) is how scripts find out which inputs ultimately failed.
-        print(f"farm: {len(failures)} job(s) failed after retries:",
-              file=sys.stderr)
+        print(f"farm: {len(failures)} job(s) failed:", file=sys.stderr)
         for outcome in failures:
-            retried = f" ({outcome.retries} retry)" if outcome.retries else ""
-            print(f"  {outcome.label} [{outcome.source}]{retried}: "
-                  f"{outcome.error}", file=sys.stderr)
+            print(f"  {outcome.label}: {outcome.error}", file=sys.stderr)
         return 1
     return 1 if smoke_failures else 0
 
@@ -349,7 +337,6 @@ def _cmd_hunt(arguments) -> int:
         seed=arguments.seed,
         presets=tuple(arguments.presets.split(",")),
         runtimes=tuple(arguments.runtimes.split(",")),
-        jobs=arguments.jobs,
         jsonl_path=arguments.jsonl,
         regressions_path=arguments.regressions,
         telemetry=telemetry,
@@ -441,13 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     harden_cmd.set_defaults(handler=_cmd_harden)
 
     farm_cmd = commands.add_parser(
-        "farm", help="harden a batch of binaries in parallel with the "
+        "farm", help="harden a batch of binaries through the "
                      "content-addressed artifact cache")
     farm_cmd.add_argument("inputs", nargs="+",
                           help="binary images or .c MiniC sources")
-    farm_cmd.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = in-process serial; >= 2 fans out)")
     farm_cmd.add_argument(
         "--cache-dir",
         help="persist artifacts here so separate invocations share work")
@@ -464,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
              "registry spec (see `redfat runtimes`)")
     farm_cmd.add_argument(
         "--metrics", metavar="OUT.json",
-        help="export the farm telemetry (cache hits/misses, retries, "
-             "worker counters)")
+        help="export the farm telemetry (job and cache counters)")
     farm_cmd.set_defaults(handler=_cmd_farm)
 
     profile_cmd = commands.add_parser("profile",
@@ -603,9 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_cmd.add_argument(
         "--runtimes", default="redfat,s2malloc,mesh,camp,frp",
         help="comma list of runtime backends for the detection matrix")
-    hunt_cmd.add_argument(
-        "--jobs", type=int, default=0,
-        help="farm worker processes for the hardening phase (0 = serial)")
     hunt_cmd.add_argument(
         "-o", "--output", metavar="OUT.json", default=None,
         help="write the schema-validated JSON report here")

@@ -1,4 +1,4 @@
-"""The hardening farm: parallel batch instrumentation, memoized.
+"""The hardening farm: batch instrumentation, memoized.
 
 ``repro.farm`` turns the one-binary-at-a-time ``api.harden`` pipeline
 into a batch workload that never does the same work twice:
@@ -6,54 +6,28 @@ into a batch workload that never does the same work twice:
 - :mod:`~repro.farm.cache` — a content-addressed artifact cache keyed on
   ``sha256(binary bytes)`` + the canonical
   :meth:`~repro.core.options.RedFatOptions.cache_key`, with LRU
-  eviction, a byte budget, and checksum-rejected corruption;
-- :mod:`~repro.farm.queue` — a bounded job queue with in-flight
-  deduplication (typed backpressure, never unbounded buffering);
-- :mod:`~repro.farm.workers` — a crash-isolated ``multiprocessing``
-  worker pool with per-job timeouts;
-- :mod:`~repro.farm.scheduler` — the :class:`Farm` orchestrator:
-  cache -> dedup -> workers, one retry with backoff, and a degraded
-  serial fallback whenever the parallel machinery is unavailable.
+  eviction, a byte budget, an optional disk tier, and checksum-rejected
+  corruption;
+- :mod:`~repro.farm.batch` — :func:`harden_many`, the serial batch
+  front: one cache lookup per target, in order, and a harden on a miss.
 
-Entry points: :meth:`Farm.harden_many` (also surfaced as
-``repro.api.harden_many``) and the ``redfat farm`` CLI subcommand.
-Fault points ``farm.cache`` / ``farm.worker`` / ``farm.queue`` put the
-whole subsystem on the fault campaign's attack surface.
+Entry points: :func:`harden_many` (also surfaced as
+``repro.api.harden_many``), the ``redfat farm`` CLI subcommand, and
+:meth:`ArtifactCache.get_or_compute` for single-binary callers (the
+Table-1 harness, the profiler, the fault campaign).  The ``farm.cache``
+fault point puts the cache's integrity gate on the fault campaign's
+attack surface.
 """
 
-from repro.farm.backoff import BackoffPolicy
+from repro.farm.batch import FarmReport, FarmStats, JobOutcome, harden_many
 from repro.farm.cache import ArtifactCache, CacheStats, content_key
-from repro.farm.queue import (
-    FarmError,
-    HardenJob,
-    JobQueue,
-    QueueCorruptionError,
-    QueueFullError,
-)
-from repro.farm.scheduler import Farm, FarmReport, FarmStats, JobOutcome
-from repro.farm.workers import (
-    PoolStartError,
-    WorkerCrashError,
-    WorkerPool,
-    harden_bytes,
-)
 
 __all__ = [
     "ArtifactCache",
-    "BackoffPolicy",
     "CacheStats",
-    "Farm",
-    "FarmError",
     "FarmReport",
     "FarmStats",
-    "HardenJob",
     "JobOutcome",
-    "JobQueue",
-    "PoolStartError",
-    "QueueCorruptionError",
-    "QueueFullError",
-    "WorkerCrashError",
-    "WorkerPool",
     "content_key",
-    "harden_bytes",
+    "harden_many",
 ]

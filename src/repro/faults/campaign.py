@@ -4,7 +4,7 @@ Run: ``python -m repro.faults.campaign --seeds 50``
 
 Each seed arms one :class:`~repro.faults.injector.FaultInjector` and
 drives the full pipeline — strip, harden (``keep_going``) through the
-farm's serial path, load, run under the VM watchdog — against a
+farm's artifact cache, load, run under the VM watchdog — against a
 heap-heavy guest program.  Every run must end in one of four accounted
 outcomes:
 
@@ -51,9 +51,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cc import CompiledProgram, compile_source
-from repro.core import RedFatOptions
+from repro.core import RedFat, RedFatOptions
 from repro.errors import GuestMemoryError, ReproError, VMTimeoutError
-from repro.farm import Farm
+from repro.farm import ArtifactCache
 from repro.faults.injector import FaultInjector, injection
 from repro.faults.points import point_names
 from repro.telemetry.hub import Telemetry, coerce
@@ -126,9 +126,9 @@ class FaultRunRecord:
     #: going with partial data (the accounted survival of the
     #: ``telemetry.*`` fault points).
     telemetry_degraded: bool = False
-    #: The farm fell off its happy path (cache rejection, worker crash
-    #: retry, queue fault, serial fallback) but still delivered the
-    #: artifact — the accounted survival of the ``farm.*`` fault points.
+    #: The artifact cache rejected a corrupt frame but the run still got
+    #: its artifact — the accounted survival of the ``farm.cache`` fault
+    #: point.
     farm_degraded: bool = False
     #: The VM's superblock engine latched itself off (``vm.superblock``
     #: fault point) and the run finished single-stepping.
@@ -268,18 +268,19 @@ def run_one(
     # while spans/events record, export corruption when the report
     # serialises.  Either must degrade the hub, never the run.
     tele = Telemetry(max_events=64, meta={"kind": "fault_run", "seed": seed})
-    # Hardening goes through the farm's serial path with an on-disk
-    # cache, so the farm.* points (cache frame corruption, worker crash,
-    # queue corruption) sit on the campaign's attack surface alongside
-    # the pipeline's own.  One harden attempt per run; the farm still
-    # retries a crashed worker once internally.
+    # Hardening goes through an artifact cache, so the farm.cache point
+    # (artifact frame corruption on store) sits on the campaign's attack
+    # surface alongside the pipeline's own.  The on-disk tier makes the
+    # store write through to disk, as `redfat farm --cache-dir` does.
     cache_dir = tempfile.TemporaryDirectory(prefix="redfat-fault-run-")
-    farm = Farm(jobs=0, cache_dir=cache_dir.name, telemetry=tele)
+    cache = ArtifactCache(cache_dir=cache_dir.name, telemetry=tele)
+    options = RedFatOptions(keep_going=True)
     with injection(injector):
         try:
             stripped = program.binary.strip()
-            harden = farm.harden_one(
-                stripped, options=RedFatOptions(keep_going=True),
+            harden, _ = cache.get_or_compute(
+                stripped, options,
+                lambda: RedFat(options, telemetry=tele).instrument(stripped),
             )
             runtime = harden.create_runtime(
                 mode="log", telemetry=tele, runtime=record.runtime,
@@ -335,12 +336,10 @@ def run_one(
                     "interprocedural analysis fell back to "
                     "intra-procedural facts"
                 )
-            elif farm.degradation_events():
+            elif cache.stats.rejects:
                 record.outcome = DEGRADED
                 record.detail = (
-                    f"farm degraded: {farm.stats.retries} retried, "
-                    f"{farm.stats.serial_fallbacks} serial, "
-                    f"{farm.cache.stats.rejects} cache rejects"
+                    f"farm degraded: {cache.stats.rejects} cache rejects"
                 )
             elif result.cpu is not None and result.cpu.superblock.degraded:
                 # The vm.superblock point fired at translation time; the
@@ -380,13 +379,12 @@ def run_one(
         record.outcome = UNFIRED
     record.backend_degraded = bool(getattr(runtime, "degraded", False))
     record.telemetry_degraded = tele.degraded
-    record.farm_degraded = bool(farm.degradation_events())
+    record.farm_degraded = bool(cache.stats.rejects)
     if harden is not None:
         record.degraded_sites = harden.stats.degraded_sites
         record.quarantined_sites = harden.stats.quarantined_sites
         record.analysis_fallback = bool(harden.stats.analysis_fallbacks)
         record.interproc_fallback = bool(harden.stats.interproc_fallbacks)
-    farm.close()
     cache_dir.cleanup()
     return record
 

@@ -37,8 +37,7 @@ class FaultInjector:
     run: each point gets its own trigger hit and fires independently),
     or None to let the seed pick one.  *sticky* overrides the registry's
     per-point stickiness for every armed point — tests use it to make a
-    normally one-shot fault (e.g. ``farm.worker``) persist, modelling a
-    deterministic poison job.
+    normally one-shot fault (e.g. ``alloc.metadata``) persist.
 
     With a single point the seed's RNG draws are identical to the
     original single-point implementation, so existing seeds reproduce

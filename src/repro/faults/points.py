@@ -140,18 +140,6 @@ register(
     "artifact is never deserialized, let alone served",
 )
 register(
-    "farm.worker",
-    "crash the worker executing one hardening job (farm/workers.py "
-    "dispatch, farm/scheduler.py serial path) — the job is retried once "
-    "with backoff; the farm survives either way",
-)
-register(
-    "farm.queue",
-    "corrupt the job queue on one submission (farm/queue.py offer) — "
-    "the scheduler must degrade to computing that job serially instead "
-    "of losing it or crashing the farm",
-)
-register(
     "runtime.s2malloc.slot",
     "corrupt the randomized in-slot offset of a fresh allocation "
     "(runtime/backends/s2malloc.py malloc) — the placement invariant "

@@ -3,7 +3,8 @@
 One campaign is:
 
 1. **Harden** every corpus entry under every configured preset through
-   the farm (content-addressed cache, submission-order outcomes).
+   ``api.harden_many`` (content-addressed cache, submission-order
+   outcomes).
 2. **Mutate** per entry: replay the benign seeds, then drive the seeded
    mutators under the first preset + libredfat in log mode, admitting a
    mutant to the queue when it reaches new coverage edges or logs a new
@@ -64,8 +65,6 @@ class HuntConfig:
     seed: int = 1
     presets: Tuple[str, ...] = ("fully", "unoptimized")
     runtimes: Tuple[str, ...] = DEFAULT_RUNTIMES
-    #: Farm worker processes for the hardening phase (0 = serial).
-    jobs: int = 0
     jsonl_path: Optional[str] = None
     regressions_path: Optional[str] = None
     #: Cross-reference findings against the static auditor.
@@ -269,7 +268,7 @@ def _harden_corpus(
     config: HuntConfig,
     telemetry: Optional[Telemetry],
 ) -> Dict[Tuple[str, str], object]:
-    """Farm-harden every entry under every preset.
+    """Harden every entry under every preset through ``api.harden_many``.
 
     Returns ``(entry name, preset) -> HardenResult``; a failed harden
     simply has no key (the entry records the farm's error).
@@ -280,7 +279,7 @@ def _harden_corpus(
     for preset in config.presets:
         report = api.harden_many(
             [entry.program for entry in entries],
-            options=preset, jobs=config.jobs, telemetry=telemetry,
+            options=preset, telemetry=telemetry,
         )
         for entry, outcome in zip(entries, report.outcomes):
             if outcome.ok:

@@ -2,11 +2,20 @@
 
 Models *CAMP* (PAPERS.md): the allocator publishes exact object bounds
 into a lookup table the (conceptually compiler-inserted) checks consult
-on every access.  Because the table holds the *requested* size — not a
-rounded size class — detection is deterministic and byte-exact: any
-access past ``base + requested`` is out of bounds even inside the
-allocator's own alignment padding, and freed objects stay quarantined
-for the life of the run so stale pointers always hit a dead interval.
+on every access.  The table holds the *requested* size — not a rounded
+size class — so an access that runs past ``base + requested`` from
+inside an object is caught even in the allocator's own alignment
+padding, and freed objects stay quarantined for the life of the run so
+stale pointers always hit a dead interval.
+
+Detection is *not* byte-exact for every overflow, though:
+:meth:`CampRuntime.check_access` looks up the object that contains the
+*accessed address*, not the object the pointer was derived from.  A
+non-incremental overflow that lands inside a live neighbour therefore
+passes as an in-bounds access to that neighbour — the case this paper is
+about.  Real CAMP checks a derived pointer against its source object;
+ROADMAP.md ("The allocator zoo earns its place, and CAMP checks
+pointers, not addresses") tracks that fix.
 
 The published table (``_bounds``) is deliberately a *copy* of the
 allocator's ground truth (``_objects``): the ``runtime.camp.bounds``

@@ -230,8 +230,9 @@ register(RuntimeInfo(
 register(RuntimeInfo(
     name="camp",
     factory=_make_camp,
-    description="CAMP-style cooperative bounds table: byte-exact "
-                "deterministic OOB/UaF/double-free",
+    description="CAMP-style cooperative bounds table: deterministic "
+                "OOB/UaF/double-free against the object at the accessed "
+                "address",
     capabilities=frozenset({"oob", "uaf", "double-free"}),
 ))
 register(RuntimeInfo(

@@ -53,6 +53,6 @@ def test_farm_batch_caches_and_dedups():
         [sys.executable, str(script)], capture_output=True, text=True, timeout=240
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
-    assert "source=dedup" in completed.stdout
+    assert "alpha-copy source=cache" in completed.stdout
     assert "4/4 jobs served from cache" in completed.stdout
     assert "byte-identical hardened binaries: True" in completed.stdout

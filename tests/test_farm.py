@@ -1,36 +1,22 @@
-"""Tests for the hardening farm: cache, queue, workers, scheduler.
+"""Tests for the hardening farm: the artifact cache and the batch front.
 
 Covers the subsystem's contracts end to end — content-addressed cache
 keys, LRU/byte-budget eviction, checksum rejection of corrupt artifacts,
-in-flight dedup, bounded backpressure, worker crash/timeout isolation
-with one retry, serial fallback, and byte-identical equivalence between
-the farm and direct ``api.harden``.
+cache hits for repeated and twin inputs, and byte-identical equivalence
+between the farm and direct ``api.harden``.
 """
 
-import threading
-import time
 from dataclasses import fields, replace
 
 import pytest
 
 import repro.api as api
 from repro.cc import compile_source
-from repro.core import RedFatOptions
+from repro.core import RedFat, RedFatOptions
 from repro.core.allowlist import AllowList
 from repro.core.options import OPTIONS_SCHEMA_VERSION
-from repro.farm import (
-    ArtifactCache,
-    Farm,
-    HardenJob,
-    JobQueue,
-    QueueCorruptionError,
-    QueueFullError,
-    WorkerPool,
-    content_key,
-)
-from repro.farm.backoff import BackoffPolicy
+from repro.farm import ArtifactCache, content_key, harden_many
 from repro.farm.cache import MAGIC, decode_frame, encode_frame
-from repro.farm.workers import PoolStartError
 from repro.faults.campaign import run_campaign
 from repro.faults.injector import FaultInjector, injection
 from repro.telemetry import Telemetry
@@ -68,11 +54,6 @@ def baseline_results(programs):
 
 def hardened_bytes(result):
     return result.binary.to_bytes()
-
-
-def make_job(index, key, blob=b"x"):
-    return HardenJob(index=index, label=f"job-{index}", key=key,
-                     binary_bytes=blob, options=RedFatOptions())
 
 
 # -- canonical options serialization (satellite 2) ---------------------------
@@ -247,91 +228,51 @@ class TestArtifactCache:
             == hardened_bytes(baseline_results[0])
 
 
-# -- the job queue ------------------------------------------------------------
-
-
-class TestJobQueue:
-    def test_fifo_and_completion(self):
-        queue = JobQueue(capacity=4)
-        for i in range(3):
-            assert queue.offer(make_job(i, key=f"k{i}")) == "queued"
-        assert queue.next_ready().key == "k0"
-        assert len(queue) == 3  # dispatched jobs stay in-flight
-        assert queue.complete("k0") == []
-        assert len(queue) == 2
-
-    def test_dedup_attaches_followers(self):
-        queue = JobQueue(capacity=4)
-        leader = make_job(0, key="same")
-        follower = make_job(1, key="same")
-        assert queue.offer(leader) == "queued"
-        assert queue.offer(follower) == "dedup"
-        assert queue.ready == 1  # the follower never enqueues
-        assert queue.complete("same") == [follower]
-
-    def test_capacity_refuses_with_typed_error(self):
-        queue = JobQueue(capacity=2)
-        queue.offer(make_job(0, key="a"))
-        queue.offer(make_job(1, key="b"))
-        with pytest.raises(QueueFullError):
-            queue.offer(make_job(2, key="c"))
-        queue.complete("a")
-        assert queue.offer(make_job(2, key="c")) == "queued"
-
-    def test_requeue_keeps_retry_at_the_front(self):
-        queue = JobQueue(capacity=4)
-        queue.offer(make_job(0, key="a"))
-        queue.offer(make_job(1, key="b"))
-        job = queue.next_ready()
-        queue.requeue(job)
-        assert queue.next_ready().key == "a"
-
-    def test_queue_fault_point_raises_corruption(self):
-        queue = JobQueue(capacity=4)
-        with injection(FaultInjector(3, point="farm.queue", trigger_hit=0)):
-            with pytest.raises(QueueCorruptionError):
-                queue.offer(make_job(0, key="a"))
-        assert len(queue) == 0  # nothing half-admitted
-
-
-# -- the farm, serial path ----------------------------------------------------
+# -- the batch front ----------------------------------------------------------
 
 
 class TestFarmSerial:
     def test_matches_direct_api_harden(self, programs, baseline_results):
-        with Farm(jobs=0) as farm:
-            report = farm.harden_many(programs)
+        report = harden_many(programs)
         assert [o.ok for o in report.outcomes] == [True] * len(programs)
         for outcome, baseline in zip(report.outcomes, baseline_results):
             assert hardened_bytes(outcome.result) == hardened_bytes(baseline)
 
     def test_second_batch_is_pure_cache_hits(self, programs):
         tele = Telemetry(meta={"kind": "test"})
-        with Farm(jobs=0, telemetry=tele) as farm:
-            first = farm.harden_many(programs[:2])
-            assert tele.counters.get("farm.cache.hits", 0) == 0
-            second = farm.harden_many(programs[:2])
+        cache = ArtifactCache(telemetry=tele)
+        first = harden_many(programs[:2], cache=cache, telemetry=tele)
+        assert tele.counters.get("farm.cache.hits", 0) == 0
+        second = harden_many(programs[:2], cache=cache, telemetry=tele)
         assert tele.counters["farm.cache.hits"] == 2
         assert all(o.cached for o in second.outcomes)
-        assert farm.cache.stats.stores == 2  # nothing recomputed
+        assert cache.stats.stores == 2  # nothing recomputed
         for before, after in zip(first.outcomes, second.outcomes):
             assert hardened_bytes(before.result) == hardened_bytes(after.result)
 
     def test_duplicate_in_one_serial_batch_hits_cache(self, program):
-        with Farm(jobs=0) as farm:
-            report = farm.harden_many([program, program])
-        assert report.outcomes[0].source == "serial"
-        assert report.outcomes[1].source == "cache"
-        assert farm.cache.stats.stores == 1
+        cache = ArtifactCache()
+        report = harden_many([program, program], cache=cache)
+        assert not report.outcomes[0].cached
+        assert report.outcomes[1].cached
+        assert cache.stats.stores == 1
 
     def test_harden_one_round_trips_through_the_cache(
             self, program, baseline_results):
-        with Farm(jobs=0) as farm:
-            first = farm.harden_one(program)
-            second = farm.harden_one(program)
+        """The fault campaign's single-binary harden: the cache's
+        ``get_or_compute`` around one real instrumentation."""
+        cache = ArtifactCache()
+        options = RedFatOptions()
+
+        def compute():
+            return RedFat(options).instrument(program.binary)
+
+        first, hit1 = cache.get_or_compute(program.binary, options, compute)
+        second, hit2 = cache.get_or_compute(program.binary, options, compute)
+        assert (hit1, hit2) == (False, True)
         assert hardened_bytes(first) == hardened_bytes(baseline_results[0])
         assert hardened_bytes(second) == hardened_bytes(first)
-        assert farm.cache.stats.hits == 1
+        assert cache.stats.hits == 1
 
     def test_api_harden_many_facade(self, programs, baseline_results):
         report = api.harden_many(programs[:2])
@@ -340,203 +281,29 @@ class TestFarmSerial:
         assert hardened_bytes(report.outcomes[1].result) == \
             hardened_bytes(baseline_results[1])
 
-    def test_serial_worker_crash_retried_once(self, program, baseline_results):
-        with injection(FaultInjector(1, point="farm.worker", trigger_hit=0)):
-            with Farm(jobs=0) as farm:
-                report = farm.harden_many([program])
-        outcome = report.outcomes[0]
-        assert outcome.ok and outcome.retries == 1
-        assert hardened_bytes(outcome.result) == \
-            hardened_bytes(baseline_results[0])
-        assert farm.stats.worker_crashes == 1
-        assert farm.degradation_events() > 0
-
     def test_cache_corruption_degrades_and_recomputes(
             self, program, baseline_results):
-        with Farm(jobs=0) as farm:
-            farm.harden_one(program)  # warm the cache
-            with injection(FaultInjector(5, point="farm.cache",
-                                         trigger_hit=0)):
-                again = farm.harden_one(program)
-        assert hardened_bytes(again) == hardened_bytes(baseline_results[0])
-        assert farm.cache.stats.rejects == 1
-        assert farm.degradation_events() > 0
-
-
-# -- the farm, parallel path --------------------------------------------------
-
-
-class TestFarmParallel:
-    def test_jobs4_matches_serial_per_job(self, programs, baseline_results):
-        with Farm(jobs=4) as farm:
-            report = farm.harden_many(programs)
-        assert [o.ok for o in report.outcomes] == [True] * len(programs)
-        assert {o.source for o in report.outcomes} == {"worker"}
-        for outcome, baseline in zip(report.outcomes, baseline_results):
-            assert hardened_bytes(outcome.result) == hardened_bytes(baseline)
-
-    def test_identical_jobs_dedup_onto_one_leader(self, programs):
-        with Farm(jobs=2) as farm:
-            report = farm.harden_many(
-                [programs[0], programs[0], programs[1]])
-        assert all(o.ok for o in report.outcomes)
-        assert farm.stats.dedup == 1
-        assert report.outcomes[1].source == "dedup"
-        assert hardened_bytes(report.outcomes[0].result) == \
-            hardened_bytes(report.outcomes[1].result)
-
-    def test_worker_crash_mid_job_is_retried(self, programs,
-                                             baseline_results):
-        with injection(FaultInjector(2, point="farm.worker", trigger_hit=0)):
-            with Farm(jobs=2, retry_backoff_s=0.01) as farm:
-                report = farm.harden_many(programs[:2])
-        assert all(o.ok for o in report.outcomes)
-        assert farm.stats.worker_crashes >= 1
-        assert farm.stats.retries >= 1
-        assert max(o.retries for o in report.outcomes) == 1
-        for outcome, baseline in zip(report.outcomes, baseline_results):
-            assert hardened_bytes(outcome.result) == hardened_bytes(baseline)
-
-    def test_job_timeout_consumes_the_single_retry(self, program,
-                                                   monkeypatch):
-        # Workers fork from this (patched) process, so they inherit a
-        # harden_bytes that never finishes within the deadline.
-        monkeypatch.setattr(
-            "repro.farm.workers.harden_bytes",
-            lambda blob, options, telemetry=None: time.sleep(30),
-        )
-        with Farm(jobs=2, job_timeout_s=0.2, retry_backoff_s=0.01) as farm:
-            report = farm.harden_many([program])
-        outcome = report.outcomes[0]
-        assert not outcome.ok
-        assert "timeout" in outcome.error
-        assert farm.stats.timeouts == 2  # first attempt + the one retry
-        assert farm.stats.retries == 1
-
-    def test_backpressure_stalls_are_counted_not_fatal(self, programs):
-        tele = Telemetry(meta={"kind": "test"})
-        with Farm(jobs=2, queue_capacity=1, telemetry=tele) as farm:
-            report = farm.harden_many(programs[:3])
-        assert all(o.ok for o in report.outcomes)
-        assert tele.counters.get("farm.backpressure_stalls", 0) >= 1
-
-    def test_pool_start_failure_falls_back_to_serial(
-            self, programs, baseline_results, monkeypatch):
-        def refuse(self):
-            raise PoolStartError("injected: no subprocesses here")
-
-        monkeypatch.setattr(WorkerPool, "start", refuse)
-        with Farm(jobs=4) as farm:
-            report = farm.harden_many(programs[:2])
-        assert all(o.ok for o in report.outcomes)
-        assert {o.source for o in report.outcomes} == {"serial"}
-        assert farm.stats.serial_fallbacks == 2
-        for outcome, baseline in zip(report.outcomes, baseline_results):
-            assert hardened_bytes(outcome.result) == hardened_bytes(baseline)
-
-    def test_queue_corruption_computes_job_inline(self, programs):
-        with injection(FaultInjector(4, point="farm.queue", trigger_hit=0)):
-            with Farm(jobs=2) as farm:
-                report = farm.harden_many(programs[:2])
-        assert all(o.ok for o in report.outcomes)
-        assert farm.stats.queue_faults == 1
-        assert farm.stats.serial_fallbacks == 1
-        assert "serial" in {o.source for o in report.outcomes}
-
-
-class TestWorkerPool:
-    def test_real_worker_death_is_a_crash_not_a_hang(self, program):
-        pool = WorkerPool(jobs=1, job_timeout_s=30.0)
-        pool.start()
-        try:
-            job = make_job(0, key="k", blob=program.binary.to_bytes())
-            assert pool.dispatch(job)
-            pool._workers[0].process.kill()
-            completions = []
-            deadline = time.monotonic() + 10
-            while not completions and time.monotonic() < deadline:
-                completions = pool.collect(timeout=0.2)
-            assert completions and completions[0][1] == "crash"
-            # The pool replaced the dead worker in place; it still works.
-            assert pool.dispatch(job)
-            completions = []
-            deadline = time.monotonic() + 30
-            while not completions and time.monotonic() < deadline:
-                completions = pool.collect(timeout=0.2)
-            finished, status, payload = completions[0]
-            assert (finished.key, status) == ("k", "ok")
-            assert payload.binary.to_bytes()
-        finally:
-            pool.shutdown()
+        cache = ArtifactCache()
+        harden_many([program], cache=cache)  # warm the cache
+        with injection(FaultInjector(5, point="farm.cache", trigger_hit=0)):
+            again = harden_many([program], cache=cache)
+        outcome = again.outcomes[0]
+        assert outcome.ok and not outcome.cached
+        assert hardened_bytes(outcome.result) == \
+            hardened_bytes(baseline_results[0])
+        assert cache.stats.rejects == 1
 
 
 # -- fault campaign over the farm points -------------------------------------
 
 
 class TestFarmFaultCampaign:
-    @pytest.mark.parametrize("point",
-                             ["farm.cache", "farm.worker", "farm.queue"])
+    @pytest.mark.parametrize("point", ["farm.cache"])
     def test_no_uncaught_outcomes(self, point):
         result = run_campaign(seeds=6, point=point)
         assert result.uncaught() == []
-        assert any(record.fired for record in result.records)
-
-
-class TestBackoffPolicy:
-    def test_delays_grow_exponentially_and_cap(self):
-        policy = BackoffPolicy(base_s=0.1, factor=2.0, max_s=0.5, jitter=0.0)
-        assert [policy.delay(n) for n in range(4)] == [0.1, 0.2, 0.4, 0.5]
-
-    def test_jitter_shaves_but_never_inflates(self):
-        policy = BackoffPolicy(base_s=1.0, factor=1.0, max_s=1.0, jitter=0.5)
-        for _ in range(50):
-            pause = policy.delay(0)
-            assert 0.5 <= pause <= 1.0
-
-    def test_jitter_sequence_is_seeded(self):
-        first = BackoffPolicy(seed=3)
-        second = BackoffPolicy(seed=3)
-        assert [first.delay(n) for n in range(5)] == \
-            [second.delay(n) for n in range(5)]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            BackoffPolicy(base_s=-1.0)
-        with pytest.raises(ValueError):
-            BackoffPolicy(factor=0.5)
-        with pytest.raises(ValueError):
-            BackoffPolicy(jitter=1.5)
-
-    def test_wait_is_interruptible(self):
-        policy = BackoffPolicy(base_s=30.0, factor=1.0, max_s=30.0,
-                               jitter=0.0)
-        wake = threading.Event()
-        wake.set()
-        started = time.monotonic()
-        assert policy.wait(0, wake) is True  # returns at once
-        assert time.monotonic() - started < 1.0
-
-    def test_wait_without_event_sleeps_full_delay(self):
-        policy = BackoffPolicy(base_s=0.05, factor=1.0, max_s=0.05,
-                               jitter=0.0)
-        started = time.monotonic()
-        assert policy.wait(0) is False
-        assert time.monotonic() - started >= 0.04
-
-    def test_farm_retry_sleep_interrupted_by_shutdown(self, program):
-        """A farm mid-backoff must not block close(): closing cuts the
-        pending retry pause short."""
-        farm = Farm(jobs=0)
-        farm.backoff = BackoffPolicy(base_s=30.0, factor=1.0, max_s=30.0,
-                                     jitter=0.0)
-        releaser = threading.Timer(0.2, farm.close)
-        releaser.start()
-        started = time.monotonic()
-        with injection(FaultInjector(0, point="farm.worker", trigger_hit=0,
-                                     sticky=True)):
-            report = farm.harden_many([program])
-        elapsed = time.monotonic() - started
-        releaser.cancel()
-        farm.close()
-        assert elapsed < 10.0  # nowhere near the 30 s pause
-        assert report.outcomes[0].error  # the job still failed cleanly
+        fired = [record for record in result.records if record.fired]
+        assert fired
+        # Every corrupted frame was caught by the checksum gate and
+        # accounted as a cache reject.
+        assert all(record.farm_degraded for record in fired)

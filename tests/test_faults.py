@@ -264,18 +264,18 @@ class TestCampaign:
             assert record.outcome != CLEAN or record.fired
 
     def test_simultaneous_farm_and_rewriter_faults_stay_caught(self):
-        """Two faults armed at once — a worker crash while a trampoline
-        fails to encode — must still never go uncaught."""
+        """Two faults armed at once — a corrupt artifact frame while a
+        trampoline fails to encode — must still never go uncaught."""
         program = compile_campaign_program()
         reference = program.run(args=[24])
         hit_both = 0
         for seed in range(8):
             record = run_one(
                 seed, program, reference.output, fuel=200_000,
-                point=("farm.worker", "rewriter.encode"),
+                point=("farm.cache", "rewriter.encode"),
             )
             assert record.outcome != UNCAUGHT, record.detail
-            assert record.point == "farm.worker+rewriter.encode"
+            assert record.point == "farm.cache+rewriter.encode"
             if record.farm_degraded and (record.degraded_sites
                                          or record.quarantined_sites):
                 hit_both += 1
