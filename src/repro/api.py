@@ -194,7 +194,7 @@ def run(
 
     *runtime* is an environment instance or a registry spec — a name
     such as ``"glibc"`` (default, unprotected), ``"redfat"``, any
-    backend from the allocator zoo (``"s2malloc"``, ``"mesh"``, ...),
+    backend from the allocator zoo (``"s2malloc"``, ``"camp"``, ...),
     or ``"name:key=val,..."`` with per-backend options (see
     :mod:`repro.runtime.registry`).  *mode* selects abort-on-error vs.
     log-and-continue and *seed* feeds the randomized backends.

@@ -9,19 +9,23 @@ reports a **detection x overhead x memory** matrix:
   (e.g. FRP's randomized placement turning an overflow into a wild
   access) is a *crash-stop*, counted separately; anything else is a
   miss.  Benign inputs must run clean (false positives are counted).
-- *overhead*: the deterministic cost model of DESIGN.md §6 on the
-  benign runs — ``instructions * DBI_EXPANSION + accesses *
-  ACCESS_CHECK_COST + heap_events * HEAP_EVENT_COST`` relative to the
-  glibc baseline run of the same workload.  The ``redfat`` row instead
-  uses the real instruction-count ratio of the hardened binary (its
-  checks are inlined, not modeled).
+- *overhead*, relative to the glibc baseline run of the same workload
+  on the benign input.  The ``redfat`` row is the *measured*
+  retired-instruction ratio of the hardened binary (its checks are
+  inlined), and so is the ``glibc`` row.  Every other preload row is
+  *modelled* by the per-class cost model of DESIGN.md §6 —
+  ``instructions * DBI_EXPANSION + accesses * ACCESS_CHECK_COST +
+  heap_events * HEAP_EVENT_COST`` — because its detection runs through
+  the VM's access hook, whose cost says nothing about the real defense.
+  Each row's ``overhead_source`` says which.
 - *memory*: the backend's :meth:`memory_stats` after the benign run —
-  reserved address space vs. peak live bytes (MESH's meshed pages make
-  this column interesting).
+  reserved address space vs. peak live bytes.
 
 ``redfat`` runs the RedFat-hardened binary; every other backend runs
 the *unhardened* binary in the LD_PRELOAD deployment (the hardened
 binary's inlined checks would be vacuous on their non-fat heaps).
+:func:`repro.runtime.registry.deploy` makes that choice, here and in
+the hunt's replay matrix.
 
 Run: ``python -m repro.bench.shootout [--backends a,b] [--juliet N]
 [-o report.json]``.  The JSON report is validated against
@@ -34,6 +38,7 @@ import argparse
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -47,7 +52,7 @@ from repro.telemetry.validate import validate as validate_schema
 from repro.workloads.cves import CVE_CASES
 from repro.workloads.juliet import generate_cases
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCHEMA_PATH = Path(__file__).with_name("shootout_schema.json")
 
@@ -55,8 +60,7 @@ _SCHEMA_PATH = Path(__file__).with_name("shootout_schema.json")
 FUEL = 5_000_000
 
 #: The default matrix: baseline + the paper's tool + the zoo.
-DEFAULT_BACKENDS = ("glibc", "shadow", "redfat", "s2malloc", "mesh",
-                    "camp", "frp")
+DEFAULT_BACKENDS = ("glibc", "shadow", "redfat", "s2malloc", "camp", "frp")
 
 
 def load_schema() -> dict:
@@ -104,17 +108,6 @@ def _harden(program: CompiledProgram):
     return result
 
 
-def _make_run(workload: Workload, backend: str, mode: str, seed: int):
-    """(binary, runtime) for one cell of the matrix."""
-    info = registry.resolve(backend)
-    if info.needs_hardened_binary:
-        harden = _harden(workload.program)
-        return harden.binary, harden.create_runtime(
-            mode=mode, runtime=backend, seed=seed)
-    return workload.program.binary, registry.create(
-        backend, mode=mode, seed=seed)
-
-
 @dataclass
 class BackendRow:
     """One backend's line in the matrix."""
@@ -128,6 +121,7 @@ class BackendRow:
     false_positives: int = 0
     by_suite: Dict[str, Dict[str, int]] = field(default_factory=dict)
     overhead: float = 1.0
+    overhead_source: str = "measured"  # "measured" | "modelled"
     reserved_bytes: int = 0
     live_peak_bytes: int = 0
     errors: int = 0
@@ -143,6 +137,7 @@ class BackendRow:
             "false_positives": self.false_positives,
             "by_suite": self.by_suite,
             "overhead": round(self.overhead, 3),
+            "overhead_source": self.overhead_source,
             "reserved_bytes": self.reserved_bytes,
             "live_peak_bytes": self.live_peak_bytes,
             "errors": self.errors,
@@ -181,17 +176,27 @@ class ShootoutResult:
                 + (f" ({row.crashed} crash-stop)" if row.crashed else ""),
                 str(row.false_positives),
                 f"{row.overhead:.2f}x",
+                row.overhead_source,
                 f"{row.reserved_bytes // 1024}K/"
                 f"{max(row.live_peak_bytes, 1) // 1024}K",
             ])
         table = format_table(
             ["backend", "deployment", "stopped", "FP", "overhead",
-             "reserved/peak"],
+             "overhead from", "reserved/peak"],
             cells,
             title=f"Allocator shootout — {self.workloads} workloads "
                   f"({len(CVE_CASES)} CVE + {self.juliet_count} Juliet)",
         )
-        return f"{table}\n(completed in {self.elapsed_seconds:.1f}s)"
+        return (f"{table}\n(measured: retired-instruction ratio; modelled: "
+                f"DESIGN.md §6 per-class cost model)\n"
+                f"(completed in {self.elapsed_seconds:.1f}s)")
+
+
+def _has_cost_model(runtime) -> bool:
+    """True when the runtime declares DESIGN.md §6 cost constants; a
+    runtime without them (glibc) costs its retired instructions."""
+    return (runtime.DBI_EXPANSION, runtime.ACCESS_CHECK_COST,
+            runtime.HEAP_EVENT_COST) != (1.0, 0.0, 0.0)
 
 
 def _suite_bucket(row: BackendRow, suite: str) -> Dict[str, int]:
@@ -234,8 +239,10 @@ def run_shootout(
         for load in loads:
             bucket = _suite_bucket(row, load.suite)
             bucket["total"] += 1
+            harden = partial(_harden, load.program)
             # -- detection: malicious input, abort mode -------------------
-            binary, runtime = _make_run(load, name, "abort", seed)
+            binary, runtime = registry.deploy(
+                name, load.program.binary, harden, mode="abort", seed=seed)
             try:
                 load.program.run(args=load.malicious_args, binary=binary,
                                  runtime=runtime, max_instructions=FUEL)
@@ -252,7 +259,8 @@ def run_shootout(
                 row.missed += 1
                 bucket["missed"] += 1
             # -- overhead + memory + FP: benign input, log mode -----------
-            binary, runtime = _make_run(load, name, "log", seed)
+            binary, runtime = registry.deploy(
+                name, load.program.binary, harden, mode="log", seed=seed)
             try:
                 outcome = load.program.run(
                     args=load.benign_args, binary=binary, runtime=runtime,
@@ -263,17 +271,15 @@ def run_shootout(
                 continue
             if len(getattr(runtime, "errors", ())):
                 row.false_positives += 1
-            if info.needs_hardened_binary:
-                # Inlined checks: the real instruction-count ratio.
-                cost = float(outcome.instructions)
-            else:
+            cost = float(outcome.instructions)
+            if not info.needs_hardened_binary and _has_cost_model(runtime):
+                row.overhead_source = "modelled"
                 cost = (
-                    outcome.instructions
-                    * getattr(runtime, "DBI_EXPANSION", 1.0)
+                    cost * runtime.DBI_EXPANSION
                     + getattr(runtime, "accesses", 0)
-                    * getattr(runtime, "ACCESS_CHECK_COST", 0.0)
+                    * runtime.ACCESS_CHECK_COST
                     + getattr(runtime, "heap_events", 0)
-                    * getattr(runtime, "HEAP_EVENT_COST", 0.0)
+                    * runtime.HEAP_EVENT_COST
                 )
             ratios.append(cost / baseline[load.name])
             stats = runtime.memory_stats()

@@ -32,7 +32,7 @@ Subcommands::
                     [--min-speedup X] [--min-trace-speedup X] [--no-write]
 
 ``--runtime`` takes a registry spec: a backend name (``glibc``,
-``redfat``, ``s2malloc``, ``mesh``, ``camp``, ``frp``, ``shadow``) or
+``redfat``, ``s2malloc``, ``camp``, ``frp``, ``shadow``) or
 ``name:key=val,...`` with per-backend options — ``redfat runtimes``
 prints what is registered.
 
@@ -323,6 +323,9 @@ def _cmd_hunt(arguments) -> int:
         for name in corpus_names(arguments.corpus):
             print(name)
         return 0
+    overrides = {}
+    if arguments.runtimes:
+        overrides["runtimes"] = tuple(arguments.runtimes.split(","))
     telemetry = None
     if arguments.metrics:
         telemetry = Telemetry(meta={
@@ -336,11 +339,11 @@ def _cmd_hunt(arguments) -> int:
         fuel=arguments.fuel,
         seed=arguments.seed,
         presets=tuple(arguments.presets.split(",")),
-        runtimes=tuple(arguments.runtimes.split(",")),
         jsonl_path=arguments.jsonl,
         regressions_path=arguments.regressions,
         telemetry=telemetry,
         output=arguments.output,
+        **overrides,
     )
     print(report.render())
     if arguments.output:
@@ -464,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--runtime", default="glibc", metavar="SPEC",
         help="runtime registry spec (see `redfat runtimes`): a name such "
-             "as glibc, redfat, s2malloc, mesh, camp, frp, shadow — or "
+             "as glibc, redfat, s2malloc, camp, frp, shadow — or "
              "name:key=val,... with per-backend options")
     run_cmd.add_argument("--mode", choices=("abort", "log"), default="abort")
     run_cmd.add_argument(
@@ -584,8 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of hardening presets (first drives the mutation "
              "loop; all appear in the matrix)")
     hunt_cmd.add_argument(
-        "--runtimes", default="redfat,s2malloc,mesh,camp,frp",
-        help="comma list of runtime backends for the detection matrix")
+        "--runtimes", default=None,
+        help="comma list of runtime backends for the detection matrix: "
+             "redfat is replayed once per preset, each preload backend "
+             "once (default: hunt.loop.DEFAULT_RUNTIMES, redfat and the "
+             "preload zoo)")
     hunt_cmd.add_argument(
         "-o", "--output", metavar="OUT.json", default=None,
         help="write the schema-validated JSON report here")

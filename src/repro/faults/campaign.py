@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cc import CompiledProgram, compile_source
 from repro.core import RedFat, RedFatOptions
 from repro.errors import GuestMemoryError, ReproError, VMTimeoutError
-from repro.farm import ArtifactCache
+from repro.farm import ArtifactCache, content_key
 from repro.faults.injector import FaultInjector, injection
 from repro.faults.points import point_names
 from repro.telemetry.hub import Telemetry, coerce
@@ -138,11 +138,11 @@ class FaultRunRecord:
     trace_degraded: bool = False
     #: Runtime registry spec the run executed under.  ``runtime.*``
     #: fault points pull their own backend onto the attack surface
-    #: (``runtime.mesh.merge`` runs under ``mesh``); everything else
+    #: (``runtime.camp.bounds`` runs under ``camp``); everything else
     #: runs under the paper's libredfat.
     runtime: str = "redfat"
-    #: The allocator backend absorbed a fault (placement repair, merge
-    #: veto, bounds repair, placement retry) and kept serving — the
+    #: The allocator backend absorbed a fault (placement repair, bounds
+    #: repair, placement retry) and kept serving — the
     #: accounted survival of the ``runtime.*`` fault points.
     backend_degraded: bool = False
     #: The mini vulnerability hunt (run when a ``hunt.*`` point is
@@ -269,9 +269,11 @@ def run_one(
     # serialises.  Either must degrade the hub, never the run.
     tele = Telemetry(max_events=64, meta={"kind": "fault_run", "seed": seed})
     # Hardening goes through an artifact cache, so the farm.cache point
-    # (artifact frame corruption on store) sits on the campaign's attack
-    # surface alongside the pipeline's own.  The on-disk tier makes the
-    # store write through to disk, as `redfat farm --cache-dir` does.
+    # (artifact frame corruption on store and on load) sits on the
+    # campaign's attack surface alongside the pipeline's own.  The
+    # on-disk tier makes the store write through to disk, as `redfat
+    # farm --cache-dir` does, and the run executes the artifact as the
+    # cache serves it back, as a second invocation would.
     cache_dir = tempfile.TemporaryDirectory(prefix="redfat-fault-run-")
     cache = ArtifactCache(cache_dir=cache_dir.name, telemetry=tele)
     options = RedFatOptions(keep_going=True)
@@ -282,6 +284,7 @@ def run_one(
                 stripped, options,
                 lambda: RedFat(options, telemetry=tele).instrument(stripped),
             )
+            harden = cache.get(content_key(stripped, options)) or harden
             runtime = harden.create_runtime(
                 mode="log", telemetry=tele, runtime=record.runtime,
                 seed=seed,
@@ -365,7 +368,7 @@ def run_one(
                 )
             elif getattr(runtime, "degraded", False):
                 # A runtime.* point corrupted backend state; the
-                # backend's validator repaired (or vetoed) and latched
+                # backend's validator repaired and latched
                 # itself degraded instead of serving an unsafe layout.
                 record.outcome = DEGRADED
                 record.detail = (

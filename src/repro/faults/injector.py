@@ -73,7 +73,8 @@ class FaultInjector:
         self.point = "+".join(points)
         self.trigger_hits: Dict[str, int] = {
             name: (trigger_hit if trigger_hit is not None
-                   else rng.randrange(max_hit))
+                   else rng.randrange(
+                       min(max_hit, FAULT_POINTS[name].max_hit or max_hit)))
             for name in points
         }
         #: Back-compat: the (first) point's trigger hit.

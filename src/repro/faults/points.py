@@ -9,13 +9,15 @@ otherwise make a whole campaign vacuously "clean").
 
 Points marked *sticky* keep firing once triggered — used for persistent
 failure modes such as a hung guest, where a single nudge must not let the
-run recover.
+run recover.  A point that a run reaches only a fixed number of times
+declares it as *max_hit*, so the drawn trigger hit always lands on one
+of them (a trigger past the last hit would make the run vacuous).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -26,16 +28,20 @@ class FaultPoint:
     description: str
     #: Once fired, keep firing on every subsequent hit.
     sticky: bool = False
+    #: Dynamic hits one campaign run makes of the point, when fixed: the
+    #: trigger hit is drawn below it.
+    max_hit: Optional[int] = None
 
 
 FAULT_POINTS: Dict[str, FaultPoint] = {}
 
 
-def register(name: str, description: str, sticky: bool = False) -> FaultPoint:
+def register(name: str, description: str, sticky: bool = False,
+             max_hit: Optional[int] = None) -> FaultPoint:
     """Register a fault point; duplicate names are a programming error."""
     if name in FAULT_POINTS:
         raise ValueError(f"fault point {name!r} registered twice")
-    point = FaultPoint(name, description, sticky)
+    point = FaultPoint(name, description, sticky, max_hit)
     FAULT_POINTS[name] = point
     return point
 
@@ -135,9 +141,12 @@ register(
 )
 register(
     "farm.cache",
-    "flip one byte of a stored artifact frame (farm/cache.py) — the "
-    "checksum must reject the frame and the job recomputes; a corrupted "
-    "artifact is never deserialized, let alone served",
+    "flip one byte of an artifact frame as it is stored or loaded "
+    "(farm/cache.py) — the checksum must reject the frame and the job "
+    "recomputes; a corrupted artifact is never deserialized, let alone "
+    "served.  A campaign run stores its artifact once and loads it back "
+    "once",
+    max_hit=2,
 )
 register(
     "runtime.s2malloc.slot",
@@ -145,13 +154,6 @@ register(
     "(runtime/backends/s2malloc.py malloc) — the placement invariant "
     "validator re-pins the object to a legal offset, counted as a "
     "repaired, DEGRADED run (entropy lost, never an unsafe layout)",
-)
-register(
-    "runtime.mesh.merge",
-    "corrupt the meshing candidate scan into proposing a self-merge "
-    "(runtime/backends/mesh.py _maybe_mesh) — the merge validator "
-    "re-checks distinctness/disjointness independently and vetoes the "
-    "pair, counted as a DEGRADED run; a bogus alias is never installed",
 )
 register(
     "runtime.camp.bounds",

@@ -11,8 +11,10 @@ One campaign is:
    ``(kind, site)`` detection.  Every run is fuel-budgeted; a hung
    mutant is a ``timeout`` outcome, never a hung campaign.
 3. **Triage** the entry's detections (:mod:`repro.hunt.triage`).
-4. **Replay** the discovered triggering inputs across every
-   preset × runtime-backend cell for the detection-rate matrix.
+4. **Replay** the discovered triggering inputs for the detection-rate
+   matrix: ``redfat`` once per preset on that preset's hardened binary,
+   and each preload backend once on the unhardened binary (one
+   ``preload`` cell, since no preset changes what it runs).
 
 Determinism: the per-entry RNG is ``sha256(entry name) ^ seed``, entries
 run in name order, and no record carries a timestamp — two same-seed
@@ -38,6 +40,7 @@ from repro.hunt.coverage import CoverageMap
 from repro.hunt.mutators import Input, MutationEngine
 from repro.hunt.report import HuntReport
 from repro.hunt.triage import TriageResult, matches_class, triage_entry
+from repro.runtime import registry
 from repro.runtime.reporting import MemoryErrorReport
 from repro.telemetry.hub import NULL, Telemetry, coerce
 from repro.vm.loader import load_binary
@@ -50,9 +53,14 @@ DEFAULT_BUDGET = 80
 #: tens of thousands burns this budget in well under a second.
 DEFAULT_FUEL = 300_000
 
-#: The zoo's five hardened backends (``glibc`` is the unprotected
-#: baseline and ``shadow`` a pure oracle; the matrix compares defenses).
-DEFAULT_RUNTIMES = ("redfat", "s2malloc", "mesh", "camp", "frp")
+#: The paper's runtime and the zoo's three preload defenses (``glibc``
+#: is the unprotected baseline and ``shadow`` a pure oracle; the matrix
+#: compares defenses).
+DEFAULT_RUNTIMES = ("redfat", "s2malloc", "camp", "frp")
+
+#: The matrix preset of a backend preloaded under the unhardened binary
+#: (the shootout's name for that deployment).
+PRELOAD = "preload"
 
 
 @dataclass
@@ -299,52 +307,66 @@ def _replay_matrix(
     config: HuntConfig,
     telemetry: Telemetry,
 ) -> List[Dict[str, object]]:
-    """Detection-rate cells: preset x backend over discovered inputs."""
+    """Detection-rate cells over discovered inputs.
+
+    A backend that needs the hardened binary gets one cell per preset;
+    a preload backend runs the unhardened binary, so one ``preload``
+    cell stands for every preset.
+    """
+    needs = {
+        backend: registry.resolve(
+            registry.parse_spec(backend).name).needs_hardened_binary
+        for backend in config.runtimes
+    }
+    cells = [(preset, backend) for preset in config.presets
+             for backend in config.runtimes if needs[backend]]
+    cells += [(PRELOAD, backend) for backend in config.runtimes
+              if not needs[backend]]
     matrix: List[Dict[str, object]] = []
     scored = [e for e in entries if e.crash_class is not None]
-    for preset in config.presets:
-        for backend in config.runtimes:
-            detected = triggered = missed = 0
-            for entry in scored:
-                result = results[entry.name]
-                harden = hardened.get((entry.name, preset))
-                inputs = [
-                    finding.input
-                    for finding in result.triage.findings
-                    if finding.matches_expected
-                ][: config.matrix_inputs]
-                if harden is None or not inputs:
-                    missed += 1
-                    continue
-                any_match = any_report = False
-                for mutant in inputs:
-                    runtime = harden.create_runtime(
-                        mode="log", runtime=backend, seed=config.seed,
-                    )
-                    _, _, reports = _execute(
-                        entry, harden.binary, runtime, mutant,
-                        config.fuel, None, telemetry,
-                    )
-                    for report in reports:
-                        any_report = True
-                        if matches_class(report.kind, entry.crash_class):
-                            any_match = True
-                if any_match:
-                    detected += 1
-                elif any_report:
-                    triggered += 1
-                else:
-                    missed += 1
-            total = len(scored)
-            matrix.append({
-                "preset": preset,
-                "runtime": backend,
-                "entries": total,
-                "detected": detected,
-                "triggered": triggered,
-                "missed": missed,
-                "rate": round(detected / total, 4) if total else 0.0,
-            })
+    for preset, backend in cells:
+        detected = triggered = missed = 0
+        for entry in scored:
+            result = results[entry.name]
+            harden = hardened.get((entry.name, preset))
+            inputs = [
+                finding.input
+                for finding in result.triage.findings
+                if finding.matches_expected
+            ][: config.matrix_inputs]
+            if not inputs or (needs[backend] and harden is None):
+                missed += 1
+                continue
+            any_match = any_report = False
+            for mutant in inputs:
+                binary, runtime = registry.deploy(
+                    backend, entry.program.binary, lambda: harden,
+                    mode="log", seed=config.seed,
+                )
+                _, _, reports = _execute(
+                    entry, binary, runtime, mutant,
+                    config.fuel, None, telemetry,
+                )
+                for report in reports:
+                    any_report = True
+                    if matches_class(report.kind, entry.crash_class):
+                        any_match = True
+            if any_match:
+                detected += 1
+            elif any_report:
+                triggered += 1
+            else:
+                missed += 1
+        total = len(scored)
+        matrix.append({
+            "preset": preset,
+            "runtime": backend,
+            "entries": total,
+            "detected": detected,
+            "triggered": triggered,
+            "missed": missed,
+            "rate": round(detected / total, 4) if total else 0.0,
+        })
     return matrix
 
 

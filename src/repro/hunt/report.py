@@ -33,7 +33,8 @@ class HuntReport:
     config: object = None
     #: :class:`repro.hunt.loop.EntryResult` per corpus entry, name order.
     entries: List[object] = field(default_factory=list)
-    #: Detection-rate cells, one per preset x runtime backend.
+    #: Detection-rate cells: redfat per preset, each preload backend
+    #: once (preset ``"preload"``).
     matrix: List[Dict[str, object]] = field(default_factory=list)
     #: Regression keys newly pinned by this campaign.
     regressions_added: List[str] = field(default_factory=list)
@@ -150,7 +151,8 @@ class HuntReport:
                     f"input={list(finding.input)} [{finding.confidence}]"
                 )
         if self.matrix:
-            lines.append("detection-rate matrix (preset x backend):")
+            lines.append("detection-rate matrix (preset or preload x "
+                         "backend):")
             runtimes = sorted({cell["runtime"] for cell in self.matrix})
             header = "  " + f"{'preset':<14}" + "".join(
                 f"{name:>10}" for name in runtimes

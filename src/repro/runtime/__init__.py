@@ -10,7 +10,7 @@
 - :class:`~repro.runtime.shadow.ShadowRuntime` — an ASAN/Memcheck-style
   shadow-memory redzone runtime used by the Memcheck baseline.
 - :mod:`repro.runtime.backends` — the hardened-allocator zoo (s2malloc,
-  mesh, camp, frp), selectable through :mod:`repro.runtime.registry`:
+  camp, frp), selectable through :mod:`repro.runtime.registry`:
   ``registry.create("s2malloc:seed=7", mode="log")``.
 """
 
@@ -19,7 +19,6 @@ from repro.runtime.backends import (
     CampRuntime,
     FrpRuntime,
     HardenedHeapRuntime,
-    MeshRuntime,
     S2MallocRuntime,
 )
 from repro.runtime.glibc import GlibcRuntime
@@ -37,7 +36,6 @@ __all__ = [
     "ShadowState",
     "HardenedHeapRuntime",
     "S2MallocRuntime",
-    "MeshRuntime",
     "CampRuntime",
     "FrpRuntime",
     "ErrorKind",

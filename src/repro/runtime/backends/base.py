@@ -1,21 +1,23 @@
 """Shared machinery for the pluggable hardened-allocator backends.
 
 Each backend models one LD_PRELOAD-able heap defense from the related
-work (see PAPERS.md): S2Malloc, MESH, CAMP-style cooperative bounds and
-Fully Randomized Pointers.  They all conform to the same runtime
+work (see PAPERS.md): S2Malloc, CAMP-style cooperative bounds and Fully
+Randomized Pointers.  They all conform to the same runtime
 interface as ``libredfat.so`` — ``malloc``/``free``/``check`` plus
 :class:`~repro.runtime.reporting.MemoryErrorReport` delivery in
 ``abort`` or ``log`` mode — so the registry can swap them under an
 unchanged binary.
 
-Two properties make the swap faithful to preloading a different
-allocator under an *already hardened* binary:
+The shootout and the hunt's replay matrix preload each backend under
+the *unhardened* binary (:func:`repro.runtime.registry.deploy`).  Two
+properties make the swap faithful:
 
 - Every backend allocates from a private window in a high **non-fat**
   region (region > ``NUM_SIZE_CLASSES``).  A RedFat-rewritten binary
-  executed on top of one of these runtimes therefore sees only non-fat
-  pointers and its inlined low-fat checks pass vacuously, exactly as
-  they would for glibc pointers.
+  executed on top of one of these runtimes (as the fault campaign's
+  ``runtime.*`` runs do) therefore sees only non-fat pointers and its
+  inlined low-fat checks pass vacuously, exactly as they would for
+  glibc pointers — so running it would add nothing.
 - Detection is performed by the backend itself through the VM's
   per-access hook (``cpu.access_hook`` — the same DBI stand-in the
   Memcheck baseline uses).  The hook is the *simulation oracle* for

@@ -3,19 +3,22 @@
 Models *CAMP* (PAPERS.md): the allocator publishes exact object bounds
 into a lookup table the (conceptually compiler-inserted) checks consult
 on every access.  The table holds the *requested* size — not a rounded
-size class — so an access that runs past ``base + requested`` from
-inside an object is caught even in the allocator's own alignment
-padding, and freed objects stay quarantined for the life of the run so
-stale pointers always hit a dead interval.
+size class — so an access that runs past ``base + requested`` is caught
+even in the allocator's own alignment padding, and freed objects stay
+quarantined for the life of the run so stale pointers always hit a dead
+interval.
 
-Detection is *not* byte-exact for every overflow, though:
-:meth:`CampRuntime.check_access` looks up the object that contains the
-*accessed address*, not the object the pointer was derived from.  A
-non-incremental overflow that lands inside a live neighbour therefore
-passes as an in-bounds access to that neighbour — the case this paper is
-about.  Real CAMP checks a derived pointer against its source object;
-ROADMAP.md ("The allocator zoo earns its place, and CAMP checks
-pointers, not addresses") tracks that fix.
+Like real CAMP, the check is against the *pointer*, not the address:
+the object the accessing operand's base register points into must
+contain the whole access (``OOB_LOWER`` below its base, ``OOB_UPPER``
+past ``base + requested``).  So a non-incremental overflow that skips
+into a live neighbour is caught — the case this paper is about.  The
+address is then looked up on its own for use-after-free and
+unaddressable accesses.  What the model still cannot see is a pointer
+that has already left its object when it reaches the base register
+(pointer arithmetic kept in the index register or folded into an
+earlier ``lea``): it is attributed to whatever object it lands in, as
+the address is (DESIGN.md §6).
 
 The published table (``_bounds``) is deliberately a *copy* of the
 allocator's ground truth (``_objects``): the ``runtime.camp.bounds``
@@ -30,6 +33,8 @@ import bisect
 from typing import Dict, List, Optional
 
 from repro.faults import injector as _faults
+from repro.isa.operands import Mem
+from repro.isa.registers import Register
 from repro.layout import NUM_SIZE_CLASSES, region_base
 from repro.runtime.backends.base import POISON_BYTE, HardenedHeapRuntime, align16
 from repro.runtime.reporting import ErrorKind, MemoryErrorReport
@@ -42,7 +47,9 @@ _LIVE, _FREED = 0, 1
 
 
 class CampRuntime(HardenedHeapRuntime):
-    """Cooperative-bounds allocator runtime (deterministic detection)."""
+    """Cooperative-bounds allocator runtime: each access is checked
+    against the exact bounds of the object its base pointer points
+    into (deterministic detection)."""
 
     name = "camp"
     capabilities = frozenset({"oob", "uaf", "double-free"})
@@ -127,16 +134,48 @@ class CampRuntime(HardenedHeapRuntime):
                           "entry repaired from ground truth")
         return truth
 
-    def check_access(
-        self, address: int, size: int, is_write: bool, site: int
-    ) -> Optional[MemoryErrorReport]:
-        if not HEAP_BASE <= address < HEAP_LIMIT:
+    def _object_base(self, address: int) -> Optional[int]:
+        """Base of the allocated object *address* lies in, or None."""
+        if not HEAP_BASE <= address < self._cursor:
             return None
         index = bisect.bisect_right(self._bases, address) - 1
-        if index < 0 or address >= self._cursor:
+        return self._bases[index] if index >= 0 else None
+
+    def _on_access(self, address, size, is_read, is_write, instruction) -> None:
+        self.accesses += 1
+        pointer = None
+        for operand in instruction.operands:
+            if type(operand) is Mem:
+                if operand.base is not None and operand.base is not Register.RIP:
+                    pointer = self.cpu.regs[operand.base]
+                break
+        report = self.check_access(address, size, is_write,
+                                   site=instruction.address, pointer=pointer)
+        if report is not None:
+            self._deliver(report)
+
+    def check_access(
+        self, address: int, size: int, is_write: bool, site: int,
+        pointer: Optional[int] = None,
+    ) -> Optional[MemoryErrorReport]:
+        """Check one access through *pointer* (the base-register value;
+        None checks the address alone)."""
+        source = None if pointer is None else self._object_base(pointer)
+        if source is not None:
+            bound = self._validated_bound(source)
+            if address < source:
+                return self.report(ErrorKind.OOB_LOWER, site, address=address,
+                                   detail="below the pointer's object")
+            if address + size > source + bound:
+                return self.report(ErrorKind.OOB_UPPER, site, address=address,
+                                   detail="past the pointer's object's "
+                                          "exact bound")
+        if not HEAP_BASE <= address < HEAP_LIMIT:
+            return None
+        base = self._object_base(address)
+        if base is None:
             return self.report(ErrorKind.UNADDRESSABLE, site, address=address,
                                detail="no object maps this address")
-        base = self._bases[index]
         requested, state = self._objects[base]
         bound = self._validated_bound(base)
         if state == _FREED:

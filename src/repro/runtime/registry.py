@@ -142,6 +142,25 @@ def create(
         ) from error
 
 
+def deploy(spec: str, binary, harden: Callable[[], object], *,
+           mode: str, seed: int):
+    """``(binary, runtime)`` for running a program under backend *spec*.
+
+    A backend that needs the hardened binary (``redfat``) runs
+    ``harden().binary`` under ``harden().create_runtime``, which maps
+    trampoline sites back to the original code.  Every other backend is
+    preloaded under the unhardened *binary*: the zoo detects through the
+    access hook, and a hardened binary's inlined checks would pass
+    vacuously on its non-fat pointers.  *harden* is called only when
+    the hardened binary is needed.
+    """
+    if resolve(parse_spec(spec).name).needs_hardened_binary:
+        result = harden()
+        return result.binary, result.create_runtime(
+            mode=mode, runtime=spec, seed=seed)
+    return binary, create(spec, mode=mode, seed=seed)
+
+
 # -- the built-in zoo -------------------------------------------------------
 
 
@@ -172,12 +191,6 @@ def _make_s2malloc(mode: str = "log", seed: int = 1, telemetry=None):
     from repro.runtime.backends.s2malloc import S2MallocRuntime
 
     return S2MallocRuntime(mode=mode, seed=seed, telemetry=telemetry)
-
-
-def _make_mesh(mode: str = "log", seed: int = 1, telemetry=None):
-    from repro.runtime.backends.mesh import MeshRuntime
-
-    return MeshRuntime(mode=mode, seed=seed, telemetry=telemetry)
 
 
 def _make_camp(mode: str = "log", seed: int = 1, telemetry=None):
@@ -219,13 +232,6 @@ register(RuntimeInfo(
     description="S2Malloc: randomized in-slot placement + canaries, "
                 "quarantined reuse (probabilistic OOB/UaF)",
     capabilities=frozenset({"oob", "uaf", "double-free", "probabilistic"}),
-))
-register(RuntimeInfo(
-    name="mesh",
-    factory=_make_mesh,
-    description="MESH: meshable spans with page compaction — the "
-                "memory-efficiency point (detects bad frees only)",
-    capabilities=frozenset({"double-free", "invalid-free"}),
 ))
 register(RuntimeInfo(
     name="camp",

@@ -14,7 +14,7 @@ backed pages; their fallback (like every other accessor) backs an
 untouched page before using it.  Every observable treats an untouched
 page as a mapped page of zeros: :meth:`Memory.is_mapped`,
 :meth:`Memory.mapped_bytes`, :meth:`Memory.mapped_page_indices`,
-:meth:`Memory.page_contents`, unmapping and aliasing.
+:meth:`Memory.page_contents` and unmapping.
 
 Each backed page also has a quadword view, ``memoryview(page).cast("Q")``,
 that shares the page's buffer.  An unsigned, 8-aligned, 8-byte
@@ -24,9 +24,9 @@ slots and a check's low-fat SIZES and redzone SIZE loads.
 Every other access (sizes 1, 2 and 4, signed reads, unaligned
 addresses, untouched and unmapped pages) slices the ``bytearray``.  The
 invariant is that ``_words`` and ``_pages`` have the same keys and each
-view shares its page's buffer.  Three places keep it: :meth:`_back`
-creates a view whenever a page gets backing, :meth:`alias_range` gives
-the source page the target's view, and :meth:`unmap_range` drops it.
+view shares its page's buffer.  Two places keep it: :meth:`_back`
+creates a view whenever a page gets backing, and :meth:`unmap_range`
+drops it.  No two page indices share one ``bytearray``.
 Pages are never resized, so exporting their buffer is safe.  A ``"Q"``
 view reads native byte order, so views exist only on a little-endian
 host.  On a big-endian host ``_words`` stays empty and every access
@@ -99,28 +99,6 @@ class Memory:
             self._pages.pop(page_index, None)
             self._words.pop(page_index, None)
             self._untouched.discard(page_index)
-
-    def alias_range(self, address: int, target: int, size: int) -> None:
-        """Alias the pages of [address, +size) onto [target, +size).
-
-        Both ranges must be page-aligned and the target pages mapped.
-        After the call the two virtual ranges share backing storage —
-        the primitive behind MESH-style page meshing, where two spans
-        with disjoint live slots collapse onto one physical page.
-        """
-        if address & _PAGE_MASK or target & _PAGE_MASK:
-            raise ValueError("alias_range requires page-aligned ranges")
-        count = (size + _PAGE_MASK) >> _PAGE_SHIFT
-        first_src = address >> _PAGE_SHIFT
-        first_dst = target >> _PAGE_SHIFT
-        for index in range(count):
-            backing = self._back(first_dst + index)
-            if backing is None:
-                raise VMFault((first_dst + index) << _PAGE_SHIFT)
-            self._untouched.discard(first_src + index)
-            self._pages[first_src + index] = backing
-            if _WORD_VIEWS:
-                self._words[first_src + index] = self._words[first_dst + index]
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
         first = address >> _PAGE_SHIFT

@@ -13,15 +13,17 @@ importantly — what it honestly misses).
 import pytest
 
 from repro.errors import GuestMemoryError
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.operands import Mem, Reg
+from repro.isa.registers import RAX, RCX
 from repro.layout import NUM_SIZE_CLASSES, is_lowfat, region_of
 from repro.runtime import registry
 from repro.runtime.backends import frp as frp_mod
-from repro.runtime.backends import mesh as mesh_mod
 from repro.runtime.backends.base import POISON_BYTE, HardenedHeapRuntime, align16
 from repro.runtime.reporting import ErrorKind
 from repro.vm.memory import Memory
 
-BACKENDS = ["s2malloc", "mesh", "camp", "frp"]
+BACKENDS = ["s2malloc", "camp", "frp"]
 
 
 class FakeCPU:
@@ -37,6 +39,15 @@ def make(name, mode="log", seed=1):
     runtime = registry.create(name, mode=mode, seed=seed)
     runtime.attach(FakeCPU())
     return runtime
+
+
+def store_through(runtime, pointer, offset, size=8):
+    """Run the access hook for ``mov %rcx, offset(%rax)`` with %rax =
+    *pointer*, as the VM does before the store."""
+    runtime.cpu.regs[RAX] = pointer
+    instruction = Instruction(Opcode.MOV, (Mem(offset, RAX), Reg(RCX)),
+                              size=size, address=0x401234)
+    runtime._on_access(pointer + offset, size, False, True, instruction)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +182,7 @@ class TestBackendContract:
         assert runtime.wants_access_hook
         assert runtime.cpu.access_hook == runtime._on_access
         address = runtime.malloc(16)
-
-        class Instruction:
-            pass
-
-        instruction = Instruction()
-        instruction.address = 0x401234
-        runtime._on_access(address, 8, True, False, instruction)
+        store_through(runtime, address, 0)
         assert runtime.accesses == 1
         assert not len(runtime.errors)
 
@@ -216,37 +221,6 @@ class TestS2Malloc:
         assert runtime.malloc(16) != address
 
 
-class TestMesh:
-    def test_within_window_overflow_is_an_honest_miss(self):
-        runtime = make("mesh")
-        address = runtime.malloc(16)
-        assert runtime.check_access(address + 16, 8, True, site=0) is None
-
-    def test_disjoint_spans_mesh_and_alias(self):
-        runtime = make("mesh")
-        span_slots = mesh_mod.SPAN_SIZE // 16
-        first = [runtime.malloc(16) for _ in range(span_slots)]
-        survivors = [runtime.malloc(16) for _ in range(4)]
-        for index, address in enumerate(survivors):
-            runtime.cpu.memory.write(address, bytes([index + 1]) * 16)
-        for address in first:
-            runtime.free(address)
-        stats = runtime.memory_stats()
-        assert stats["meshes"] >= 1
-        assert stats["pages_freed"] >= 1
-        # The donor span's virtual addresses still work after compaction.
-        for index, address in enumerate(survivors):
-            assert runtime.cpu.memory.read(address, 16) == bytes([index + 1]) * 16
-            assert runtime.usable_size(address) == 16
-        assert stats["reserved_bytes"] < 2 * mesh_mod.SPAN_SIZE
-
-    def test_reserved_shrinks_by_meshed_pages(self):
-        runtime = make("mesh")
-        before = runtime.heap_bytes_reserved()
-        runtime.malloc(16)
-        assert runtime.heap_bytes_reserved() == before + mesh_mod.SPAN_SIZE
-
-
 class TestCamp:
     def test_byte_exact_upper_bound(self):
         runtime = make("camp")
@@ -271,6 +245,29 @@ class TestCamp:
         report = runtime.check_access(address + (1 << 20), 8, False, site=0)
         assert report is not None
         assert report.kind == ErrorKind.UNADDRESSABLE
+
+    def test_overflow_into_live_neighbour_is_reported(self):
+        # The paper's non-incremental overflow: a pointer to A, an offset
+        # that skips A's end and lands inside live neighbour B.
+        runtime = make("camp")
+        victim = runtime.malloc(24)
+        neighbour = runtime.malloc(64)
+        offset = neighbour + 8 - victim
+        store_through(runtime, neighbour, 8)
+        assert not len(runtime.errors)  # B's own pointer may write there
+        store_through(runtime, victim, offset)
+        report = runtime.errors.reports[-1]
+        assert report.kind == ErrorKind.OOB_UPPER
+        assert report.address == neighbour + 8
+        store_through(runtime, neighbour, victim + 16 - neighbour)
+        assert runtime.errors.reports[-1].kind == ErrorKind.OOB_LOWER
+
+    def test_underflow_below_the_window_is_reported(self):
+        # The address is outside CAMP's heap window; the pointer is not.
+        runtime = make("camp")
+        victim = runtime.malloc(32)
+        store_through(runtime, victim, -64)
+        assert runtime.errors.reports[-1].kind == ErrorKind.OOB_LOWER
 
 
 class TestFrp:

@@ -303,7 +303,8 @@ class TestFarmFaultCampaign:
         result = run_campaign(seeds=6, point=point)
         assert result.uncaught() == []
         fired = [record for record in result.records if record.fired]
-        assert fired
+        # The draw lands on the store or the load-back of every run.
+        assert len(fired) == len(result.records)
         # Every corrupted frame was caught by the checksum gate and
         # accounted as a cache reject.
         assert all(record.farm_degraded for record in fired)

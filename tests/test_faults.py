@@ -108,7 +108,8 @@ class TestInjector:
 
         The original implementation drew ``choice`` (only when the point
         was unpinned), then ``randrange`` per point, then ``getrandbits``
-        for the payload RNG — in that order.
+        for the payload RNG — in that order.  A point that declares its
+        ``max_hit`` draws below that instead.
         """
         import random as stdlib_random
 
@@ -117,7 +118,8 @@ class TestInjector:
         for seed in range(10):
             reference = stdlib_random.Random(seed)
             expected_point = reference.choice(point_names())
-            expected_hit = reference.randrange(DEFAULT_MAX_HIT)
+            expected_hit = reference.randrange(
+                FAULT_POINTS[expected_point].max_hit or DEFAULT_MAX_HIT)
             expected_payload = stdlib_random.Random(
                 reference.getrandbits(64)
             ).random()
@@ -125,6 +127,14 @@ class TestInjector:
             assert loose.point == expected_point
             assert loose.trigger_hit == expected_hit
             assert loose.payload_rng.random() == expected_payload
+
+    def test_declared_max_hit_bounds_the_trigger_draw(self):
+        # A campaign run stores its artifact once and loads it back once,
+        # so a farm.cache trigger past hit 1 would never fire.
+        assert FAULT_POINTS["farm.cache"].max_hit == 2
+        hits = {FaultInjector(seed, point="farm.cache").trigger_hit
+                for seed in range(20)}
+        assert hits == {0, 1}
 
     def test_sticky_override_makes_one_shot_point_persist(self):
         assert not FAULT_POINTS["alloc.metadata"].sticky

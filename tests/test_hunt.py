@@ -3,8 +3,9 @@
 The acceptance test at the bottom is the ISSUE's contract: a budgeted
 hunt over the CVE corpus must rediscover every Table-2 detection from
 benign seeds alone, dedup to one finding per site, and emit a
-schema-valid detection-rate matrix over >= 2 presets x all 5 hardened
-backends — deterministically per seed.
+schema-valid detection-rate matrix — redfat under >= 2 presets, each
+preload backend once on the unhardened binary — deterministically per
+seed.
 """
 
 import json
@@ -24,7 +25,8 @@ from repro.hunt import (
     dedup_reports,
     run_hunt,
 )
-from repro.hunt.loop import entry_seed
+from repro.hunt import loop
+from repro.hunt.loop import DEFAULT_RUNTIMES, PRELOAD, entry_seed
 from repro.hunt.mutators import MAX_FLIP_BIT
 from repro.hunt.triage import (
     Finding,
@@ -256,18 +258,48 @@ class TestHuntEndToEnd:
             # never seeded.
             for finding in entry.triage.findings:
                 assert finding.input not in entries[entry.name].runs[0:0]
-        # Matrix coverage: every preset x backend cell is present.
-        cells = {(cell["preset"], cell["runtime"]) for cell in report.matrix}
-        assert cells == {
-            (preset, runtime)
-            for preset in config.presets
-            for runtime in config.runtimes
-        }
-        assert len(config.runtimes) == 5
-        # The paper's own runtime rediscovers everything in every preset.
+        # Matrix coverage: redfat once per preset, each preload backend
+        # once (no preset changes the unhardened binary it runs).
+        cells = [(cell["preset"], cell["runtime"]) for cell in report.matrix]
+        assert cells == [
+            ("fully", "redfat"), ("unoptimized", "redfat"),
+            (PRELOAD, "s2malloc"), (PRELOAD, "camp"), (PRELOAD, "frp"),
+        ]
+        assert config.runtimes == DEFAULT_RUNTIMES
+        # The paper's own runtime rediscovers everything in every preset,
+        # and so does CAMP's pointer-bounds check.
         for cell in report.matrix:
-            if cell["runtime"] == "redfat":
+            if cell["runtime"] in ("redfat", "camp"):
                 assert cell["detected"] == cell["entries"] == 4
+
+    def test_preload_replay_runs_the_unhardened_binary(self, monkeypatch):
+        replays = []
+        execute = loop._execute
+
+        def recording(entry, binary, runtime, *rest):
+            replays.append((runtime.name, binary is entry.program.binary))
+            return execute(entry, binary, runtime, *rest)
+
+        monkeypatch.setattr(loop, "_execute", recording)
+        report = run_hunt(
+            entries=[_planted_entry()],
+            config=HuntConfig(budget=12, seed=2, audit_xref=False,
+                              runtimes=("redfat", "camp", "s2malloc")),
+        )
+        entry = report.entries[0]
+        mutation_runs = entry.executions
+        matrix_inputs = len([f for f in entry.triage.findings
+                             if f.matches_expected][:3])
+        assert matrix_inputs
+        replayed = replays[mutation_runs:]
+        # redfat replays each preset's hardened binary; camp and s2malloc
+        # replay the unhardened one, once per input.
+        assert replayed == (
+            [("redfat", False)] * 2 * matrix_inputs
+            + [("camp", True)] * matrix_inputs
+            + [("s2malloc", True)] * matrix_inputs
+        )
+        assert all(not unhardened for _, unhardened in replays[:mutation_runs])
 
     def test_same_seed_byte_identical_jsonl(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

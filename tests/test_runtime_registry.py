@@ -29,7 +29,7 @@ int main() {
 }
 """
 
-ZOO = {"glibc", "redfat", "shadow", "s2malloc", "mesh", "camp", "frp"}
+ZOO = {"glibc", "redfat", "shadow", "s2malloc", "camp", "frp"}
 
 
 # -- names, aliases, discovery ----------------------------------------------
@@ -136,3 +136,30 @@ class TestPreloadShims:
         assert isinstance(runtime, S2MallocRuntime)
         assert runtime.mode == "abort"
         assert runtime.site_resolver is not None
+
+
+# -- registry.deploy: which binary a backend runs ----------------------------
+
+
+class TestDeploy:
+    @pytest.fixture(scope="class")
+    def program(self):
+        return compile_source(SOURCE)
+
+    def test_preload_backend_runs_the_unhardened_binary(self, program):
+        def harden():
+            raise AssertionError("a preload backend must not harden")
+
+        binary, runtime = registry.deploy(
+            "s2malloc:seed=7", program.binary, harden, mode="log", seed=1)
+        assert binary is program.binary
+        assert isinstance(runtime, S2MallocRuntime)
+        assert runtime.seed == 7 and runtime.mode == "log"
+
+    def test_redfat_runs_the_hardened_binary(self, program):
+        hardened = api.harden(program.binary.strip())
+        binary, runtime = registry.deploy(
+            "redfat", program.binary, lambda: hardened, mode="abort", seed=1)
+        assert binary is hardened.binary
+        assert isinstance(runtime, RedFatRuntime)
+        assert runtime.mode == "abort"

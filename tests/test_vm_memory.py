@@ -156,16 +156,6 @@ class TestDemandZero:
         with pytest.raises(VMFault):
             memory.read_int(PAGE_SIZE, 8)
 
-    def test_alias_untouched_pages(self):
-        memory = Memory()
-        memory.map_range(0, 2 * PAGE_SIZE)
-        memory.alias_range(0, PAGE_SIZE, PAGE_SIZE)  # both untouched
-        memory.write_int(PAGE_SIZE + 16, 0xBEEF, 8)
-        assert memory.read_int(16, 8) == 0xBEEF
-        assert memory.mapped_page_indices() == [0, 1]
-        with pytest.raises(VMFault):
-            memory.alias_range(0, 4 * PAGE_SIZE, PAGE_SIZE)
-
 
 class TestWordView:
     """Aligned quadword accesses to a backed page go through a second,
@@ -184,19 +174,6 @@ class TestWordView:
         memory.map_range(PAGE_SIZE, PAGE_SIZE)
         assert memory.read_int(PAGE_SIZE + 8, 8) == 0
 
-    def test_alias_over_touched_source(self):
-        memory = Memory()
-        memory.map_range(0, 2 * PAGE_SIZE)
-        memory.write_int(8, 0x11, 8)
-        memory.write_int(PAGE_SIZE + 8, 0x22, 8)
-        memory.alias_range(0, PAGE_SIZE, PAGE_SIZE)
-        assert memory.read_int(8, 8) == 0x22
-        memory.write_int(16, 0xAA, 8)
-        assert memory.read_int(PAGE_SIZE + 16, 8) == 0xAA
-        memory.write_int(PAGE_SIZE + 24, 0xBB, 8)
-        assert memory.read_int(24, 8) == 0xBB
-        assert memory.read(16, 16) == memory.read(PAGE_SIZE + 16, 16)
-        assert memory.read(24, 8) == (0xBB).to_bytes(8, "little")
 
     def test_byte_write_seen_by_quadword_read(self):
         memory = Memory()
