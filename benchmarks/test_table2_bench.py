@@ -1,35 +1,43 @@
 """Benchmark harness for Table 2 (non-incremental overflows).
 
 Asserts the paper's headline: RedFat detects 100% of the CVE/Juliet
-cases, the Memcheck baseline 0% — and extends the table into the
-allocator-zoo shootout matrix (``redfat shootout``): every registry
-backend over the same workloads, with overhead and memory columns.
+cases, the Memcheck comparator (the ``shadow`` backend) 0% — and
+extends the table into the allocator-zoo shootout matrix (``redfat
+shootout``): every registry backend over the same workloads, with
+overhead and memory columns.
 """
 
 import pytest
 
 from repro.bench.shootout import run_shootout, validate_report
-from repro.bench.table2 import memcheck_detects, redfat_detects, run
+from repro.bench.table2 import detect, hardener, run
 from repro.workloads.cves import CVE_CASES
 from repro.workloads.juliet import generate_cases
 
 
+@pytest.fixture(scope="module")
+def harden():
+    return hardener()
+
+
 class TestCVEDetection:
     @pytest.mark.parametrize("case", CVE_CASES, ids=lambda c: c.cve)
-    def test_redfat_detects_memcheck_misses(self, case):
+    def test_redfat_detects_memcheck_misses(self, case, harden):
         program = case.compile()
-        assert redfat_detects(program, case.malicious_args)
-        assert not memcheck_detects(program, case.malicious_args)
+        assert detect("redfat", program, case.malicious_args,
+                      harden) == "detected"
+        assert detect("shadow", program, case.malicious_args,
+                      harden) == "missed"
 
     @pytest.mark.parametrize("case", CVE_CASES, ids=lambda c: c.cve)
-    def test_benign_inputs_clean(self, case):
+    def test_benign_inputs_clean(self, case, harden):
         program = case.compile()
-        assert not redfat_detects(program, case.benign_args)
-        assert not memcheck_detects(program, case.benign_args)
+        assert detect("redfat", program, case.benign_args, harden) == "missed"
+        assert detect("shadow", program, case.benign_args, harden) == "missed"
 
 
 class TestJulietSubset:
-    def test_every_shape_and_size(self):
+    def test_every_shape_and_size(self, harden):
         cases = generate_cases(480)
         # One variant from each of the 24 distinct source programs.
         seen = {}
@@ -38,8 +46,10 @@ class TestJulietSubset:
         assert len(seen) == 24
         for case in seen.values():
             program = case.compile()
-            assert redfat_detects(program, case.malicious_args), case.case_id
-            assert not memcheck_detects(program, case.malicious_args), case.case_id
+            assert detect("redfat", program, case.malicious_args,
+                          harden) == "detected", case.case_id
+            assert detect("shadow", program, case.malicious_args,
+                          harden) == "missed", case.case_id
 
 
 class TestTable2Throughput:

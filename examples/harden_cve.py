@@ -5,8 +5,9 @@ For each of the four CVEs the paper evaluates, this example:
 
 1. runs the vulnerable program with the attacker's crafted input under
    *no* protection — the overflow lands silently in an adjacent object;
-2. runs it under the Memcheck-style redzone-only baseline — the access
-   skips the redzone and is **missed**;
+2. runs it under the Memcheck-style redzone-only comparator (the
+   registry's ``shadow`` backend) — the access skips the redzone and is
+   **missed**;
 3. runs the RedFat-hardened binary — the bad pointer arithmetic is
    caught no matter how large the offset.
 
@@ -14,8 +15,8 @@ Run:  python examples/harden_cve.py
 """
 
 import repro.api as redfat
-from repro.baselines import MemcheckVM
 from repro.errors import GuestMemoryError
+from repro.runtime import registry
 from repro.workloads.cves import CVE_CASES
 
 
@@ -29,11 +30,12 @@ def main() -> None:
         corruption = "silent corruption" if "-1" in plain.output else "ran"
         print(f"  unprotected : exit={plain.status} -> {corruption}")
 
-        memcheck = MemcheckVM().run(
-            program.binary,
-            setup=lambda cpu: program.poke_args(cpu, case.malicious_args),
+        memcheck = program.run(
+            args=case.malicious_args,
+            runtime=registry.create("shadow", mode="log"),
         )
-        verdict = "DETECTED" if memcheck.detected else "missed (redzone skipped)"
+        verdict = ("DETECTED" if memcheck.runtime.errors
+                   else "missed (redzone skipped)")
         print(f"  memcheck    : {verdict}")
 
         hardened = redfat.harden(program.binary.strip(), options="fully")

@@ -14,7 +14,9 @@ Public API quick map:
 - run a binary:           :func:`repro.vm.run_binary`,
                           :meth:`repro.cc.CompiledProgram.run`
 - hardened runtime:       :class:`repro.runtime.RedFatRuntime`
-- comparator:             :func:`repro.baselines.run_memcheck`
+- Memcheck comparator:    the ``shadow`` backend of
+                          :mod:`repro.runtime.registry`, costed by
+                          :meth:`repro.vm.runtime_iface.RuntimeEnvironment.modelled_cost`
 - experiments:            ``python -m repro.bench.{table1,table2,figure8,falsepos}``
 """
 

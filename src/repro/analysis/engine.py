@@ -85,31 +85,17 @@ class DataflowInfo:
                 return facts
         return None
 
-    def dead_registers_after(self, block: BasicBlock, index: int) -> Optional[FrozenSet]:
-        """Globally-informed replacement for ``regusage.dead_registers_after``.
-
-        None when liveness is unavailable (callers then use the
-        block-local rule).
-        """
+    def live_before(self, block: BasicBlock, index: int) -> Optional[FrozenSet]:
+        """Globally-informed live set before ``block.instructions[index]``
+        (registers plus the :data:`~repro.isa.instructions.FLAGS`
+        sentinel).  None when the liveness solution is unavailable
+        (fallback mode); callers then use the block-local rule."""
         if self.fallback:
             return None
         live_out = self.live_out.get(block.start)
         if live_out is None:
             return None
-        return liveness_mod.dead_registers_at(block.instructions, index, live_out)
-
-    def flags_dead_after(self, block: BasicBlock, index: int) -> Optional[bool]:
-        """Whether no later instruction reads the flags written at
-        ``block.instructions[index]`` — True lets check code clobber
-        them without a spill. ``None`` (unknown) when the global
-        liveness solution is unavailable (fallback mode), which callers
-        must treat as "assume live"."""
-        if self.fallback:
-            return None
-        live_out = self.live_out.get(block.start)
-        if live_out is None:
-            return None
-        return liveness_mod.flags_dead_at(block.instructions, index, live_out)
+        return liveness_mod.live_before(block.instructions, index, live_out)
 
     def range_before(self, address: int) -> Optional[ranges_mod.RangeState]:
         """Range state immediately before the instruction at *address*.

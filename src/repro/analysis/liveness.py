@@ -105,13 +105,19 @@ def compute_live_out(graph: BlockGraph) -> Dict[int, FrozenSet]:
     }
 
 
-def _live_before(block_instructions: List[Instruction], index: int,
-                 live_out: FrozenSet) -> FrozenSet:
-    """Live set before ``block_instructions[index]``."""
+def live_before(block_instructions: List[Instruction], index: int,
+                live_out: FrozenSet) -> FrozenSet:
+    """Live set before ``block_instructions[index]``, one backward walk
+    of the suffix from *live_out*."""
     live = live_out
     for position in range(len(block_instructions) - 1, index - 1, -1):
         live = step_backward(live, block_instructions[position])
     return live
+
+
+def dead_registers(live: FrozenSet) -> FrozenSet:
+    """Registers a trampoline may clobber where *live* is the live set."""
+    return _SCRATCH_CANDIDATES - live
 
 
 def dead_registers_at(block_instructions: List[Instruction], index: int,
@@ -123,13 +129,13 @@ def dead_registers_at(block_instructions: List[Instruction], index: int,
     additionally reports registers the suffix never mentions and no
     successor reads.
     """
-    return _SCRATCH_CANDIDATES - _live_before(block_instructions, index, live_out)
+    return dead_registers(live_before(block_instructions, index, live_out))
 
 
 def flags_dead_at(block_instructions: List[Instruction], index: int,
                   live_out: FrozenSet) -> bool:
     """Flags counterpart of :func:`dead_registers_at`."""
-    return FLAGS not in _live_before(block_instructions, index, live_out)
+    return FLAGS not in live_before(block_instructions, index, live_out)
 
 
 def block_local_live_out(block_instructions: List[Instruction]) -> FrozenSet:

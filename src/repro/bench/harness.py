@@ -8,7 +8,9 @@ Each SPEC benchmark measurement follows the paper's methodology:
 2. run the baseline and every instrumentation configuration on **ref**;
 3. verify output equivalence (self-check);
 4. additionally run the no-allow-list configuration to observe false
-   positives, and a Memcheck run for the comparator column.
+   positives, and a Memcheck run (the registry's ``shadow`` backend,
+   costed by :meth:`~repro.vm.runtime_iface.RuntimeEnvironment.modelled_cost`)
+   for the comparator column.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.memcheck import MemcheckVM
 from repro.errors import ReproError, VMTimeoutError
 from repro.cc import CompiledProgram
 from repro.core import Profiler, RedFat, RedFatOptions
 from repro.core.redfat_tool import HardenResult, PROT_LOWFAT, PROT_NONE
 from repro.farm.cache import ArtifactCache
+from repro.runtime import registry
 from repro.runtime.redfat import RedFatRuntime
 from repro.telemetry.hub import coerce
 from repro.workloads.registry import SpecBenchmark
@@ -146,12 +148,13 @@ def measure_memcheck(
     fuel: int = 2_000_000_000,
     telemetry=None,
 ):
-    """One Memcheck run with workload inputs poked."""
-    vm = MemcheckVM()
+    """One Memcheck run: the unhardened binary under the ``shadow``
+    backend in log mode, whose access hook counts what the cost model
+    multiplies (``result.runtime.modelled_cost(result.instructions)``)."""
     return run_with_watchdog(
-        lambda budget: vm.run(
-            program.binary, max_instructions=budget,
-            setup=lambda cpu: program.poke_args(cpu, args),
+        lambda budget: program.run(
+            args=args, runtime=registry.create("shadow", mode="log"),
+            max_instructions=budget,
         ),
         fuel,
         telemetry=telemetry,
@@ -349,7 +352,8 @@ def _measure_spec_into(
                 program, ref_args, fuel=instrumented_fuel, telemetry=tele,
             )
         measurement.memcheck_slowdown = (
-            memcheck.effective_instructions / baseline.instructions
+            memcheck.runtime.modelled_cost(memcheck.instructions)
+            / baseline.instructions
         )
 
     # Coverage column.

@@ -12,12 +12,11 @@ reports a **detection x overhead x memory** matrix:
 - *overhead*, relative to the glibc baseline run of the same workload
   on the benign input.  The ``redfat`` row is the *measured*
   retired-instruction ratio of the hardened binary (its checks are
-  inlined), and so is the ``glibc`` row.  Every other preload row is
-  *modelled* by the per-class cost model of DESIGN.md §6 —
-  ``instructions * DBI_EXPANSION + accesses * ACCESS_CHECK_COST +
-  heap_events * HEAP_EVENT_COST`` — because its detection runs through
-  the VM's access hook, whose cost says nothing about the real defense.
-  Each row's ``overhead_source`` says which.
+  inlined), and so is the ``glibc`` row.  Every other preload row is a
+  defense that detects through the VM's access hook, whose cost says
+  nothing about the real defense, so its cost is *modelled* by
+  :meth:`~repro.vm.runtime_iface.RuntimeEnvironment.modelled_cost`
+  (DESIGN.md §6).  Each row's ``overhead_source`` says which.
 - *memory*: the backend's :meth:`memory_stats` after the benign run —
   reserved address space vs. peak live bytes.
 
@@ -42,11 +41,11 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.errors import GuestMemoryError, ReproError, VMFault, VMTimeoutError
+from repro.errors import ReproError
 from repro.bench.harness import geometric_mean
 from repro.bench.reporting import format_table
+from repro.bench.table2 import FUEL, detect, hardener
 from repro.cc import CompiledProgram
-from repro.core import RedFat, RedFatOptions
 from repro.runtime import registry
 from repro.telemetry.validate import validate as validate_schema
 from repro.workloads.cves import CVE_CASES
@@ -55,9 +54,6 @@ from repro.workloads.juliet import generate_cases
 SCHEMA_VERSION = 2
 
 _SCHEMA_PATH = Path(__file__).with_name("shootout_schema.json")
-
-#: Watchdog fuel per shootout run (the workloads retire ~10-100k).
-FUEL = 5_000_000
 
 #: The default matrix: baseline + the paper's tool + the zoo.
 DEFAULT_BACKENDS = ("glibc", "shadow", "redfat", "s2malloc", "camp", "frp")
@@ -93,19 +89,6 @@ def build_workloads(juliet_count: int) -> List[Workload]:
             benign_args=list(case.benign_args),
         ))
     return loads
-
-
-#: Hardening cache: Juliet shares sources, and every backend row reuses
-#: the same hardened image for the ``redfat`` deployment.
-_HARDEN_CACHE: dict = {}
-
-
-def _harden(program: CompiledProgram):
-    result = _HARDEN_CACHE.get(id(program))
-    if result is None:
-        result = RedFat(RedFatOptions()).instrument(program.binary.strip())
-        _HARDEN_CACHE[id(program)] = result
-    return result
 
 
 @dataclass
@@ -192,13 +175,6 @@ class ShootoutResult:
                 f"(completed in {self.elapsed_seconds:.1f}s)")
 
 
-def _has_cost_model(runtime) -> bool:
-    """True when the runtime declares DESIGN.md §6 cost constants; a
-    runtime without them (glibc) costs its retired instructions."""
-    return (runtime.DBI_EXPANSION, runtime.ACCESS_CHECK_COST,
-            runtime.HEAP_EVENT_COST) != (1.0, 0.0, 0.0)
-
-
 def _suite_bucket(row: BackendRow, suite: str) -> Dict[str, int]:
     return row.by_suite.setdefault(
         suite, {"detected": 0, "crashed": 0, "missed": 0, "total": 0})
@@ -227,40 +203,37 @@ def run_shootout(
         )
         baseline[load.name] = max(outcome.instructions, 1)
 
+    harden = hardener()
     for name in names:
         info = registry.resolve(name)
+        # A preloaded defense's cost is modelled; glibc (no defense) and
+        # redfat (inlined checks) keep the base model, which is their
+        # retired instructions.
+        modelled = not info.needs_hardened_binary and bool(info.capabilities)
         row = BackendRow(
             name=info.name,
             deployment="hardened-binary" if info.needs_hardened_binary
             else "preload",
             capabilities=sorted(info.capabilities),
+            overhead_source="modelled" if modelled else "measured",
         )
         ratios: List[float] = []
         for load in loads:
             bucket = _suite_bucket(row, load.suite)
             bucket["total"] += 1
-            harden = partial(_harden, load.program)
             # -- detection: malicious input, abort mode -------------------
-            binary, runtime = registry.deploy(
-                name, load.program.binary, harden, mode="abort", seed=seed)
             try:
-                load.program.run(args=load.malicious_args, binary=binary,
-                                 runtime=runtime, max_instructions=FUEL)
-            except GuestMemoryError:
-                row.detected += 1
-                bucket["detected"] += 1
-            except (VMFault, VMTimeoutError):
-                row.crashed += 1
-                bucket["crashed"] += 1
+                verdict = detect(name, load.program, load.malicious_args,
+                                 harden, seed=seed)
             except ReproError:
                 row.errors += 1
-                bucket["missed"] += 1
-            else:
-                row.missed += 1
-                bucket["missed"] += 1
+                verdict = "missed"
+            setattr(row, verdict, getattr(row, verdict) + 1)
+            bucket[verdict] += 1
             # -- overhead + memory + FP: benign input, log mode -----------
             binary, runtime = registry.deploy(
-                name, load.program.binary, harden, mode="log", seed=seed)
+                name, load.program.binary, partial(harden, load.program),
+                mode="log", seed=seed)
             try:
                 outcome = load.program.run(
                     args=load.benign_args, binary=binary, runtime=runtime,
@@ -271,21 +244,11 @@ def run_shootout(
                 continue
             if len(getattr(runtime, "errors", ())):
                 row.false_positives += 1
-            cost = float(outcome.instructions)
-            if not info.needs_hardened_binary and _has_cost_model(runtime):
-                row.overhead_source = "modelled"
-                cost = (
-                    cost * runtime.DBI_EXPANSION
-                    + getattr(runtime, "accesses", 0)
-                    * runtime.ACCESS_CHECK_COST
-                    + getattr(runtime, "heap_events", 0)
-                    * runtime.HEAP_EVENT_COST
-                )
-            ratios.append(cost / baseline[load.name])
+            ratios.append(runtime.modelled_cost(outcome.instructions)
+                          / baseline[load.name])
             stats = runtime.memory_stats()
-            row.reserved_bytes += int(stats.get("reserved_bytes", 0))
-            row.live_peak_bytes += int(
-                stats.get("live_peak_bytes", stats.get("live_bytes", 0)))
+            row.reserved_bytes += stats["reserved_bytes"]
+            row.live_peak_bytes += stats["live_peak_bytes"]
         row.overhead = geometric_mean(ratios) if ratios else 1.0
         result.rows.append(row)
     result.elapsed_seconds = time.time() - start

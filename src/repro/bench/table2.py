@@ -3,7 +3,8 @@
 For every case the attacker-controlled offset skips the victim's redzone
 into an adjacent allocated object.  RedFat's (LowFat) component detects
 the bad pointer arithmetic regardless of the offset; redzone-only
-checking (the Memcheck baseline) sees a plausible in-bounds access.
+checking (the Memcheck comparator, the registry's ``shadow`` backend)
+sees a plausible in-bounds access.
 
 Run: ``python -m repro.bench.table2 [--juliet N]``
 """
@@ -13,42 +14,64 @@ from __future__ import annotations
 import argparse
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import GuestMemoryError
-from repro.baselines import MemcheckVM
+from repro.errors import GuestMemoryError, VMFault, VMTimeoutError
 from repro.bench.reporting import format_table
 from repro.cc import CompiledProgram
 from repro.core import RedFat, RedFatOptions
+from repro.core.redfat_tool import HardenResult
+from repro.runtime import registry
 from repro.workloads.cves import CVE_CASES
 from repro.workloads.juliet import generate_cases
 
+#: Watchdog fuel per detection run (the workloads retire ~10-100k).
+FUEL = 5_000_000
 
-#: Instrumentation cache: Juliet's 480 cases share 24 distinct binaries.
-_HARDEN_CACHE: dict = {}
+
+def hardener() -> Callable[[CompiledProgram], HardenResult]:
+    """A memo of each program's fully hardened binary for one run.
+
+    Keyed on the binary's bytes, so Juliet's cases that share one of the
+    24 distinct sources are hardened once; the memo dies with the run.
+    """
+    memo: Dict[bytes, HardenResult] = {}
+
+    def harden(program: CompiledProgram) -> HardenResult:
+        key = program.binary.to_bytes()
+        result = memo.get(key)
+        if result is None:
+            result = RedFat(RedFatOptions()).instrument(program.binary.strip())
+            memo[key] = result
+        return result
+
+    return harden
 
 
-def redfat_detects(program: CompiledProgram, args: Sequence[int]) -> bool:
-    """Instrument (hardening config) and run; True if the access traps."""
-    harden = _HARDEN_CACHE.get(id(program))
-    if harden is None:
-        harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
-        _HARDEN_CACHE[id(program)] = harden
+def detect(spec: str, program: CompiledProgram, args: Sequence[int],
+           harden: Callable[[CompiledProgram], HardenResult], *,
+           seed: int = 1) -> str:
+    """Run *program* on *args* under backend *spec* in abort mode.
+
+    Returns ``"detected"`` (a typed memory-error report), ``"crashed"``
+    (a VM fault or the :data:`FUEL` watchdog stopped the guest) or
+    ``"missed"`` (it ran to completion).  :func:`repro.runtime.registry.deploy` picks
+    the binary: the hardened one for ``redfat``, the unhardened one for
+    every preloaded backend, including the ``shadow`` Memcheck
+    comparator.  Any other pipeline error propagates.
+    """
+    binary, runtime = registry.deploy(
+        spec, program.binary, partial(harden, program), mode="abort",
+        seed=seed)
     try:
-        program.run(
-            args=args, binary=harden.binary,
-            runtime=harden.create_runtime(mode="abort"),
-        )
-        return False
+        program.run(args=args, binary=binary, runtime=runtime,
+                    max_instructions=FUEL)
     except GuestMemoryError:
-        return True
-
-
-def memcheck_detects(program: CompiledProgram, args: Sequence[int]) -> bool:
-    result = MemcheckVM().run(
-        program.binary, setup=lambda cpu: program.poke_args(cpu, args)
-    )
-    return result.detected
+        return "detected"
+    except (VMFault, VMTimeoutError):
+        return "crashed"
+    return "missed"
 
 
 @dataclass
@@ -91,17 +114,29 @@ class Table2Result:
 def run(juliet_count: int = 480, verbose: bool = False) -> Table2Result:
     result = Table2Result()
     start = time.time()
+    harden = hardener()
+
+    def detected(spec: str, program: CompiledProgram,
+                 args: Sequence[int]) -> bool:
+        return detect(spec, program, args, harden) == "detected"
+
+    def clean(spec: str, program: CompiledProgram,
+              args: Sequence[int]) -> bool:
+        return detect(spec, program, args, harden) == "missed"
+
     for case in CVE_CASES:
         program = case.compile()
-        if redfat_detects(program, case.benign_args):
+        if not clean("redfat", program, case.benign_args):
             result.benign_clean = False
-        if memcheck_detects(program, case.benign_args):
+        if not clean("shadow", program, case.benign_args):
             result.benign_clean = False
         result.rows.append(
             Table2Row(
                 entry=f"{case.cve} ({case.program_name})",
-                memcheck_detected=int(memcheck_detects(program, case.malicious_args)),
-                redfat_detected=int(redfat_detects(program, case.malicious_args)),
+                memcheck_detected=int(
+                    detected("shadow", program, case.malicious_args)),
+                redfat_detected=int(
+                    detected("redfat", program, case.malicious_args)),
                 total=1,
             )
         )
@@ -110,9 +145,9 @@ def run(juliet_count: int = 480, verbose: bool = False) -> Table2Result:
     redfat_hits = 0
     for case in juliet_cases:
         program = case.compile()
-        if redfat_detects(program, case.malicious_args):
+        if detected("redfat", program, case.malicious_args):
             redfat_hits += 1
-        if memcheck_detects(program, case.malicious_args):
+        if detected("shadow", program, case.malicious_args):
             memcheck_hits += 1
     result.rows.append(
         Table2Row(

@@ -249,8 +249,7 @@ def _cmd_runtimes(arguments) -> int:
     for info in registry.available():
         caps = ", ".join(sorted(info.capabilities)) or "none"
         binary = "hardened binary" if info.needs_hardened_binary else "preload-only"
-        aliases = f" (alias: {', '.join(info.aliases)})" if info.aliases else ""
-        print(f"{info.name:10s} [{binary}] {info.description}{aliases}")
+        print(f"{info.name:10s} [{binary}] {info.description}")
         print(f"{'':10s} detects: {caps}")
     return 0
 

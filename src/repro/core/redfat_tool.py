@@ -6,20 +6,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import analyze_control_flow
+from repro.analysis.liveness import (
+    block_local_live_out,
+    dead_registers,
+    live_before,
+)
 from repro.errors import InstrumentationError
 from repro.faults.injector import fault_point
 from repro.binfmt.binary import Binary
 from repro.binfmt.sections import SEG_READ, Segment
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import FLAGS, Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm
 from repro.layout import MAX_REGIONS, SIZES_TABLE_ADDR, build_sizes_table
 from repro.rewriter.cfg import recover_control_flow
-from repro.rewriter.regusage import (
-    dead_registers_after,
-    flags_dead_after,
-    pick_scratch_registers,
-)
+from repro.rewriter.regusage import pick_scratch_registers
 from repro.rewriter.rewriter import PatchRequest, RewriteResult, Rewriter
 from repro.runtime.redfat import RedFatRuntime
 from repro.telemetry.hub import Telemetry, coerce
@@ -317,23 +318,20 @@ class RedFat:
             i for i, instruction in enumerate(block.instructions)
             if instruction.address == head
         )
-        local_dead: frozenset = frozenset()
-        local_flags_dead = False
+        # One backward walk per live-out: the block-local assumption,
+        # then the solved one.  The solved live-out is a subset of the
+        # block-local one, so its live set alone decides what is dead.
+        local_live = live = None
         if options.specialize_registers:
-            local_dead = dead_registers_after(block.instructions, index)
-            local_flags_dead = flags_dead_after(block.instructions, index)
-        dead = local_dead
-        flags_dead = local_flags_dead
-        use_global = (
-            options.specialize_registers and options.global_liveness
-            and dataflow is not None
-        )
-        if use_global:
-            global_dead = dataflow.dead_registers_after(block, index)
-            if global_dead is not None:
-                dead = dead | global_dead
-            if dataflow.flags_dead_after(block, index):
-                flags_dead = True
+            local_live = live = live_before(
+                block.instructions, index,
+                block_local_live_out(block.instructions))
+            if options.global_liveness and dataflow is not None:
+                solved = dataflow.live_before(block, index)
+                if solved is not None:
+                    live = solved
+        dead = dead_registers(live) if live is not None else frozenset()
+        flags_dead = live is not None and FLAGS not in live
         if fault_point("checkgen.scratch"):
             raise InstrumentationError(
                 f"site {head:#x}: injected scratch-register exhaustion"
@@ -345,14 +343,15 @@ class RedFat:
         except ValueError as error:
             raise InstrumentationError(f"site {head:#x}: {error}") from error
         save_registers = [register for register in scratch if register not in dead]
-        if use_global and stats is not None:
+        if live is not local_live and stats is not None:
             # Save/restore pairs the block-local rule would have emitted
             # for the same scratch set but the global live-out proves dead.
+            local_dead = dead_registers(local_live)
             avoided = sum(
                 1 for register in scratch
                 if register not in local_dead and register in dead
             )
-            if flags_dead and not local_flags_dead:
+            if flags_dead and FLAGS in local_live:
                 avoided += 1
             if avoided:
                 stats.liveness_spills_avoided += avoided

@@ -8,7 +8,8 @@
   low-fat allocator wrapped with 16-byte metadata-bearing redzones plus
   the error reporting machinery (abort/log modes).
 - :class:`~repro.runtime.shadow.ShadowRuntime` — an ASAN/Memcheck-style
-  shadow-memory redzone runtime used by the Memcheck baseline.
+  shadow-memory redzone runtime: the registry's ``shadow`` backend, the
+  Memcheck comparator of Tables 1 and 2.
 - :mod:`repro.runtime.backends` — the hardened-allocator zoo (s2malloc,
   camp, frp), selectable through :mod:`repro.runtime.registry`:
   ``registry.create("s2malloc:seed=7", mode="log")``.

@@ -20,12 +20,12 @@ properties make the swap faithful:
   glibc pointers — so running it would add nothing.
 - Detection is performed by the backend itself through the VM's
   per-access hook (``cpu.access_hook`` — the same DBI stand-in the
-  Memcheck baseline uses).  The hook is the *simulation oracle* for
-  what the real defense would catch via canaries, quarantine poisoning
-  or page faults; the backend's semantics (what is reported vs. what is
-  an honest miss) encode each defense's real detection envelope, while
-  its runtime cost is modeled by the per-class cost constants, not by
-  the oracle (see DESIGN.md §6).
+  ``shadow`` Memcheck comparator uses).  The hook is the *simulation
+  oracle* for what the real defense would catch via canaries, quarantine
+  poisoning or page faults; the backend's semantics (what is reported
+  vs. what is an honest miss) encode each defense's real detection
+  envelope, while its runtime cost is modeled by the per-class cost
+  constants, not by the oracle (see DESIGN.md §6).
 
 Installing the hook automatically drops the VM to its single-step
 tier (the superblock engine only runs hook-free), which is

@@ -25,6 +25,8 @@ class GlibcRuntime(RuntimeEnvironment):
         self._cursor = GLIBC_HEAP_BASE
         self._sizes: Dict[int, int] = {}
         self._free_lists: Dict[int, List[int]] = {}
+        self.live_bytes = 0
+        self.live_peak_bytes = 0
 
     def attach(self, cpu) -> None:
         super().attach(cpu)
@@ -47,6 +49,9 @@ class GlibcRuntime(RuntimeEnvironment):
             self._cursor = address + rounded
             self.cpu.memory.map_range(address, rounded)
         self._sizes[address] = rounded
+        self.live_bytes += rounded
+        if self.live_bytes > self.live_peak_bytes:
+            self.live_peak_bytes = self.live_bytes
         return address
 
     def free(self, address: int) -> None:
@@ -55,6 +60,7 @@ class GlibcRuntime(RuntimeEnvironment):
         size = self._sizes.pop(address, None)
         if size is None:
             raise AllocatorError(f"free of non-allocated pointer {address:#x}")
+        self.live_bytes -= size
         self._free_lists.setdefault(size, []).append(address)
 
     def usable_size(self, address: int) -> int:
@@ -67,5 +73,6 @@ class GlibcRuntime(RuntimeEnvironment):
     def memory_stats(self) -> dict:
         return {
             "reserved_bytes": self._cursor - GLIBC_HEAP_BASE,
-            "live_bytes": sum(self._sizes.values()),
+            "live_bytes": self.live_bytes,
+            "live_peak_bytes": self.live_peak_bytes,
         }

@@ -64,6 +64,9 @@ class LowFatAllocator:
         self._rng = random.Random(seed)
         self.allocations = 0
         self.frees = 0
+        #: Requested bytes held by live objects, and their high-water mark.
+        self.live_bytes = 0
+        self.live_peak_bytes = 0
 
     # -- pointer introspection (mirrors the paper's base/size ops) ---------
 
@@ -123,6 +126,9 @@ class LowFatAllocator:
                     self._regions_initialised.add(region)
                     self._map(region_base(region) - 4096, 2 * 4096)
         self._live[address] = size
+        self.live_bytes += size
+        if self.live_bytes > self.live_peak_bytes:
+            self.live_peak_bytes = self.live_bytes
         self.allocations += 1
         tele = self.telemetry
         tele.count("alloc.malloc")
@@ -143,7 +149,7 @@ class LowFatAllocator:
             )
         if address not in self._live:
             raise AllocatorError(f"double or invalid free of {address:#x}")
-        del self._live[address]
+        self.live_bytes -= self._live.pop(address)
         region = address >> 35
         self._free_lists.setdefault(region, []).append(address)
         self.frees += 1

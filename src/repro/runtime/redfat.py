@@ -40,7 +40,6 @@ class RedFatRuntime(RuntimeEnvironment):
     #: The checks live inside the rewritten binary; their cost is the
     #: *real* instruction expansion measured by the VM, not a model.
     needs_hardened_binary = True
-    HEAP_EVENT_COST = 150.0
 
     def __init__(
         self,
@@ -155,7 +154,12 @@ class RedFatRuntime(RuntimeEnvironment):
     def memory_stats(self) -> dict:
         if self._allocator is None:
             return {}
-        return {"reserved_bytes": self._allocator.heap_bytes_reserved()}
+        allocator = self._allocator
+        return {
+            "reserved_bytes": allocator.heap_bytes_reserved(),
+            "live_bytes": allocator.live_bytes,
+            "live_peak_bytes": allocator.live_peak_bytes,
+        }
 
     # -- python-side check (reference model for the generated asm) ----------
 

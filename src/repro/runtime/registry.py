@@ -24,7 +24,7 @@ runtimes ignore what they cannot use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Union
 
 from repro.errors import UnknownRuntimeError
 from repro.layout import REDZONE_SIZE
@@ -49,27 +49,21 @@ class RuntimeInfo:
     capabilities: frozenset = frozenset()
     #: True when the defense needs the rewritten binary (inlined checks).
     needs_hardened_binary: bool = False
-    aliases: Tuple[str, ...] = ()
 
 
 _REGISTRY: Dict[str, RuntimeInfo] = {}
-_ALIASES: Dict[str, str] = {}
 
 
 def register(info: RuntimeInfo) -> RuntimeInfo:
     """Register a backend; duplicate names are a programming error."""
-    if info.name in _REGISTRY or info.name in _ALIASES:
+    if info.name in _REGISTRY:
         raise ValueError(f"runtime {info.name!r} registered twice")
     _REGISTRY[info.name] = info
-    for alias in info.aliases:
-        if alias in _REGISTRY or alias in _ALIASES:
-            raise ValueError(f"runtime alias {alias!r} registered twice")
-        _ALIASES[alias] = info.name
     return info
 
 
 def names() -> List[str]:
-    """All registered primary names, sorted."""
+    """All registered names, sorted."""
     return sorted(_REGISTRY)
 
 
@@ -79,8 +73,8 @@ def available() -> List[RuntimeInfo]:
 
 
 def resolve(name: str) -> RuntimeInfo:
-    """Look up one backend by name or alias."""
-    info = _REGISTRY.get(name) or _REGISTRY.get(_ALIASES.get(name, ""))
+    """Look up one backend by name."""
+    info = _REGISTRY.get(name)
     if info is None:
         raise UnknownRuntimeError(name, names())
     return info
@@ -224,7 +218,6 @@ register(RuntimeInfo(
     description="Memcheck/ASAN-style shadow map + inter-object redzones "
                 "(the paper's DBI comparator)",
     capabilities=frozenset({"oob", "uaf", "probabilistic"}),
-    aliases=("memcheck",),
 ))
 register(RuntimeInfo(
     name="s2malloc",

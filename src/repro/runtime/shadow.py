@@ -73,9 +73,13 @@ class ShadowRuntime(RuntimeEnvironment):
 
     name = "shadow"
     capabilities = frozenset({"oob", "uaf", "probabilistic"})
-    #: Memcheck's cost profile: DBI translation expands every guest
-    #: instruction, each access pays a shadow lookup, each heap event an
-    #: intercept (mirrors :mod:`repro.baselines.memcheck`).
+    #: Memcheck's cost profile (DESIGN.md §6).  Memcheck executes
+    #: nothing natively: VEX translation and JIT dispatch expand every
+    #: guest instruction, each access pays an A-bit lookup in the
+    #: two-level shadow table, each heap event a malloc/free intercept
+    #: plus redzone bookkeeping.  The constants land the model near
+    #: Memcheck's published ~12x SPEC geomean at a typical 25-35%
+    #: memory-access density.
     DBI_EXPANSION = 4.0
     ACCESS_CHECK_COST = 24.0
     HEAP_EVENT_COST = 150.0
@@ -90,15 +94,16 @@ class ShadowRuntime(RuntimeEnvironment):
         self.errors = ErrorLog()
         self.accesses = 0
         self.heap_events = 0
+        self.live_bytes = 0
+        self.live_peak_bytes = 0
         self._cursor = GLIBC_HEAP_BASE
         self._sizes: Dict[int, int] = {}
 
     def attach(self, cpu) -> None:
         super().attach(cpu)
 
-        # The DBI vehicle: observe every access against the shadow map.
-        # (The Memcheck baseline installs its own counting hook over
-        # this one; either way the VM single-steps the run.)
+        # The DBI vehicle: observe every access against the shadow map
+        # (the VM single-steps a hooked run).
         def hook(address, size, is_read, is_write, instruction):
             self.accesses += 1
             self.check_access(address, size, is_write,
@@ -109,7 +114,8 @@ class ShadowRuntime(RuntimeEnvironment):
     def memory_stats(self) -> dict:
         return {
             "reserved_bytes": self._cursor - GLIBC_HEAP_BASE,
-            "live_bytes": sum(self._sizes.values()),
+            "live_bytes": self.live_bytes,
+            "live_peak_bytes": self.live_peak_bytes,
         }
 
     # -- allocator with inter-object redzones ------------------------------
@@ -130,6 +136,9 @@ class ShadowRuntime(RuntimeEnvironment):
             self.shadow.set_range(address + size, rounded - size, ShadowState.REDZONE)
         self.shadow.set_range(address + rounded, self.redzone, ShadowState.REDZONE)
         self._sizes[address] = size
+        self.live_bytes += size
+        if self.live_bytes > self.live_peak_bytes:
+            self.live_peak_bytes = self.live_bytes
         return address
 
     def free(self, address: int) -> None:
@@ -139,6 +148,7 @@ class ShadowRuntime(RuntimeEnvironment):
         size = self._sizes.pop(address, None)
         if size is None:
             raise AllocatorError(f"free of non-allocated pointer {address:#x}")
+        self.live_bytes -= size
         # Freed memory is poisoned (never reused: a simple quarantine),
         # enabling use-after-free detection like Memcheck's freed-block pool.
         self.shadow.set_range(address, size, ShadowState.FREED)

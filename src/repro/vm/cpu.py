@@ -35,7 +35,8 @@ Design notes:
   :class:`~repro.errors.VMTimeoutError` at the same instruction under
   every execution engine.
 - An optional ``access_hook`` observes every data memory access; it is how
-  the Memcheck baseline (DBI) and the access-checking runtimes attach.
+  the ``shadow`` Memcheck comparator (DBI) and the other
+  access-checking runtimes attach.
 - Two optional observers of the run loop compose: a ``coverage`` map
   (edges of retired control transfers, for ``redfat hunt``) and a
   ``telemetry`` hub (retired instructions, trampoline "check"

@@ -63,7 +63,7 @@ class RuntimeEnvironment:
     #: — redfat's inlined checks, as opposed to LD_PRELOAD-only runtimes.
     needs_hardened_binary = False
 
-    # -- cost-model constants (see DESIGN.md §6) ---------------------------
+    # -- cost model (see DESIGN.md §6) ---------------------------------------
     #: Instruction-expansion factor of the defense's execution vehicle
     #: (1.0 = native/static rewriting, >1 = DBI-style translation).
     DBI_EXPANSION = 1.0
@@ -71,15 +71,35 @@ class RuntimeEnvironment:
     ACCESS_CHECK_COST = 0.0
     #: Modeled cost per intercepted heap event (malloc/free/realloc).
     HEAP_EVENT_COST = 0.0
+    #: What the model multiplies: guest accesses the runtime's access
+    #: hook observed, and heap events it intercepted.  Runtimes that
+    #: count neither keep the zeros.
+    accesses = 0
+    heap_events = 0
 
     def __init__(self) -> None:
         self.output: List[str] = []
 
+    def modelled_cost(self, retired: int) -> float:
+        """The defense's modelled cost of a run that retired *retired*
+        guest instructions, in baseline instructions.
+
+        Memcheck-style tools and the preloaded allocator zoo detect
+        through the VM's access hook, whose cost says nothing about the
+        real defense, so their overhead is this arithmetic instead.  With
+        the base constants it is *retired* itself.
+        """
+        return (
+            retired * self.DBI_EXPANSION
+            + self.accesses * self.ACCESS_CHECK_COST
+            + self.heap_events * self.HEAP_EVENT_COST
+        )
+
     def memory_stats(self) -> dict:
         """Allocator memory accounting for the shootout's memory column.
 
-        Baseline runtimes return ``{}``; hardened backends report at
-        least ``reserved_bytes`` / ``live_peak_bytes``.
+        Allocating runtimes report at least ``reserved_bytes`` and
+        ``live_peak_bytes``; a runtime without a heap returns ``{}``.
         """
         return {}
 

@@ -16,7 +16,7 @@ from repro.core.analysis import find_candidate_sites
 from repro.faults.campaign import DEGRADED, compile_campaign_program, run_one
 from repro.faults.injector import FaultInjector, injection
 from repro.isa.assembler import parse
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import FLAGS, Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import INT32_MAX, Imm
 from repro.isa.registers import GPRS, RAX, RBX, RCX, RDX, RSI, RSP
@@ -30,6 +30,7 @@ from repro.analysis import (
 )
 from repro.analysis import dominators as dominators_mod
 from repro.analysis import liveness as liveness_mod
+from repro.analysis.liveness import dead_registers
 from repro.analysis import provenance as prov
 from repro.workloads.juliet import generate_cases
 
@@ -310,7 +311,7 @@ class TestGlobalLiveness:
             """
         )
         block = info.graph.blocks[0]
-        global_dead = info.dead_registers_after(block, 0)
+        global_dead = dead_registers(info.live_before(block, 0))
         local_dead = dead_registers_after(block.instructions, 0)
         assert RCX in global_dead  # next block writes it before reading
         assert RCX not in local_dead  # block-local rule must assume live
@@ -321,7 +322,7 @@ class TestGlobalLiveness:
             "mov %rax, (%rbx)\njmp next\nnext:\nadd %rbx, $1\nret"
         )
         block = info.graph.blocks[0]
-        assert info.flags_dead_after(block, 0) is True
+        assert FLAGS not in info.live_before(block, 0)
         assert flags_dead_after(block.instructions, 0) is False
 
     def test_branch_join_keeps_register_live(self):
@@ -339,7 +340,7 @@ class TestGlobalLiveness:
         )
         block = info.graph.blocks[0]
         # One successor reads RCX: the join over paths must keep it live.
-        assert RCX not in info.dead_registers_after(block, 0)
+        assert RCX not in dead_registers(info.live_before(block, 0))
 
     def test_trap_block_has_nothing_live(self):
         info = self.info_of("trap $1")

@@ -1,9 +1,10 @@
-"""Tests for the Memcheck-style baseline."""
+"""Tests for the Memcheck-style comparator: the registry's ``shadow``
+backend in log mode, costed by ``RuntimeEnvironment.modelled_cost``."""
 
 from repro.binfmt import BinaryBuilder
 from repro.isa.assembler import parse
+from repro.runtime import registry
 from repro.runtime.reporting import ErrorKind
-from repro.baselines import run_memcheck
 from repro.vm.loader import run_binary
 
 
@@ -11,6 +12,10 @@ def build(asm: str):
     builder = BinaryBuilder()
     builder.add_function("main", parse(asm))
     return builder.build("main")
+
+
+def run_memcheck(binary):
+    return run_binary(binary, runtime=registry.create("shadow", mode="log"))
 
 
 class TestMemcheckDetection:
@@ -28,7 +33,7 @@ class TestMemcheckDetection:
         )
         result = run_memcheck(binary)
         assert result.status == 0
-        assert not result.detected
+        assert not result.runtime.errors
 
     def test_incremental_overflow_detected(self):
         # Touches the redzone immediately after the object.
@@ -43,8 +48,8 @@ class TestMemcheckDetection:
             """
         )
         result = run_memcheck(binary)
-        assert result.detected
-        assert result.reports[0].kind == ErrorKind.REDZONE
+        assert result.runtime.errors
+        assert list(result.runtime.errors)[0].kind == ErrorKind.REDZONE
 
     def test_nonincremental_skip_missed(self):
         """Problem #1: the access skips the redzone into the neighbour."""
@@ -63,7 +68,7 @@ class TestMemcheckDetection:
         )
         result = run_memcheck(binary)
         assert result.status == 0
-        assert not result.detected  # the blind spot RedFat closes
+        assert not result.runtime.errors  # the blind spot RedFat closes
 
     def test_use_after_free_detected(self):
         binary = build(
@@ -79,8 +84,8 @@ class TestMemcheckDetection:
             """
         )
         result = run_memcheck(binary)
-        assert result.detected
-        assert result.reports[0].kind == ErrorKind.USE_AFTER_FREE
+        assert result.runtime.errors
+        assert list(result.runtime.errors)[0].kind == ErrorKind.USE_AFTER_FREE
 
     def test_execution_continues_after_error(self):
         binary = build(
@@ -95,7 +100,7 @@ class TestMemcheckDetection:
         )
         result = run_memcheck(binary)
         assert result.status == 42
-        assert result.detected
+        assert result.runtime.errors
 
 
 class TestMemcheckCostModel:
@@ -117,11 +122,12 @@ class TestMemcheckCostModel:
         )
         baseline = run_binary(binary)
         result = run_memcheck(binary)
-        assert result.guest_instructions == baseline.instructions
-        assert result.memory_accesses == 8
-        assert result.heap_events == 1
-        slowdown = result.effective_instructions / baseline.instructions
-        assert slowdown > 4.0  # at least the DBI expansion factor
+        assert result.instructions == baseline.instructions
+        assert result.runtime.accesses == 8
+        assert result.runtime.heap_events == 1
+        cost = result.runtime.modelled_cost(result.instructions)
+        assert cost == result.instructions * 4.0 + 8 * 24.0 + 1 * 150.0
+        assert cost / baseline.instructions > 4.0  # at least the DBI factor
 
     def test_access_counting_includes_rmw(self):
         binary = build(
@@ -135,4 +141,4 @@ class TestMemcheckCostModel:
             """
         )
         result = run_memcheck(binary)
-        assert result.memory_accesses == 1
+        assert result.runtime.accesses == 1

@@ -84,9 +84,10 @@ class TestMeasureMemcheck:
         bench = get_benchmark("mcf")
         result = measure_memcheck(bench.compile(), bench.train_args)
         assert result.status == 0
-        assert result.memory_accesses > 0
-        assert result.heap_events >= 2
-        assert result.effective_instructions > result.guest_instructions
+        assert result.runtime.accesses > 0
+        assert result.runtime.heap_events >= 2
+        assert (result.runtime.modelled_cost(result.instructions)
+                > result.instructions)
 
 
 class TestTable1Runner:

@@ -9,9 +9,9 @@ comparison on non-incremental errors.
 import pytest
 
 from repro.errors import GuestMemoryError
-from repro.baselines import run_memcheck
 from repro.cc import compile_source
 from repro.core import Profiler, RedFat, RedFatOptions
+from repro.runtime import registry
 from repro.runtime.reporting import ErrorKind
 
 
@@ -120,13 +120,10 @@ class TestBugDetection:
         memcheck_program = compile_source(source)
         cpu_result = memcheck_program.run(args=[10])  # sanity: runs clean
         assert cpu_result.status == 0
-        from repro.baselines import MemcheckVM
-        from repro.vm.loader import load_binary
-
-        vm = MemcheckVM()
-        # Run memcheck with args poked: use the program helper by hand.
-        runtime_result = _run_memcheck_with_args(memcheck_program, [10])
-        assert not runtime_result.detected  # the blind spot
+        memcheck = memcheck_program.run(
+            args=[10], runtime=registry.create("shadow", mode="log"))
+        assert memcheck.status == 0
+        assert not memcheck.runtime.errors  # the blind spot
 
     def test_use_after_free_detected(self):
         program = compile_source(
@@ -173,31 +170,6 @@ class TestBugDetection:
         rerun = program.run(binary=result.binary, runtime=runtime)
         assert rerun.status == 0
         assert len(runtime.errors) >= 2
-
-
-def _run_memcheck_with_args(program, args):
-    from repro.baselines.memcheck import MemcheckVM, MemcheckResult, _CountingShadowRuntime
-    from repro.vm.loader import load_binary
-
-    runtime = _CountingShadowRuntime()
-    cpu = load_binary(program.binary, runtime)
-    program.poke_args(cpu, args)
-    accesses = [0]
-
-    def hook(address, size, is_read, is_write, instruction):
-        accesses[0] += 1
-        runtime.check_access(address, size, is_write, site=instruction.address)
-
-    cpu.access_hook = hook
-    status = cpu.run()
-    return MemcheckResult(
-        status=status,
-        guest_instructions=cpu.instructions_executed,
-        memory_accesses=accesses[0],
-        heap_events=runtime.heap_events,
-        reports=list(runtime.errors),
-        runtime=runtime,
-    )
 
 
 class TestProfileWorkflowOnCompiledCode:

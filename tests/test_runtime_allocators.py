@@ -346,6 +346,30 @@ class TestShadow:
 
 
 # ---------------------------------------------------------------------------
+# Memory accounting (the shootout's reserved/peak column).
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, live, peak", [
+    # glibc rounds requests to 16 bytes; redfat's low-fat requests carry
+    # the 16-byte metadata redzone; shadow counts the guest's request.
+    (GlibcRuntime, 32 + 16, 96 + 32),
+    (lambda: RedFatRuntime(mode="log"), 48 + 26, 106 + 48),
+    (lambda: ShadowRuntime(mode="log"), 32 + 10, 90 + 32),
+], ids=["glibc", "redfat", "shadow"])
+def test_memory_stats_report_the_live_peak(make, live, peak):
+    runtime = attach(make())
+    first = runtime.malloc(90)
+    runtime.malloc(32)
+    runtime.free(first)
+    runtime.malloc(10)
+    stats = runtime.memory_stats()
+    assert stats["live_bytes"] == live
+    assert stats["live_peak_bytes"] == peak
+    assert stats["reserved_bytes"] >= peak
+
+
+# ---------------------------------------------------------------------------
 # Error log.
 # ---------------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 The registry is the single entry point every layer uses to pick a
 runtime (API, CLI, farm, shootout), so its contract gets its own suite:
-name/alias resolution, the ``name:key=val,...`` spec grammar with option
+name resolution, the ``name:key=val,...`` spec grammar with option
 coercion, the typed :class:`UnknownRuntimeError`, and the registry specs
 :meth:`HardenResult.create_runtime` accepts.
 """
@@ -32,7 +32,7 @@ int main() {
 ZOO = {"glibc", "redfat", "shadow", "s2malloc", "camp", "frp"}
 
 
-# -- names, aliases, discovery ----------------------------------------------
+# -- names, discovery -------------------------------------------------------
 
 
 class TestRegistrySurface:
@@ -43,9 +43,6 @@ class TestRegistrySurface:
         infos = registry.available()
         assert [info.name for info in infos] == sorted(i.name for i in infos)
         assert all(info.description for info in infos)
-
-    def test_alias_resolves_to_primary(self):
-        assert registry.resolve("memcheck").name == "shadow"
 
     def test_only_redfat_needs_the_hardened_binary(self):
         needy = {info.name for info in registry.available()
