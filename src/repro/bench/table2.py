@@ -111,7 +111,7 @@ class Table2Result:
         return f"{table}\n({sanity}; completed in {self.elapsed_seconds:.1f}s)"
 
 
-def run(juliet_count: int = 480, verbose: bool = False) -> Table2Result:
+def run(juliet_count: int = 480) -> Table2Result:
     result = Table2Result()
     start = time.time()
     harden = hardener()

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.errors import EncodingError
-from repro.isa.instructions import Effects, Instruction
+from repro.isa.instructions import Instruction
 from repro.isa.opcodes import (
     BARE_OPCODES,
     FORM_I,
@@ -54,6 +54,10 @@ _SCALE_LOG2 = {1: 0, 2: 1, 4: 2, 8: 3}
 _LOG2_SCALE = {0: 1, 1: 2, 2: 4, 3: 8}
 _SIZE_LOG2 = {1: 0, 2: 1, 4: 2, 8: 3}
 _LOG2_SIZE = {0: 1, 1: 2, 2: 4, 3: 8}
+
+#: Immediate bytes by the form byte's width selector (bits 6-7); the
+#: unused selector 3 reads eight bytes, as :func:`_decode_imm` does.
+_IMM_BYTES = (1, 4, 8, 8)
 
 #: Registers by encoding byte.  A byte outside this table is an
 #: undecodable register operand, not a crash (:func:`_register`).
@@ -177,6 +181,72 @@ def _decode_mem(data: bytes, offset: int) -> Tuple[Mem, int]:
         disp = int.from_bytes(data[offset : offset + 4], "little", signed=True)
         offset += 4
     return Mem(disp, base, index, scale), offset - start
+
+
+def _opcode_length(byte: int):
+    """Length of the fixed-layout opcode *byte*; None for an opcode with
+    a form byte, 0 for an invalid opcode."""
+    try:
+        opcode = Opcode(byte)
+    except ValueError:
+        return 0
+    if opcode in BARE_OPCODES:
+        return 1
+    if opcode in JUMP_OPCODES:
+        return JUMP_LEN
+    if opcode in _REGBYTE_OPCODES or opcode is Opcode.TRAP:
+        return 2
+    if opcode is Opcode.RTCALL:
+        return 3
+    return None
+
+
+def _form_layout(form_byte: int):
+    """``(bytes, flags_at)`` for a general instruction with *form_byte*:
+    its length without the memory operand, and the offset of the memory
+    flags byte from the opcode (0: no memory operand).  None for an
+    invalid form."""
+    imm = _IMM_BYTES[form_byte >> 6]
+    return {
+        FORM_R: (3, 0),
+        FORM_RR: (4, 0),
+        FORM_RI: (3 + imm, 0),
+        FORM_RM: (3, 3),
+        FORM_MR: (3, 2),
+        FORM_MI: (2 + imm, 2),
+        FORM_I: (2 + imm, 0),
+    }.get(form_byte & 0xF)
+
+
+#: The module docstring's layout table as lookup tables, by opcode byte,
+#: form byte and memory flags byte.  A memory operand is its flags byte, a register
+#: byte when it has a base or index, and 0/1/4 displacement bytes
+#: (width field 3 reads none, as in :func:`_decode_mem`).
+_OPCODE_LENGTH = tuple(_opcode_length(byte) for byte in range(256))
+_FORM_LAYOUT = tuple(_form_layout(byte) for byte in range(256))
+_MEM_BYTES = tuple(
+    1 + bool(flags & 0x03) + (0, 1, 4, 0)[(flags >> 4) & 0x3]
+    for flags in range(256)
+)
+
+
+def _length(data: bytes, offset: int) -> int:
+    """Length of the instruction at *offset*, read from its opcode, form
+    and memory flags bytes without decoding an operand; 0 when those
+    bytes give none (an invalid opcode or form, or one past the end)."""
+    length = _OPCODE_LENGTH[data[offset]]
+    if length is not None:
+        return length
+    try:
+        layout = _FORM_LAYOUT[data[offset + 1]]
+        if layout is None:
+            return 0
+        length, flags_at = layout
+        if flags_at:
+            length += _MEM_BYTES[data[offset + flags_at]]
+    except IndexError:
+        return 0
+    return length
 
 
 def encode(instruction: Instruction) -> bytes:
@@ -349,25 +419,42 @@ def _decode(data: bytes, offset: int, address: int) -> Instruction:
 def decode_all(data: bytes, base_address: int = 0) -> list:
     """Linearly decode *data* into a list of instructions.
 
-    Each instruction gets the :class:`Effects` record of its encoding.
-    The records are derived once per distinct byte string and shared:
-    a large text repeats a few encodings many times, and the analyses
-    ask every instruction for its effects.  The table lives for this
-    call only.
+    A text repeats a few encodings many times, so each distinct byte
+    string is decoded once: :func:`_length` reads an instruction's
+    length from its leading bytes, and a slice seen before is rebuilt at
+    its new address from the cached opcode, operands, size and
+    :class:`Effects` record.  Instructions with equal bytes therefore
+    share their operand objects and their record, and a decoded
+    instruction must not be mutated.  Every other slice goes through
+    :func:`decode`, so a malformed stream raises the same
+    :class:`EncodingError` at the same offset; only a slice whose
+    decoded length equals :func:`_length` enters the table.  The table
+    lives for this call only.
     """
     data = bytes(data)
-    effects_of: Dict[bytes, Effects] = {}
+    total = len(data)
+    known: Dict[bytes, tuple] = {}
     instructions = []
+    append = instructions.append
     offset = 0
-    while offset < len(data):
-        instruction = decode(data, offset, base_address + offset)
-        end = offset + instruction.length
+    while offset < total:
+        length = _length(data, offset)
+        end = offset + length
         raw = data[offset:end]
-        effects = effects_of.get(raw)
-        if effects is None:
-            effects = effects_of[raw] = instruction.derive_effects()
-        instruction.effects = effects
-        instructions.append(instruction)
+        entry = known.get(raw) if end <= total else None
+        if entry is None:
+            instruction = decode(data, offset, base_address + offset)
+            instruction.effects = effects = instruction.derive_effects()
+            if instruction.length == length:
+                known[raw] = (instruction.opcode, instruction.operands,
+                              instruction.size, effects)
+            end = offset + instruction.length
+        else:
+            opcode, operands, width, effects = entry
+            instruction = Instruction(opcode, operands, width,
+                                      base_address + offset, length)
+            instruction.effects = effects
+        append(instruction)
         offset = end
     return instructions
 

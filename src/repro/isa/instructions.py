@@ -34,8 +34,9 @@ class Effects(NamedTuple):
     """The static effects of one encoding, as the analyses ask for them.
 
     Every field is a function of the opcode, operands and access size
-    alone, so instructions with equal bytes share one record
-    (:func:`repro.isa.encoding.decode_all`).  ``kill``/``gen`` are the
+    alone, so :func:`repro.isa.encoding.decode_all` derives it once per
+    distinct encoding and instructions with equal bytes share one record
+    (and their operand objects).  ``kill``/``gen`` are the
     liveness transfer sets: registers written/read, plus :data:`FLAGS`
     when the instruction writes/reads the flags.
     """
@@ -60,8 +61,10 @@ class Instruction:
     ``effects`` is the shared :class:`Effects` record of a decoded
     instruction, or None for one built in code (compiler, checkgen,
     assembler, the VM's single-instruction decode); the accessors read
-    the record when it is there and compute on demand otherwise.  The
-    record is never updated, so a decoded instruction must not be
+    the record when it is there and compute on demand otherwise.
+    Instructions that :func:`repro.isa.encoding.decode_all` decoded from
+    equal bytes share their ``operands`` tuple and their record, neither
+    of which is ever updated, so a decoded instruction must not be
     mutated: code that needs a changed copy clones it.
     """
 

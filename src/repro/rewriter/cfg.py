@@ -16,6 +16,14 @@ on stripped binaries (the test suite checks this).
 Calls and runtime calls *end* a basic block here: instrumentation checks
 must not be hoisted over a possible ``free()`` (the object state could
 change between check and access), so batching-safe blocks stop at them.
+
+The build is two passes over the decoded text: one collects the targets
+and the leaders, one cuts the blocks.  They read an instruction's
+address, opcode and length, and whether it ends a block from the
+shared per-encoding :class:`~repro.isa.instructions.Effects` record,
+rather than going through the :class:`Instruction` properties: a few
+attribute loads per instruction (``decode_all`` decodes each distinct
+encoding once).
 """
 
 from __future__ import annotations
@@ -26,11 +34,13 @@ from typing import Dict, List, Optional, Set
 from repro.binfmt.binary import Binary
 from repro.isa.encoding import decode_all
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import JUMP_OPCODES, Opcode
 
 
-def _ends_block(instruction: Instruction) -> bool:
-    return instruction.is_terminator or instruction.opcode is Opcode.RTCALL
+#: Block-ending opcodes whose fall-through is a return point.
+_RETURNING = frozenset({Opcode.CALL, Opcode.CALLR, Opcode.RTCALL})
+
+_U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass
@@ -86,34 +96,37 @@ def recover_control_flow(binary: Binary, telemetry=None) -> ControlFlowInfo:
 def _build_control_flow(
     binary: Binary, instructions: List[Instruction], tele
 ) -> ControlFlowInfo:
-    by_address = {instruction.address: instruction for instruction in instructions}
-
+    # Leaders: targets plus fall-throughs of block-ending instructions
+    # (terminators and runtime calls).
+    by_address: Dict[int, Instruction] = {}
     targets: Set[int] = {binary.entry}
+    leaders: Set[int] = set()
     for instruction in instructions:
-        direct = instruction.jump_target()
-        if direct is not None:
-            targets.add(direct)
-        if instruction.opcode in (Opcode.CALL, Opcode.CALLR, Opcode.RTCALL):
-            targets.add(instruction.address + instruction.length)
-
-    # Leaders: targets plus fall-throughs of block-ending instructions.
-    leaders: Set[int] = set(targets)
-    for instruction in instructions:
-        if _ends_block(instruction):
-            leaders.add(instruction.address + instruction.length)
+        address = instruction.address
+        by_address[address] = instruction
+        opcode = instruction.opcode
+        if instruction.effects.terminator or opcode is Opcode.RTCALL:
+            end = address + instruction.length
+            leaders.add(end)
+            if opcode in JUMP_OPCODES:
+                targets.add((end + instruction.operands[0].value) & _U64_MASK)
+            if opcode in _RETURNING:
+                targets.add(end)
+    leaders |= targets
 
     blocks: List[BasicBlock] = []
     block_of: Dict[int, BasicBlock] = {}
-    current: BasicBlock = None
+    current: Optional[BasicBlock] = None
     for instruction in instructions:
-        if current is None or instruction.address in leaders:
-            current = BasicBlock(instruction.address)
+        address = instruction.address
+        if current is None or address in leaders:
+            current = BasicBlock(address)
             blocks.append(current)
-        current.instructions.append(instruction)
-        block_of[instruction.address] = current
-        if _ends_block(instruction):
+            members = current.instructions
+        members.append(instruction)
+        block_of[address] = current
+        if instruction.effects.terminator or instruction.opcode is Opcode.RTCALL:
             current = None
-    blocks = [block for block in blocks if block.instructions]
     tele.count("cfg.basic_blocks", len(blocks))
     tele.count("cfg.jump_targets", len(targets))
     return ControlFlowInfo(

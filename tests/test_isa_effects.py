@@ -1,13 +1,17 @@
-"""Shared per-encoding effects records (``Instruction.effects``).
+"""Per-encoding decoding and shared effects records (``Instruction.effects``).
 
-``decode_all`` gives every decoded instruction the :class:`Effects`
-record of its encoding, derived once per distinct byte string.  These
-tests hold the records to the on-demand accessors of a freshly built
-instruction, check the sharing itself, and hold the set-algebra
-liveness step (and the block-local rule built on it) to the
-set-building step it replaced, kept here as the reference.
+``decode_all`` decodes each distinct byte string once and gives every
+instruction with those bytes the same operands and :class:`Effects`
+record.  These tests hold ``decode_all`` to a plain ``decode()`` loop,
+on real texts and on mutated and truncated ones; hold the records to
+the on-demand accessors of a freshly built instruction and check the
+sharing itself; hold the two-pass CFG build to the three-pass build it
+replaced; and hold the set-algebra liveness step (and the block-local
+rule built on it) to the set-building step it replaced.  The replaced
+code is kept here as the reference.
 """
 
+import random
 from collections import defaultdict
 from functools import lru_cache
 
@@ -18,15 +22,29 @@ from hypothesis import strategies as st
 from repro.analysis import build_block_graph, solve
 from repro.analysis import liveness
 from repro.binfmt import BinaryBuilder
+from repro.api import harden
 from repro.cc import compile_source
+from repro.errors import EncodingError
+from repro.faults.campaign import compile_campaign_program
 from repro.isa.assembler import assemble_text, parse
-from repro.isa.encoding import decode, decode_all
+from repro.isa.encoding import _length, decode, decode_all
 from repro.isa.instructions import FLAGS, Effects, Instruction
-from repro.isa.opcodes import CONDITIONAL_JUMPS, Opcode, SETCC_CONDITIONS
+from repro.isa.opcodes import (
+    CONDITIONAL_JUMPS,
+    FORM_MI,
+    FORM_MR,
+    FORM_RM,
+    FORM_RR,
+    SETCC_CONDITIONS,
+    Opcode,
+)
 from repro.isa.registers import RSP
-from repro.rewriter import recover_control_flow
+from repro.rewriter import BasicBlock, recover_control_flow
+from repro.rewriter.cfg import _build_control_flow
 from repro.rewriter.regusage import dead_registers_after, flags_dead_after
+from repro.telemetry.hub import NULL
 from repro.workloads.chrome import build_chrome
+from repro.workloads.cves import CVE_CASES
 from repro.workloads.spec import get_benchmark
 
 #: A sample of SPEC kernels across the three front-end languages.
@@ -69,12 +87,28 @@ TEXTS = ["chrome"] + [f"{name}/{pic}" for name in SPEC_SAMPLE
                       for pic in ("nopic", "pic")]
 
 
+#: The texts above plus the Table-2 CVE programs, non-PIC and PIC.
+ORACLE_TEXTS = TEXTS + [f"{case.cve}/{pic}" for case in CVE_CASES
+                        for pic in ("nopic", "pic")]
+
+#: The fault-campaign guest, as compiled and as hardened (whose
+#: trampolines are a second text segment).
+CAMPAIGN_TEXTS = ["campaign", "campaign/hardened"]
+
+_CVE_SOURCES = {case.cve: case.source for case in CVE_CASES}
+
+
 @lru_cache(maxsize=None)
 def _binary(label):
     if label == "chrome":
         return build_chrome(300).binary
+    if label == "campaign":
+        return compile_campaign_program().binary
+    if label == "campaign/hardened":
+        return harden(_binary("campaign")).binary
     name, pic = label.split("/")
-    return compile_source(get_benchmark(name).source, pic=pic == "pic").binary
+    source = _CVE_SOURCES.get(name) or get_benchmark(name).source
+    return compile_source(source, pic=pic == "pic").binary
 
 
 def _encodings(binary):
@@ -147,6 +181,236 @@ class TestRecordScope:
         built = Instruction(Opcode.CMP, ())
         assert built.effects is None
         assert built.derive_effects().kill == {FLAGS}
+
+
+# -- decode_all against a plain decode() loop ---------------------------------------
+
+
+def _decode_loop(data, base_address=0):
+    """The reference decode: ``decode()`` at every offset in turn.
+
+    Returns the instructions before the first error and that error (or
+    None), so a malformed stream can be compared up to where it fails.
+    A rip-relative memory operand with an index raises ``ValueError``
+    from :class:`Mem`, not :class:`EncodingError`; both must match.
+    """
+    instructions, offset = [], 0
+    while offset < len(data):
+        try:
+            instruction = decode(data, offset, base_address + offset)
+        except (EncodingError, ValueError) as error:
+            return instructions, error
+        instructions.append(instruction)
+        offset += instruction.length
+    return instructions, None
+
+
+def _fields(instruction):
+    return (instruction.opcode, instruction.operands, instruction.size,
+            instruction.address, instruction.length, instruction.abs_target,
+            instruction.tag)
+
+
+def _assert_same_decode(data, base_address=0):
+    """``decode_all`` gives the reference's instructions field by field,
+    with the record the reference instruction derives, or fails with
+    the reference's error type and message after decoding the same
+    prefix."""
+    expected, error = _decode_loop(data, base_address)
+    if error is None:
+        actual = decode_all(data, base_address)
+    else:
+        with pytest.raises(type(error)) as raised:
+            decode_all(data, base_address)
+        assert str(raised.value) == str(error)
+        good = expected[-1].address + expected[-1].length - base_address if expected else 0
+        actual = decode_all(data[:good], base_address)
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert _fields(got) == _fields(want), (got, want)
+        assert got.effects == want.derive_effects(), got
+    return error
+
+
+@pytest.mark.parametrize("label", ORACLE_TEXTS)
+class TestDecodeAllOracle:
+    def test_equals_the_decode_loop(self, label):
+        for segment in _binary(label).text_segments():
+            assert _assert_same_decode(bytes(segment.data), segment.vaddr) is None
+
+    def test_every_length_is_read_from_the_leading_bytes(self, label):
+        """No encoding falls back to a full decode for want of a length:
+        the table serves every repeat."""
+        for segment in _binary(label).text_segments():
+            data = bytes(segment.data)
+            for instruction in decode_all(data, segment.vaddr):
+                offset = instruction.address - segment.vaddr
+                assert _length(data, offset) == instruction.length, instruction
+
+    def test_equal_encodings_share_operands(self, label):
+        by_bytes = {}
+        for instruction, raw in _encodings(_binary(label)):
+            first = by_bytes.setdefault(raw, instruction)
+            assert instruction.operands is first.operands
+
+
+def _decoded_length(data):
+    try:
+        return decode(data).length
+    except (EncodingError, ValueError):
+        return None
+
+
+class TestLength:
+    """``_length`` against the decoder on every opcode byte, every form
+    byte and every memory flags byte, operand bytes zero (``%rax``)."""
+
+    PAD = bytes(16)
+
+    def test_every_opcode_byte(self):
+        for byte in range(256):
+            data = bytes([byte, FORM_RR]) + self.PAD
+            decoded = _decoded_length(data)
+            assert _length(data, 0) == (decoded or 0), hex(byte)
+
+    def test_every_form_byte(self):
+        for form_byte in range(256):
+            data = bytes([Opcode.MOV, form_byte]) + self.PAD
+            decoded = _decoded_length(data)
+            assert _length(data, 0) == (decoded or 0), hex(form_byte)
+
+    @pytest.mark.parametrize("form", [FORM_RM, FORM_MR, FORM_MI])
+    def test_every_memory_flags_byte(self, form):
+        flags_at = 3 if form == FORM_RM else 2
+        for selectors in range(16):
+            form_byte = form | selectors << 4
+            for flags in range(256):
+                data = bytearray([Opcode.MOV, form_byte]) + self.PAD
+                data[flags_at] = flags
+                decoded = _decoded_length(bytes(data))
+                if decoded is not None:
+                    assert _length(data, 0) == decoded, (hex(form_byte), hex(flags))
+
+    def test_cut_before_the_form_or_flags_byte(self):
+        assert _length(bytes([Opcode.MOV]), 0) == 0
+        assert _length(bytes([Opcode.MOV, FORM_MR]), 0) == 0
+
+
+def _sample_text():
+    """A few hundred instructions of a PIC text: rip-relative operands,
+    every immediate width, jumps and calls, many repeated encodings."""
+    segment = _binary("mcf/pic").text_segments()[0]
+    return bytes(segment.data[:2048]), segment.vaddr
+
+
+class TestMalformedStreams:
+    def _seen_twice(self, text):
+        """A stream whose last encoding also appears whole before it."""
+        code = assemble_text(text)
+        return code + code
+
+    def test_invalid_opcode(self):
+        code = self._seen_twice("mov %rax, 8(%rbx)\nadd %rax, $1")
+        error = _assert_same_decode(code + b"\xff\x00")
+        assert isinstance(error, EncodingError) and "invalid opcode" in str(error)
+
+    def test_invalid_register_byte(self):
+        code = self._seen_twice("mov %rax, %rbx")
+        bad = bytearray(code[: len(code) // 2])
+        bad[2] = 0x3F
+        error = _assert_same_decode(code + bytes(bad))
+        assert isinstance(error, EncodingError) and "invalid register" in str(error)
+
+    def test_invalid_form(self):
+        code = self._seen_twice("mov %rax, %rbx")
+        bad = bytearray(code[: len(code) // 2])
+        bad[1] = (bad[1] & 0xF0) | 0x0F
+        error = _assert_same_decode(code + bytes(bad))
+        assert isinstance(error, EncodingError) and "invalid operand form" in str(error)
+
+    @pytest.mark.parametrize("text", ["mov %rax, 8(%rbx)", "mov %rax, $0x10000000000",
+                                      "L0:\njne L0", "rtcall $3", "mov 4(%rip), %rcx"])
+    def test_tail_cut_mid_instruction(self, text):
+        code = self._seen_twice(text)
+        one = len(code) // 2
+        for cut in range(1, one):
+            error = _assert_same_decode(code + code[:cut])
+            assert isinstance(error, EncodingError) and "truncated" in str(error)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    def test_mutated_and_truncated_texts(self, seed, mutations, truncate):
+        rng = random.Random(seed)
+        text, base = _sample_text()
+        data = bytearray(text)
+        for _ in range(mutations):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        if truncate:
+            del data[rng.randrange(1, len(data)):]
+        _assert_same_decode(bytes(data), base)
+
+
+# -- the two-pass CFG build against the three-pass build ----------------------------
+
+
+def _reference_build(binary, instructions):
+    """The CFG build as it was: three passes over the property accessors.
+
+    Returns ``(by_address, targets, blocks, block_of)``.
+    """
+
+    def ends_block(instruction):
+        return instruction.is_terminator or instruction.opcode is Opcode.RTCALL
+
+    by_address = {instruction.address: instruction for instruction in instructions}
+    targets = {binary.entry}
+    for instruction in instructions:
+        direct = instruction.jump_target()
+        if direct is not None:
+            targets.add(direct)
+        if instruction.opcode in (Opcode.CALL, Opcode.CALLR, Opcode.RTCALL):
+            targets.add(instruction.address + instruction.length)
+    leaders = set(targets)
+    for instruction in instructions:
+        if ends_block(instruction):
+            leaders.add(instruction.address + instruction.length)
+    blocks, block_of, current = [], {}, None
+    for instruction in instructions:
+        if current is None or instruction.address in leaders:
+            current = BasicBlock(instruction.address)
+            blocks.append(current)
+        current.instructions.append(instruction)
+        block_of[instruction.address] = current
+        if ends_block(instruction):
+            current = None
+    blocks = [block for block in blocks if block.instructions]
+    return by_address, targets, blocks, block_of
+
+
+def _members(blocks):
+    return [(block.start, [id(i) for i in block.instructions]) for block in blocks]
+
+
+@pytest.mark.parametrize("label", ORACLE_TEXTS + CAMPAIGN_TEXTS)
+def test_cfg_build_matches_the_three_pass_reference(label):
+    binary = _binary(label)
+    instructions = [instruction for segment in binary.text_segments()
+                    for instruction in decode_all(segment.data, segment.vaddr)]
+    info = _build_control_flow(binary, instructions, NULL)
+    by_address, targets, blocks, block_of = _reference_build(binary, instructions)
+
+    assert info.instructions is instructions
+    assert info.targets == targets
+    assert [block.start for block in info.blocks] == [block.start for block in blocks]
+    assert _members(info.blocks) == _members(blocks)
+    assert {a: b.start for a, b in info.block_of.items()} == \
+        {a: b.start for a, b in block_of.items()}
+    assert all(info.block_of[address] is block
+               for block in info.blocks for address in
+               (instruction.address for instruction in block.instructions))
+    assert by_address.keys() == info.by_address.keys()
+    assert all(info.by_address[a] is i for a, i in by_address.items())
+    assert info.entry == binary.entry
 
 
 # -- liveness: the set-algebra step against the set-building step ------------------
