@@ -74,8 +74,7 @@ class TestShootoutMatrix:
 
     def test_covers_the_whole_zoo(self, matrix):
         names = {row.name for row in matrix.rows}
-        assert {"glibc", "redfat", "s2malloc", "camp", "frp",
-                "shadow"} <= names
+        assert {"glibc", "redfat", "s2malloc", "camp", "shadow"} <= names
 
     def test_report_is_schema_valid(self, matrix):
         assert validate_report(matrix.as_dict()) == []
@@ -97,11 +96,10 @@ class TestShootoutMatrix:
         assert row.overhead > 2.0  # but it pays full DBI cost anyway
 
     def test_probabilistic_backends_stop_overflows(self, matrix):
-        # Randomized placement (s2malloc guard slack, FRP's one-time
-        # random windows) stops most Table-2 offsets on these seeds.
-        for name in ("s2malloc", "frp"):
-            row = self._row(matrix, name)
-            assert row.detected + row.crashed > matrix.workloads // 2, name
+        # Randomized placement (s2malloc's guard slack) stops most
+        # Table-2 offsets on these seeds.
+        row = self._row(matrix, "s2malloc")
+        assert row.detected + row.crashed > matrix.workloads // 2
 
     def test_camp_stops_every_workload(self, matrix):
         # CAMP checks the access against the object its base pointer

@@ -6,9 +6,10 @@ reports a **detection x overhead x memory** matrix:
 
 - *detection*: malicious inputs under ``mode="abort"`` — a typed
   :class:`~repro.errors.GuestMemoryError` is a detection; a VM fault
-  (e.g. FRP's randomized placement turning an overflow into a wild
-  access) is a *crash-stop*, counted separately; anything else is a
-  miss.  Benign inputs must run clean (false positives are counted).
+  or a fuel-watchdog stop (the guest ran past
+  :data:`~repro.bench.table2.FUEL` instructions) is a *crash-stop*,
+  counted separately; anything else is a miss.  Benign inputs must run
+  clean (false positives are counted).
 - *overhead*, relative to the glibc baseline run of the same workload
   on the benign input.  The ``redfat`` row is the *measured*
   retired-instruction ratio of the hardened binary (its checks are
@@ -56,7 +57,7 @@ SCHEMA_VERSION = 2
 _SCHEMA_PATH = Path(__file__).with_name("shootout_schema.json")
 
 #: The default matrix: baseline + the paper's tool + the zoo.
-DEFAULT_BACKENDS = ("glibc", "shadow", "redfat", "s2malloc", "camp", "frp")
+DEFAULT_BACKENDS = ("glibc", "shadow", "redfat", "s2malloc", "camp")
 
 
 def load_schema() -> dict:

@@ -48,10 +48,6 @@ class Segment:
     def executable(self) -> bool:
         return bool(self.flags & SEG_EXEC)
 
-    @property
-    def writable(self) -> bool:
-        return bool(self.flags & SEG_WRITE)
-
     def contains(self, address: int) -> bool:
         return self.vaddr <= address < self.end
 

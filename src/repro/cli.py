@@ -32,7 +32,7 @@ Subcommands::
                     [--min-speedup X] [--min-trace-speedup X] [--no-write]
 
 ``--runtime`` takes a registry spec: a backend name (``glibc``,
-``redfat``, ``s2malloc``, ``camp``, ``frp``, ``shadow``) or
+``redfat``, ``s2malloc``, ``camp``, ``shadow``) or
 ``name:key=val,...`` with per-backend options — ``redfat runtimes``
 prints what is registered.
 
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--runtime", default="glibc", metavar="SPEC",
         help="runtime registry spec (see `redfat runtimes`): a name such "
-             "as glibc, redfat, s2malloc, camp, frp, shadow — or "
+             "as glibc, redfat, s2malloc, camp, shadow — or "
              "name:key=val,... with per-backend options")
     run_cmd.add_argument("--mode", choices=("abort", "log"), default="abort")
     run_cmd.add_argument(

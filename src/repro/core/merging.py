@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.operands import Mem
 from repro.isa.registers import Register
 from repro.core.analysis import CheckSite
 from repro.core.batching import CheckGroup
@@ -51,9 +50,6 @@ class AccessRange:
     def representative_site(self) -> int:
         """Lowest merged site address — used for error attribution."""
         return min(site.address for site in self.sites)
-
-    def mem_operand(self) -> Mem:
-        return Mem(self.disp, self.base, self.index, self.scale)
 
 
 def _range_for_site(site: CheckSite, use_lowfat: bool) -> AccessRange:

@@ -141,11 +141,6 @@ class RedFatOptions:
     def preset_names(cls) -> List[str]:
         return sorted(PRESETS)
 
-    @classmethod
-    def production(cls, allowlist: AllowList, **overrides) -> "RedFatOptions":
-        """The deployment configuration of Fig. 5, step (2)."""
-        return replace(cls(allowlist=allowlist), **overrides)
-
     def with_(self, **overrides) -> "RedFatOptions":
         return replace(self, **overrides)
 

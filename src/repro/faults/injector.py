@@ -111,10 +111,6 @@ class FaultInjector:
             return True
         return False
 
-    def describe(self) -> str:
-        state = f"fired at hit {self.fired_at}" if self.fired else "never fired"
-        return f"seed={self.seed} point={self.point} ({state})"
-
 
 # -- the global slot -------------------------------------------------------
 

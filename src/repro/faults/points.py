@@ -163,13 +163,6 @@ register(
     "repairs the entry, counted as a DEGRADED run",
 )
 register(
-    "runtime.frp.map",
-    "fail the mapping of a randomized placement candidate "
-    "(runtime/backends/frp.py malloc) — the allocator retries at a "
-    "fresh random address (bounded attempts), counted as a DEGRADED "
-    "run; exhaustion surfaces as OOM, never a crash",
-)
-register(
     "hunt.mutator",
     "corrupt one mutant generation (hunt/mutators.py mutate) — the "
     "engine latches mutation off and hands parents through unchanged, "

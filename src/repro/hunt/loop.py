@@ -53,10 +53,10 @@ DEFAULT_BUDGET = 80
 #: tens of thousands burns this budget in well under a second.
 DEFAULT_FUEL = 300_000
 
-#: The paper's runtime and the zoo's three preload defenses (``glibc``
+#: The paper's runtime and the zoo's two preload defenses (``glibc``
 #: is the unprotected baseline and ``shadow`` a pure oracle; the matrix
 #: compares defenses).
-DEFAULT_RUNTIMES = ("redfat", "s2malloc", "camp", "frp")
+DEFAULT_RUNTIMES = ("redfat", "s2malloc", "camp")
 
 #: The matrix preset of a backend preloaded under the unhardened binary
 #: (the shootout's name for that deployment).

@@ -38,6 +38,7 @@ from repro.isa.opcodes import (
     FORM_RM,
     FORM_RR,
     JUMP_OPCODES,
+    LEGAL_FORMS,
     Opcode,
 )
 from repro.isa.operands import Imm, Label, Mem, Reg
@@ -58,6 +59,9 @@ _LOG2_SIZE = {0: 1, 1: 2, 2: 4, 3: 8}
 #: Immediate bytes by the form byte's width selector (bits 6-7); the
 #: unused selector 3 reads eight bytes, as :func:`_decode_imm` does.
 _IMM_BYTES = (1, 4, 8, 8)
+
+#: Legal operand forms by opcode byte (none for an invalid opcode).
+_LEGAL_FORMS = tuple(frozenset(LEGAL_FORMS.get(byte, ())) for byte in range(256))
 
 #: Registers by encoding byte.  A byte outside this table is an
 #: undecodable register operand, not a crash (:func:`_register`).
@@ -162,6 +166,12 @@ def _decode_mem(data: bytes, offset: int) -> Tuple[Mem, int]:
     scale = _LOG2_SCALE[(flags >> 2) & 0x3]
     disp_width = (flags >> 4) & 0x3
     rip_relative = bool(flags & 0x40)
+    if rip_relative and has_index:
+        # :class:`Mem` rejects this operand; say so as a decode error.
+        raise EncodingError(
+            f"rip-relative memory operand with an index register at "
+            f"offset {start:#x}"
+        )
     base = None
     index = None
     if has_base or has_index:
@@ -233,15 +243,16 @@ _MEM_BYTES = tuple(
 def _length(data: bytes, offset: int) -> int:
     """Length of the instruction at *offset*, read from its opcode, form
     and memory flags bytes without decoding an operand; 0 when those
-    bytes give none (an invalid opcode or form, or one past the end)."""
+    bytes give none (an invalid opcode or form, a form the opcode does
+    not take, or one past the end)."""
     length = _OPCODE_LENGTH[data[offset]]
     if length is not None:
         return length
     try:
-        layout = _FORM_LAYOUT[data[offset + 1]]
-        if layout is None:
+        form_byte = data[offset + 1]
+        if form_byte & 0xF not in _LEGAL_FORMS[data[offset]]:
             return 0
-        length, flags_at = layout
+        length, flags_at = _FORM_LAYOUT[form_byte]
         if flags_at:
             length += _MEM_BYTES[data[offset + flags_at]]
     except IndexError:
@@ -409,6 +420,13 @@ def _decode(data: bytes, offset: int, address: int) -> Instruction:
             operands = (Imm(value),)
         else:
             raise EncodingError(f"invalid operand form {form} at offset {start:#x}")
+        if form not in _LEGAL_FORMS[opcode]:
+            # The encoder never emits this pair, and the VM has no
+            # semantics for it.
+            raise EncodingError(
+                f"{opcode.name} does not accept operand form {form} "
+                f"at offset {start:#x}"
+            )
     if offset > len(data):
         raise EncodingError(f"truncated instruction at offset {start:#x}")
     return Instruction(

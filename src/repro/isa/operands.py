@@ -90,14 +90,6 @@ class Mem:
         """Return a copy with a different displacement (used by merging)."""
         return Mem(disp, self.base, self.index, self.scale)
 
-    def shape_key(self) -> tuple:
-        """Key identifying operands that differ only in displacement.
-
-        Check merging (paper §6) merges bounds checks for operands sharing
-        the same base, index and scale.
-        """
-        return (self.base, self.index, self.scale)
-
     def __str__(self) -> str:
         parts = ""
         if self.base is not None or self.index is not None:

@@ -71,9 +71,6 @@ class ControlFlowInfo:
     #: The binary's entry point (a root for the dataflow analyses).
     entry: Optional[int] = None
 
-    def is_possible_target(self, address: int) -> bool:
-        return address in self.targets
-
 
 def recover_control_flow(binary: Binary, telemetry=None) -> ControlFlowInfo:
     """Decode all executable segments and recover blocks/targets."""

@@ -11,14 +11,13 @@
   shadow-memory redzone runtime: the registry's ``shadow`` backend, the
   Memcheck comparator of Tables 1 and 2.
 - :mod:`repro.runtime.backends` — the hardened-allocator zoo (s2malloc,
-  camp, frp), selectable through :mod:`repro.runtime.registry`:
+  camp), selectable through :mod:`repro.runtime.registry`:
   ``registry.create("s2malloc:seed=7", mode="log")``.
 """
 
 from repro.runtime import registry
 from repro.runtime.backends import (
     CampRuntime,
-    FrpRuntime,
     HardenedHeapRuntime,
     S2MallocRuntime,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "HardenedHeapRuntime",
     "S2MallocRuntime",
     "CampRuntime",
-    "FrpRuntime",
     "ErrorKind",
     "MemoryErrorReport",
 ]

@@ -8,12 +8,10 @@ selectable by name everywhere a runtime is chosen.
 
 from repro.runtime.backends.base import HardenedHeapRuntime
 from repro.runtime.backends.camp import CampRuntime
-from repro.runtime.backends.frp import FrpRuntime
 from repro.runtime.backends.s2malloc import S2MallocRuntime
 
 __all__ = [
     "HardenedHeapRuntime",
     "CampRuntime",
-    "FrpRuntime",
     "S2MallocRuntime",
 ]

@@ -1,9 +1,9 @@
 """Shared machinery for the pluggable hardened-allocator backends.
 
 Each backend models one LD_PRELOAD-able heap defense from the related
-work (see PAPERS.md): S2Malloc, CAMP-style cooperative bounds and Fully
-Randomized Pointers.  They all conform to the same runtime
-interface as ``libredfat.so`` — ``malloc``/``free``/``check`` plus
+work (see PAPERS.md): S2Malloc and CAMP-style cooperative bounds.
+Both conform to the same runtime interface as ``libredfat.so`` —
+``malloc``/``free``/``check`` plus
 :class:`~repro.runtime.reporting.MemoryErrorReport` delivery in
 ``abort`` or ``log`` mode — so the registry can swap them under an
 unchanged binary.

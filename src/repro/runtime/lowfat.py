@@ -15,7 +15,7 @@ performs (see :mod:`repro.core.checkgen`).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import AllocatorError
 from repro.layout import (
@@ -77,10 +77,6 @@ class LowFatAllocator:
     @staticmethod
     def size(address: int) -> int:
         return lowfat_size(address)
-
-    @staticmethod
-    def is_lowfat_ptr(address: int) -> bool:
-        return lowfat_size(address) != 0
 
     # -- allocation -----------------------------------------------------------
 
@@ -160,10 +156,6 @@ class LowFatAllocator:
         self._class_live[class_size] = live
         tele.gauge(f"alloc.class_{class_size}.live", live)
         tele.gauge("alloc.live", len(self._live))
-
-    def requested_size(self, address: int) -> Optional[int]:
-        """The original malloc request for a live object base, if any."""
-        return self._live.get(address)
 
     @property
     def live_allocations(self) -> int:

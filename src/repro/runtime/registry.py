@@ -193,12 +193,6 @@ def _make_camp(mode: str = "log", seed: int = 1, telemetry=None):
     return CampRuntime(mode=mode, seed=seed, telemetry=telemetry)
 
 
-def _make_frp(mode: str = "log", seed: int = 1, telemetry=None):
-    from repro.runtime.backends.frp import FrpRuntime
-
-    return FrpRuntime(mode=mode, seed=seed, telemetry=telemetry)
-
-
 register(RuntimeInfo(
     name="glibc",
     factory=_make_glibc,
@@ -233,11 +227,4 @@ register(RuntimeInfo(
                 "OOB/UaF/double-free against the object at the accessed "
                 "address",
     capabilities=frozenset({"oob", "uaf", "double-free"}),
-))
-register(RuntimeInfo(
-    name="frp",
-    factory=_make_frp,
-    description="Fully Randomized Pointers: one-time random placements, "
-                "addresses burned on free",
-    capabilities=frozenset({"oob", "uaf", "double-free", "probabilistic"}),
 ))

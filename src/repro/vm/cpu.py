@@ -55,13 +55,15 @@ from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import RSP, Register
 from repro.vm.memory import Memory
-from repro.vm.runtime_iface import RuntimeEnvironment
+from repro.vm.runtime_iface import RuntimeEnvironment, TrapCode
 from repro.vm.superblock import TRANSFER_OPCODES, SuperblockEngine
 from repro.vm.trace import TraceEngine
 
 _M64 = (1 << 64) - 1
 _SIGN = 1 << 63
 _RIP = Register.RIP
+#: Trap immediates the runtimes handle (:class:`TrapCode`).
+_TRAP_CODES = frozenset(int(code) for code in TrapCode)
 
 #: Condition predicates over (zf, sf, cf, of).
 _CONDITIONS: Dict[str, Callable] = {
@@ -429,7 +431,14 @@ class CPU:
         pass
 
     def _exec_trap(self, instruction: Instruction) -> None:
-        self.runtime.on_trap(instruction.operands[0].value, self, instruction)
+        code = instruction.operands[0].value
+        if code not in _TRAP_CODES:
+            # Generated checks only emit TrapCode values; any other code
+            # is a guest executing data, like an unknown rtcall service.
+            raise VMError(
+                f"unknown trap code {code} at {instruction.address:#x}"
+            )
+        self.runtime.on_trap(code, self, instruction)
 
     def _exec_rtcall(self, instruction: Instruction) -> None:
         self.runtime.call(instruction.operands[0].value, self, instruction)

@@ -55,11 +55,6 @@ class SpecBenchmark:
     def compile(self, pic: bool = False) -> CompiledProgram:
         return _compile_cached(self.source, pic)
 
-    @property
-    def expected_output(self) -> Optional[str]:
-        """Populated lazily by the harness for self-checking."""
-        return None
-
 
 @lru_cache(maxsize=None)
 def _compile_cached(source: str, pic: bool) -> CompiledProgram:

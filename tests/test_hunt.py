@@ -263,7 +263,7 @@ class TestHuntEndToEnd:
         cells = [(cell["preset"], cell["runtime"]) for cell in report.matrix]
         assert cells == [
             ("fully", "redfat"), ("unoptimized", "redfat"),
-            (PRELOAD, "s2malloc"), (PRELOAD, "camp"), (PRELOAD, "frp"),
+            (PRELOAD, "s2malloc"), (PRELOAD, "camp"),
         ]
         assert config.runtimes == DEFAULT_RUNTIMES
         # The paper's own runtime rediscovers everything in every preset,

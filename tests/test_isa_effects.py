@@ -33,6 +33,7 @@ from repro.isa.opcodes import (
     CONDITIONAL_JUMPS,
     FORM_MI,
     FORM_MR,
+    FORM_R,
     FORM_RM,
     FORM_RR,
     SETCC_CONDITIONS,
@@ -191,14 +192,13 @@ def _decode_loop(data, base_address=0):
 
     Returns the instructions before the first error and that error (or
     None), so a malformed stream can be compared up to where it fails.
-    A rip-relative memory operand with an index raises ``ValueError``
-    from :class:`Mem`, not :class:`EncodingError`; both must match.
+    Malformed bytes raise :class:`EncodingError` and nothing else.
     """
     instructions, offset = [], 0
     while offset < len(data):
         try:
             instruction = decode(data, offset, base_address + offset)
-        except (EncodingError, ValueError) as error:
+        except EncodingError as error:
             return instructions, error
         instructions.append(instruction)
         offset += instruction.length
@@ -257,7 +257,7 @@ class TestDecodeAllOracle:
 def _decoded_length(data):
     try:
         return decode(data).length
-    except (EncodingError, ValueError):
+    except EncodingError:
         return None
 
 
@@ -320,6 +320,20 @@ class TestMalformedStreams:
         bad[2] = 0x3F
         error = _assert_same_decode(code + bytes(bad))
         assert isinstance(error, EncodingError) and "invalid register" in str(error)
+
+    def test_rip_relative_operand_with_index(self):
+        code = self._seen_twice("mov 4(%rip), %rcx")
+        bad = bytearray(code[: len(code) // 2])
+        bad[2] |= 0x02  # the memory flags byte's index bit
+        error = _assert_same_decode(code + bytes(bad))
+        assert isinstance(error, EncodingError) and "rip-relative" in str(error)
+
+    def test_form_the_opcode_does_not_take(self):
+        code = self._seen_twice("mov %rax, %rbx")
+        bad = bytearray(code[: len(code) // 2])
+        bad[1] = (bad[1] & 0xF0) | FORM_R  # a one-register mov
+        error = _assert_same_decode(code + bytes(bad))
+        assert isinstance(error, EncodingError) and "does not accept" in str(error)
 
     def test_invalid_form(self):
         code = self._seen_twice("mov %rax, %rbx")

@@ -11,7 +11,10 @@ import pytest
 
 import repro.api as api
 from repro.cc import compile_source
+from repro.bench.shootout import DEFAULT_BACKENDS
 from repro.errors import ReproError, UnknownRuntimeError
+from repro.faults.points import point_names
+from repro.hunt.loop import DEFAULT_RUNTIMES
 from repro.runtime import registry
 from repro.runtime.backends.s2malloc import S2MallocRuntime
 from repro.runtime.redfat import RedFatRuntime
@@ -29,7 +32,7 @@ int main() {
 }
 """
 
-ZOO = {"glibc", "redfat", "shadow", "s2malloc", "camp", "frp"}
+ZOO = {"glibc", "redfat", "shadow", "s2malloc", "camp"}
 
 
 # -- names, discovery -------------------------------------------------------
@@ -57,6 +60,21 @@ class TestRegistrySurface:
         assert info.value.runtime_name == "banana"
         assert "s2malloc" in str(info.value)  # says what *would* work
 
+    @pytest.mark.parametrize("name", sorted(set(DEFAULT_RUNTIMES)
+                                            | set(DEFAULT_BACKENDS)))
+    def test_every_default_matrix_name_resolves(self, name):
+        # The hunt's replay matrix and the shootout name backends by
+        # string; a deleted backend must not linger in either default.
+        assert registry.resolve(name).name == name
+
+    def test_every_runtime_fault_point_names_a_backend(self):
+        # ``runtime.<backend>.<what>`` points guard code inside one
+        # backend; a deleted backend takes its points with it.
+        registered = set(registry.names())
+        backends = {name.split(".")[1] for name in point_names()
+                    if name.startswith("runtime.")}
+        assert backends <= registered
+
 
 # -- the spec grammar --------------------------------------------------------
 
@@ -80,7 +98,7 @@ class TestSpecGrammar:
             registry.parse_spec("s2malloc:seed")
 
     def test_spec_instance_passes_through(self):
-        spec = RuntimeSpec("frp", {"seed": 3})
+        spec = RuntimeSpec("camp", {"seed": 3})
         assert registry.parse_spec(spec) is spec
 
 

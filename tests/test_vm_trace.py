@@ -9,11 +9,13 @@ cross-run code cache, invalidation, and the degradation ladder
 (trace -> superblock -> single-step).
 """
 
+import random
+
 import pytest
 
 from repro.cc import compile_source
 from repro.core import RedFat, RedFatOptions
-from repro.errors import GuestMemoryError, VMTimeoutError
+from repro.errors import GuestMemoryError, ReproError, VMError, VMTimeoutError
 from repro.faults.campaign import DEGRADED, run_campaign
 from repro.isa.operands import Imm
 from repro.runtime.glibc import GlibcRuntime
@@ -297,6 +299,66 @@ class TestDecodeMemo:
         # whose 16-byte fetch window covers the flipped byte.
         assert load.address in decoded
         assert all(imm_low - 16 < address <= imm_low for address in decoded)
+
+
+class TestCorruptedCode:
+    """Corrupted code fails with a typed error on every tier: the
+    decoder rejects bytes it cannot represent, and the VM rejects
+    instructions it has no semantics for."""
+
+    #: ``add`` with a rip-relative memory operand whose flags byte also
+    #: sets the index bit: an operand :class:`Mem` cannot represent.
+    RIP_WITH_INDEX = bytes.fromhex("010400621000000000")
+
+    #: Randomly corrupted texts, each run on every tier.
+    CORRUPTIONS = 240
+
+    def test_rip_relative_index_is_a_vm_error_in_every_tier(self):
+        program = compile_source("int main() { return 0; }")
+        binary = program.binary.copy()
+        text = next(segment for segment in binary.text_segments()
+                    if segment.vaddr <= binary.entry
+                    < segment.vaddr + len(segment.data))
+        at = binary.entry - text.vaddr
+        data = bytearray(text.data)
+        data[at:at + len(self.RIP_WITH_INDEX)] = self.RIP_WITH_INDEX
+        text.data = bytes(data)
+        outcomes = []
+        for engine in ENGINES:
+            with engine_override(engine):
+                cpu = load_binary(binary, GlibcRuntime())
+                with pytest.raises(ReproError) as raised:
+                    cpu.run()
+            assert isinstance(raised.value, VMError), engine
+            assert "undecodable" in str(raised.value)
+            outcomes.append((str(raised.value), list(cpu.regs), cpu.rip,
+                             cpu.instructions_executed,
+                             cpu.memory.page_contents()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_corrupted_text_raises_only_typed_errors(self):
+        program = compile_source(INVARIANT_LOOP)
+        harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
+        guests = [(program.binary, GlibcRuntime),
+                  (harden.binary, lambda: harden.create_runtime(mode="log"))]
+        for seed in range(self.CORRUPTIONS):
+            rng = random.Random(seed)
+            image, make_runtime = guests[seed % 2]
+            binary = image.copy()
+            text = rng.choice(binary.text_segments())
+            data = bytearray(text.data)
+            for _ in range(rng.randrange(1, 20)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            text.data = bytes(data)
+            for engine in ENGINES:
+                with engine_override(engine):
+                    cpu = load_binary(binary, make_runtime())
+                    try:
+                        cpu.run(max_instructions=20_000)
+                    except ReproError:
+                        pass
+                    except Exception as error:
+                        pytest.fail(f"seed {seed}, {engine}: {error!r}")
 
 
 class TestInvalidation:
