@@ -23,14 +23,22 @@ input.
 
 Every ``trap`` is tagged with the representative original site address so
 the runtime can attribute errors precisely even through batching/merging.
+
+A check's bytes depend only on its :class:`CheckContext` and the shape of
+its ranges, never on the site or the trampoline address: jumps stay inside
+the check, the trap tags are metadata and the PIC SIZES-table ``lea`` is
+an ``abs_target`` fixup.  :func:`assemble_check` therefore assembles each
+distinct shape once into a :class:`CheckTemplate`, and
+:meth:`CheckTemplate.stamp` places it at every site that shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Tuple
 
-from repro.isa.assembler import Item
+from repro.errors import InstrumentationError
+from repro.isa.assembler import Assembled, Item, assemble
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Label, Mem, Reg
@@ -38,7 +46,6 @@ from repro.isa.registers import RSP, Register
 from repro.layout import MAX_REGIONS, REDZONE_SIZE, REGION_SHIFT, SIZES_TABLE_ADDR
 from repro.vm.runtime_iface import TrapCode
 from repro.core.merging import AccessRange
-from repro.core.options import RedFatOptions
 
 _REGION_MASK = MAX_REGIONS - 1
 
@@ -48,14 +55,16 @@ _REGION_MASK = MAX_REGIONS - 1
 _REG = {register: Reg(register) for register in Register}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckContext:
-    """Per-group facts the generator needs."""
+    """Per-group facts the generator needs, and nothing else: with each
+    range's :func:`range_shape` it is the complete key of a check's bytes."""
 
-    options: RedFatOptions
-    scratch: Sequence[Register]  # exactly four registers
-    save_registers: Sequence[Register]  # subset of scratch needing save
+    scratch: Tuple[Register, ...]  # exactly four registers
+    save_registers: Tuple[Register, ...]  # subset of scratch needing save
     save_flags: bool
+    merge: bool = True
+    size_hardening: bool = True
     pic: bool = False
     sizes_table: int = SIZES_TABLE_ADDR
 
@@ -116,7 +125,13 @@ class CheckGenerator:
         disp = access_range.disp
         if access_range.base is RSP:
             disp += 8 * self.context.push_count
-        return Mem(disp, access_range.base, access_range.index, access_range.scale)
+        try:
+            return Mem(disp, access_range.base, access_range.index,
+                       access_range.scale)
+        except ValueError as error:
+            raise InstrumentationError(
+                f"site {access_range.representative_site:#x}: {error}"
+            ) from error
 
     def _pointer_items(self, destination: Register, base: Register) -> List[Item]:
         """Materialise the original value of *base* into *destination*."""
@@ -157,7 +172,6 @@ class CheckGenerator:
 
     def _range_check(self, access_range: AccessRange, prefix: str) -> List[Item]:
         t0, t1, t2, t3 = self.context.scratch
-        options = self.context.options
         site = access_range.representative_site
         done = f"{prefix}_done"
         use_lowfat = access_range.use_lowfat and access_range.base is not None
@@ -197,7 +211,7 @@ class CheckGenerator:
         items.append(_ins(Opcode.MOV, _REG[t3], Mem(0, t1)))
 
         # STEP 4a: metadata hardening (Fig. 4 lines 23-24).
-        if options.size_hardening:
+        if self.context.size_hardening:
             size_ok = f"{prefix}_szok"
             items.append(_ins(Opcode.SUB, _REG[t2], Imm(REDZONE_SIZE)))
             items.append(_ins(Opcode.CMP, _REG[t3], _REG[t2]))
@@ -205,7 +219,7 @@ class CheckGenerator:
             items += self._trap(TrapCode.METADATA, site, done)
             items.append(Label(size_ok))
 
-        if options.merge:
+        if self.context.merge:
             # STEP 4b (merged): single-branch bounds via u32 underflow.
             items.append(_ins(Opcode.ADD, _REG[t1], Imm(REDZONE_SIZE)))
             items.append(_ins(Opcode.SUB, _REG[t0], _REG[t1]))
@@ -234,3 +248,59 @@ class CheckGenerator:
             items += self._trap(TrapCode.OOB_UPPER, site, done)
         items.append(Label(done))
         return items
+
+
+def range_shape(access_range: AccessRange) -> tuple:
+    """What of *access_range* its check's bytes depend on."""
+    return (
+        access_range.base, access_range.index, access_range.scale,
+        access_range.disp, access_range.length, access_range.use_lowfat,
+    )
+
+
+@dataclass(frozen=True)
+class CheckTemplate:
+    """One group's check, assembled once for every group with its key.
+
+    ``traps`` pairs the offset of each ``trap`` with the index of the
+    range whose representative site tags it; ``fixups`` are the
+    ``abs_target`` instructions (the PIC SIZES-table ``lea``) by offset.
+    """
+
+    code: bytes
+    traps: Tuple[Tuple[int, int], ...]
+    fixups: Tuple[Tuple[int, Instruction], ...]
+
+    def stamp(self, ranges: List[AccessRange]) -> Assembled:
+        """This check as one assembler item, its traps tagged for *ranges*."""
+        return Assembled(
+            self.code,
+            tuple((offset, ranges[index].representative_site)
+                  for offset, index in self.traps),
+            self.fixups,
+        )
+
+
+def assemble_check(context: CheckContext, ranges: List[AccessRange]) -> CheckTemplate:
+    """Generate and assemble the check for *ranges* under *context*.
+
+    The code is assembled at the SIZES table's own address, where the PIC
+    ``lea`` always reaches it; each stamp re-derives that fixup at its
+    own address.
+    """
+    items = CheckGenerator(context).generate(ranges, 0)
+    base = context.sizes_table
+    code = assemble(items, base)
+    # A group's sites are distinct instructions, so each range has its own
+    # representative site.
+    range_of = {access_range.representative_site: index
+                for index, access_range in enumerate(ranges)}
+    traps = []
+    fixups = []
+    for item in items:
+        if isinstance(item, Instruction):
+            if item.tag is not None:
+                traps.append((item.address - base, range_of[item.tag]))
+            if item.abs_target is not None:
+                fixups.append((item.address - base, item))
+    return CheckTemplate(code, tuple(traps), tuple(fixups))

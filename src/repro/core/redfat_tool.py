@@ -27,7 +27,12 @@ from repro.telemetry.hub import Telemetry, coerce
 from repro.vm.runtime_iface import Service
 from repro.core.analysis import AnalysisStats, CheckSite, find_candidate_sites
 from repro.core.batching import SCRATCH_COUNT, build_groups
-from repro.core.checkgen import CheckContext, CheckGenerator
+from repro.core.checkgen import (
+    CheckContext,
+    CheckTemplate,
+    assemble_check,
+    range_shape,
+)
 from repro.core.merging import merge_group
 from repro.core.options import RedFatOptions
 
@@ -158,6 +163,10 @@ class RedFat:
         ``batching``, ``checkgen``, ``patching``) and the Table-1
         counters (``checks.inserted/eliminated/batched/merged``) are
         recorded as the phases produce them.
+
+        Each distinct check (its :class:`CheckContext` and range shapes)
+        is assembled once per call and stamped into every trampoline
+        that needs it (``checks.templates`` counts the assemblies).
         """
         options = self.options
         tele = self.telemetry
@@ -180,6 +189,7 @@ class RedFat:
             # exports the full counter set (the --metrics contract).
             tele.count("checks.inserted", 0)
             tele.count("checks.merged", 0)
+            tele.count("checks.templates", 0)
             tele.count("checks.eliminated", stats.eliminated)
             tele.count("checks.eliminated_provenance",
                        stats.eliminated_provenance)
@@ -205,6 +215,7 @@ class RedFat:
             site_table: Dict[int, List[CheckSite]] = {}
             group_sites: Dict[int, List[CheckSite]] = {}
             quarantine: List[Tuple[int, str]] = []
+            templates: Dict[tuple, CheckTemplate] = {}
 
             with tele.span("checkgen"):
                 for group in groups:
@@ -224,7 +235,7 @@ class RedFat:
                     else:
                         items = self._generate_group(
                             control_flow, group, binary.is_pic, protection,
-                            stats, quarantine, dataflow,
+                            stats, quarantine, templates, dataflow,
                         )
                         if items is None:
                             continue  # quarantined: no patch request at all
@@ -260,7 +271,7 @@ class RedFat:
 
     def _generate_group(
         self, control_flow, group, pic: bool, protection, stats, quarantine,
-        dataflow=None,
+        templates, dataflow=None,
     ):
         """Generate one group's check items, degrading on failure.
 
@@ -275,14 +286,16 @@ class RedFat:
         try:
             ranges = merge_group(group, options)
             items = self._generate_items(
-                control_flow, group, ranges, pic, options, stats, dataflow
+                control_flow, group, ranges, pic, options, stats, templates,
+                dataflow,
             )
         except InstrumentationError:
             degraded = options.with_(lowfat=False)
             try:
                 ranges = merge_group(group, degraded)
                 items = self._generate_items(
-                    control_flow, group, ranges, pic, degraded, stats, dataflow
+                    control_flow, group, ranges, pic, degraded, stats,
+                    templates, dataflow,
                 )
             except InstrumentationError as secondary:
                 if not options.keep_going:
@@ -310,8 +323,7 @@ class RedFat:
         return items
 
     def _generate_items(self, control_flow, group, ranges, pic: bool,
-                        options=None, stats=None, dataflow=None):
-        options = options or self.options
+                        options, stats, templates, dataflow=None):
         head = group.head_address
         block = control_flow.block_of[head]
         index = next(
@@ -343,7 +355,7 @@ class RedFat:
         except ValueError as error:
             raise InstrumentationError(f"site {head:#x}: {error}") from error
         save_registers = [register for register in scratch if register not in dead]
-        if live is not local_live and stats is not None:
+        if live is not local_live:
             # Save/restore pairs the block-local rule would have emitted
             # for the same scratch set but the global live-out proves dead.
             local_dead = dead_registers(local_live)
@@ -357,10 +369,16 @@ class RedFat:
                 stats.liveness_spills_avoided += avoided
                 self.telemetry.count("liveness.spills_avoided", avoided)
         context = CheckContext(
-            options=options,
-            scratch=scratch,
-            save_registers=save_registers,
+            scratch=tuple(scratch),
+            save_registers=tuple(save_registers),
             save_flags=not flags_dead,
+            merge=options.merge,
+            size_hardening=options.size_hardening,
             pic=pic,
         )
-        return CheckGenerator(context).generate(ranges, head)
+        key = (context, tuple(map(range_shape, ranges)))
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = assemble_check(context, ranges)
+            self.telemetry.count("checks.templates")
+        return [template.stamp(ranges)]

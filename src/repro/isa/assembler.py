@@ -18,6 +18,10 @@ bytes; a rip-relative operand always encodes a disp32), so a single
 sizing pass suffices and no re-encoding moves a later item.  Equal
 instructions share one encoding through the memo in
 :mod:`repro.isa.encoding`.
+
+An :class:`Assembled` item is code assembled earlier, placed whole: the
+sizing pass adds its length and the emit pass copies its bytes,
+re-deriving only its ``abs_target`` fixups at the final address.
 """
 
 from __future__ import annotations
@@ -32,8 +36,29 @@ from repro.isa.opcodes import JUMP_OPCODES, Opcode
 from repro.isa.operands import INT32_MAX, INT32_MIN, Imm, Label, Mem, Reg
 from repro.isa.registers import Register
 
-#: Items accepted by the assembler: label definitions or instructions.
-Item = Union[Label, Instruction]
+
+class Assembled:
+    """Pre-assembled bytes placed as one item.
+
+    ``tags`` pairs an offset into ``code`` with the tag of the
+    instruction there.  ``fixups`` pairs an offset with the
+    ``abs_target`` instruction assembled there; the emit pass re-encodes
+    a copy of it at the item's final address.  ``address`` is filled in
+    by the sizing pass.
+    """
+
+    __slots__ = ("code", "tags", "fixups", "address")
+
+    def __init__(self, code: bytes, tags: tuple = (), fixups: tuple = ()) -> None:
+        self.code = code
+        self.tags = tags
+        self.fixups = fixups
+        self.address = 0
+
+
+#: Items accepted by the assembler: label definitions, instructions or
+#: pre-assembled code.
+Item = Union[Label, Instruction, Assembled]
 
 _SIZE_SUFFIXES = {"b": 1, "w": 2, "l": 4, "q": 8}
 
@@ -81,9 +106,10 @@ class Assembler:
 def _sizing_pass(items: Sequence[Item], base_address: int) -> Tuple[dict, list]:
     """Assign addresses to every item; return the label table and the pieces.
 
-    A piece is an instruction's final bytes, or the instruction itself
-    when layout still rewrites its operands (a jump, or an ``abs_target``
-    fixup); those alone are encoded again by :func:`assemble`.
+    A piece is an instruction's final bytes, or the item itself when
+    layout still rewrites its operands (a jump, or an ``abs_target``
+    fixup, alone or inside an :class:`Assembled`); those alone are
+    encoded again by :func:`assemble`.
     """
     labels = {}
     pieces: list = []
@@ -93,6 +119,11 @@ def _sizing_pass(items: Sequence[Item], base_address: int) -> Tuple[dict, list]:
             if item.name in labels:
                 raise AssemblyError(f"duplicate label {item.name!r}")
             labels[item.name] = address
+            continue
+        if isinstance(item, Assembled):
+            item.address = address
+            pieces.append(item if item.fixups else item.code)
+            address += len(item.code)
             continue
         item.address = address
         if item.opcode in JUMP_OPCODES:
@@ -121,6 +152,9 @@ def assemble(items: Sequence[Item], base_address: int = 0) -> bytes:
         if isinstance(item, bytes):
             output += item
             continue
+        if isinstance(item, Assembled):
+            output += _emit_assembled(item)
+            continue
         if item.abs_target is not None:
             _apply_abs_target(item)
         if item.opcode in JUMP_OPCODES and isinstance(item.operands[0], Label):
@@ -134,6 +168,23 @@ def assemble(items: Sequence[Item], base_address: int = 0) -> bytes:
         except EncodingError as exc:
             raise AssemblyError(str(exc)) from exc
     return bytes(output)
+
+
+def _emit_assembled(item: Assembled) -> bytearray:
+    """*item*'s bytes with each fixup re-derived at its final address."""
+    code = bytearray(item.code)
+    for offset, fixup in item.fixups:
+        clone = Instruction(
+            fixup.opcode, fixup.operands, size=fixup.size,
+            address=item.address + offset, length=fixup.length,
+            abs_target=fixup.abs_target,
+        )
+        _apply_abs_target(clone)
+        try:
+            code[offset : offset + fixup.length] = encode(clone)
+        except EncodingError as exc:
+            raise AssemblyError(str(exc)) from exc
+    return code
 
 
 def _apply_abs_target(item: Instruction) -> None:

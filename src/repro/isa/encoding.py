@@ -166,10 +166,12 @@ def _decode_mem(data: bytes, offset: int) -> Tuple[Mem, int]:
     scale = _LOG2_SCALE[(flags >> 2) & 0x3]
     disp_width = (flags >> 4) & 0x3
     rip_relative = bool(flags & 0x40)
-    if rip_relative and has_index:
-        # :class:`Mem` rejects this operand; say so as a decode error.
+    if rip_relative and (has_base or has_index):
+        # The encoder never sets a register bit next to the rip bit: rip
+        # is the base, and :class:`Mem` rejects an index beside it.
         raise EncodingError(
-            f"rip-relative memory operand with an index register at "
+            f"rip-relative memory operand with "
+            f"{'a base' if has_base else 'an index'} register at "
             f"offset {start:#x}"
         )
     base = None

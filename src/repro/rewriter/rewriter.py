@@ -30,7 +30,7 @@ from repro.errors import AssemblyError, EncodingError, InstrumentationError, Rew
 from repro.faults.injector import fault_point
 from repro.binfmt.binary import Binary
 from repro.binfmt.sections import SEG_EXEC, SEG_READ, Segment
-from repro.isa.assembler import Item, assemble
+from repro.isa.assembler import Assembled, Item, assemble
 from repro.isa.encoding import JUMP_LEN, encode_jump
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
@@ -48,7 +48,8 @@ _NOP = bytes([int(Opcode.NOP)])
 class PatchRequest:
     """Instrumentation to insert before the instruction at ``head``.
 
-    ``items`` are assembler items (instructions and labels).  Labels are
+    ``items`` are assembler items (instructions, labels and pre-assembled
+    code, whose tags land in ``tag_map`` like instruction tags).  Labels are
     scoped to the trampoline they end up in, so generators must namespace
     them uniquely per request.
     """
@@ -252,7 +253,10 @@ class Rewriter:
                     encode_failures.append((head, reason))
                 continue
             for item in body:
-                if isinstance(item, Instruction) and item.tag is not None:
+                if isinstance(item, Assembled):
+                    for offset, tag in item.tags:
+                        tag_map[item.address + offset] = tag
+                elif isinstance(item, Instruction) and item.tag is not None:
                     tag_map[item.address] = item.tag
             trampoline_ranges.append((cursor, cursor + len(code), plan.head))
             trampoline_code += code

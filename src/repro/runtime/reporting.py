@@ -23,14 +23,9 @@ class ErrorKind(enum.Enum):
 
     @classmethod
     def from_trap(cls, code: int) -> "ErrorKind":
-        mapping = {
-            TrapCode.OOB_UPPER: cls.OOB_UPPER,
-            TrapCode.OOB_LOWER: cls.OOB_LOWER,
-            TrapCode.USE_AFTER_FREE: cls.USE_AFTER_FREE,
-            TrapCode.METADATA: cls.METADATA,
-            TrapCode.ABORT: cls.ABORT,
-        }
-        return mapping.get(TrapCode(code), cls.ABORT)
+        """The kind a trap code reports: the member of the same name.  A
+        code outside :class:`TrapCode` raises ``ValueError``."""
+        return cls[TrapCode(code).name]
 
 
 @dataclass(frozen=True)

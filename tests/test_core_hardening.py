@@ -22,6 +22,8 @@ from repro.rewriter.rewriter import TRAMPOLINE_SEGMENT
 from repro.runtime.redfat import RedFatRuntime
 from repro.runtime.reporting import ErrorKind
 from repro.core import Profiler, RedFat, RedFatOptions
+from repro.core import redfat_tool
+from repro.core.allowlist import AllowList
 from repro.vm.loader import run_binary
 from repro.workloads.spec import get_benchmark
 
@@ -340,6 +342,54 @@ class TestTrampolineRoundTrip:
                     table_loads += 1
         # One table lookup per check at least.
         assert table_loads >= len(harden.rewrite.trampoline_ranges) > 100
+
+
+class TestCheckTable:
+    """Stamping each distinct check gives the image that assembling every
+    check in place gives, so the table's key misses nothing the bytes
+    depend on."""
+
+    #: Unbatched neighbours that differ in one shape field each: length,
+    #: disp, base, index, index again, scale, then (through the
+    #: allow-list) use_lowfat.  Their operand registers lie past the first
+    #: scratch candidates, so all of them get the same scratch set.
+    SHAPES = """
+        mov 8(%r12), %rax
+        movb 8(%r12), %rax
+        mov 16(%r12), %rax
+        mov 8(%r13), %rax
+        mov 8(%r12,%r14,1), %rax
+        mov 8(%r12,%r15,1), %rax
+        mov 8(%r12,%r15,2), %rax
+        mov 8(%r12), %rax
+        ret
+    """
+
+    def assert_equals_in_place(self, monkeypatch, binary, options):
+        stamped = RedFat(options).instrument(binary)
+        with monkeypatch.context() as patch:
+            # A shape equal to no other: every check misses the table.
+            patch.setattr(redfat_tool, "range_shape", lambda access_range: object())
+            in_place = RedFat(options).instrument(binary)
+        assert stamped.binary.to_bytes() == in_place.binary.to_bytes()
+        assert stamped.rewrite.tag_map == in_place.rewrite.tag_map
+        assert stamped.rewrite.trampoline_ranges == in_place.rewrite.trampoline_ranges
+        return stamped
+
+    def test_every_shape_field_is_in_the_key(self, monkeypatch):
+        builder = BinaryBuilder()
+        builder.add_function("main", parse(self.SHAPES))
+        binary = builder.build("main")
+        first = binary.text_segments()[0].vaddr
+        options = RedFatOptions.preset("unoptimized", allowlist=AllowList([first]))
+        stamped = self.assert_equals_in_place(monkeypatch, binary, options)
+        assert len(stamped.rewrite.patched) == 8
+
+    @pytest.mark.parametrize("preset", ["unoptimized", "fully"])
+    @pytest.mark.parametrize("pic", [False, True], ids=["exec", "pic"])
+    def test_gcc(self, monkeypatch, preset, pic):
+        binary = compile_source(get_benchmark("gcc").source, pic=pic).binary
+        self.assert_equals_in_place(monkeypatch, binary, RedFatOptions.preset(preset))
 
 
 # ---------------------------------------------------------------------------

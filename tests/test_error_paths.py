@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.runtime.redfat import RedFatRuntime
 from repro.runtime.reporting import ErrorKind
 from repro.vm.memory import Memory
+from repro.vm.runtime_iface import TrapCode
 
 SIMPLE = """
 int main() {
@@ -146,6 +147,16 @@ class TestFreeMisuse:
         runtime = attached_runtime(mode="abort")
         runtime.free(0)
         assert not runtime.errors
+
+
+class TestTrapKinds:
+    def test_every_trap_code_has_its_kind(self):
+        for code in TrapCode:
+            assert ErrorKind.from_trap(int(code)).name == code.name
+
+    def test_unknown_trap_code_rejected(self):
+        with pytest.raises(ValueError):
+            ErrorKind.from_trap(max(TrapCode) + 1)
 
 
 # ---------------------------------------------------------------------------

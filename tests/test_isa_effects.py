@@ -328,6 +328,16 @@ class TestMalformedStreams:
         error = _assert_same_decode(code + bytes(bad))
         assert isinstance(error, EncodingError) and "rip-relative" in str(error)
 
+    def test_rip_relative_operand_with_base(self):
+        # Memory flags byte 0x41: the rip bit and the base bit together.
+        with pytest.raises(EncodingError, match="with a base register"):
+            decode(bytes.fromhex("0134004103100000000000"))
+        code = self._seen_twice("mov 4(%rip), %rcx")
+        bad = bytearray(code[: len(code) // 2])
+        bad[2] |= 0x01  # the memory flags byte's base bit
+        error = _assert_same_decode(code + bytes(bad))
+        assert isinstance(error, EncodingError) and "with a base" in str(error)
+
     def test_form_the_opcode_does_not_take(self):
         code = self._seen_twice("mov %rax, %rbx")
         bad = bytearray(code[: len(code) // 2])

@@ -243,7 +243,19 @@ def test_instrument_emits_phase_spans_and_table1_counters():
     assert tele.counters["checks.eliminated"] == result.stats.eliminated
     document = json.loads(tele.to_json())
     assert validate_harden_report(document) == []
+    assert 0 < tele.counters["checks.templates"] <= tele.counters["checks.inserted"]
     # Phase spans nest under the instrument root.
     paths = set(tele.span_paths())
     assert "instrument/checkgen" in paths
     assert "instrument/disasm" in paths
+
+
+def test_distinct_checks_are_assembled_once_per_harden():
+    """Unoptimized, the guest's 70 checks share 9 shapes; each harden
+    assembles its own (no table outlives a call)."""
+    binary = compile_source(SOURCE).binary
+    for _ in range(2):
+        tele = Telemetry()
+        RedFat(RedFatOptions.preset("unoptimized"), telemetry=tele).instrument(binary)
+        assert tele.counters["checks.templates"] == 9
+        assert tele.counters["checks.inserted"] == 70
