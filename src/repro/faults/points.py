@@ -71,7 +71,9 @@ register(
     "loader.truncate",
     "truncate one segment's bytes while mapping a binary "
     "(vm/loader.py) — execution must end in a typed VM diagnosis, "
-    "never a naked decoder exception",
+    "never a naked decoder exception.  A campaign run maps three "
+    "segments with bytes",
+    max_hit=3,
 )
 register(
     "rewriter.encode",
@@ -123,21 +125,26 @@ register(
     "analysis.facts",
     "corrupt one block's provenance solution after the fixpoint "
     "converges (analysis/engine.py) — validation must reject the facts "
-    "and degrade rather than let a bogus lattice value eliminate a check",
+    "and degrade rather than let a bogus lattice value eliminate a check.  "
+    "Validated once per harden",
+    max_hit=1,
 )
 register(
     "analysis.callgraph",
     "corrupt the bottom-up function summaries after the call-graph "
     "build (analysis/engine.py) — summary validation must reject the "
     "table and degrade to intra-procedural facts (interproc fallback, "
-    "counted DEGRADED), never mis-apply a bogus clobber/free summary",
+    "counted DEGRADED), never mis-apply a bogus clobber/free summary.  "
+    "Built once per harden",
+    max_hit=1,
 )
 register(
     "analysis.ranges",
     "corrupt one block's value-range solution after the interprocedural "
     "pass (analysis/engine.py) — range validation must reject the facts "
     "and drop to intra-procedural elimination instead of letting a "
-    "corrupt interval eliminate a live check",
+    "corrupt interval eliminate a live check.  Solved once per harden",
+    max_hit=1,
 )
 register(
     "farm.cache",
@@ -181,7 +188,9 @@ register(
     "hunt.triage",
     "corrupt the triage dedup walk (hunt/triage.py triage_entry) — "
     "triage falls back to the raw undeduped detection stream, flagged "
-    "degraded, counted as a DEGRADED run; never an exception",
+    "degraded, counted as a DEGRADED run; never an exception.  A "
+    "campaign run's mini hunt triages once",
+    max_hit=1,
 )
 register(
     "telemetry.sink",
@@ -193,5 +202,7 @@ register(
     "telemetry.export",
     "fail the JSON serialisation of a telemetry report "
     "(telemetry/hub.py to_json) — export must fall back to a minimal "
-    "schema-valid document, never crash the caller",
+    "schema-valid document, never crash the caller.  A campaign run "
+    "exports once",
+    max_hit=1,
 )

@@ -132,13 +132,12 @@ class CPU:
         #: ``(start, end)`` of the ``.tramp`` segment, installed by the
         #: loader so :meth:`run` can attribute "checks executed".
         self.trampoline_span: Optional[tuple] = None
-        self._dispatch = self._build_dispatch()
         #: The superblock translation cache (see :mod:`repro.vm.superblock`).
         #: Starts enabled unless an ``engine_override`` says otherwise.
-        self.superblock = SuperblockEngine(self)
+        self.superblock = SuperblockEngine()
         #: The trace tier above it (see :mod:`repro.vm.trace`): back-edge
         #: profiling + hot-loop traces compiled to Python functions.
-        self.trace = TraceEngine(self)
+        self.trace = TraceEngine()
         #: Exception side-channel from compiled traces and the trace
         #: recorder: the exact (retired, check-instruction) counts of the
         #: partially executed trace, published just before the exception
@@ -443,9 +442,6 @@ class CPU:
     def _exec_rtcall(self, instruction: Instruction) -> None:
         self.runtime.call(instruction.operands[0].value, self, instruction)
 
-    def _build_dispatch(self) -> Dict[int, Callable]:
-        return {opcode: handler.__get__(self) for opcode, handler in HANDLERS.items()}
-
     # -- run loop ---------------------------------------------------------------------
 
     def step(self) -> None:
@@ -455,7 +451,7 @@ class CPU:
         if instruction is None:
             instruction = self._decode_at(rip)
         self.rip = rip + instruction.length
-        self._dispatch[instruction.opcode](instruction)
+        HANDLERS[instruction.opcode](self, instruction)
         self.instructions_executed += 1
 
     def run(self, max_instructions: int = 2_000_000_000) -> int:
@@ -512,7 +508,7 @@ class CPU:
         use_blocks = engine.enabled and self.access_hook is None
         use_traces = use_blocks and tengine.enabled and coverage is None
         icache = self.icache
-        dispatch = self._dispatch
+        handlers = HANDLERS
         regs = self.regs
         read_int = self.memory.read_int
         write_int = self.memory.write_int
@@ -540,7 +536,7 @@ class CPU:
                 if use_blocks:
                     block = cache.get(rip)
                     if block is None:
-                        block = engine.translate(rip)
+                        block = engine.translate(self, rip)
                         if block is None:
                             use_blocks = use_traces = False  # degraded
                     if (block is not None
@@ -561,10 +557,10 @@ class CPU:
                         if block.in_trampoline:
                             checks += block.length
                         elif (use_traces and last is not None
-                                and self.rip <= last and tengine.hot(self.rip)):
+                                and self.rip <= last and tengine.hot(self, self.rip)):
                             try:
                                 retired, trace_checks = tengine.record(
-                                    self.rip, max_instructions - executed
+                                    self, self.rip, max_instructions - executed
                                 )
                             except BaseException:
                                 executed += self._trace_pending
@@ -583,7 +579,7 @@ class CPU:
                 if tramp_start <= rip < tramp_end:
                     checks += 1
                 self.rip = rip + instruction.length
-                dispatch[instruction.opcode](instruction)
+                handlers[instruction.opcode](self, instruction)
                 executed += 1
                 if edge is not None and instruction.opcode in TRANSFER_OPCODES:
                     edge(rip, self.rip)
@@ -603,9 +599,10 @@ class CPU:
         raise VMTimeoutError(max_instructions)
 
 
-#: Opcode -> unbound ``CPU._exec_*`` handler.  Each CPU dispatches
-#: through its bound copy (``CPU._dispatch``); superblock steps, which
-#: must not hold a CPU, call these with the CPU as first argument.
+#: Opcode -> unbound ``CPU._exec_*`` handler, called as
+#: ``HANDLERS[opcode](cpu, instruction)`` by every tier: the single-step
+#: loop, a superblock's generic step and a compiled trace's generic call.
+#: Unbound, they hold no CPU, so neither do the blocks and traces.
 HANDLERS: Dict[int, Callable] = {
     Opcode.MOV: CPU._exec_mov,
     Opcode.MOVS: CPU._exec_movs,

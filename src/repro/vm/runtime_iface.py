@@ -13,6 +13,7 @@ return in rax.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import List
 
 from repro.errors import GuestExit, GuestMemoryError, VMError
@@ -103,9 +104,33 @@ class RuntimeEnvironment:
         """
         return {}
 
+    #: Weak reference to the attached CPU (see :attr:`cpu`).
+    _cpu_ref = None
+
     def attach(self, cpu) -> None:
-        """Called once when the VM is created; gives access to memory."""
-        self.cpu = cpu
+        """Called once when the VM is created; gives access to memory.
+
+        The CPU owns its runtime, so the runtime holds *cpu* weakly (a
+        finished run is freed by reference counting, not left to the
+        cycle collector).  The caller must keep *cpu* alive for as long
+        as it uses the runtime: :attr:`cpu` raises once it is gone.
+        """
+        self._cpu_ref = weakref.ref(cpu)
+
+    @property
+    def cpu(self):
+        """The attached CPU, or None before :meth:`attach`.
+
+        Raises :class:`VMError` when the CPU has been freed, so a
+        runtime used past its run fails here, not deep in an allocator.
+        """
+        ref = self._cpu_ref
+        if ref is None:
+            return None
+        cpu = ref()
+        if cpu is None:
+            raise VMError("runtime outlived its CPU")
+        return cpu
 
     # -- dispatch ----------------------------------------------------------
 

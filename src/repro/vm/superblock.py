@@ -16,16 +16,19 @@ partial architectural state left behind by a mid-block fault:
   runs, exactly as :meth:`repro.vm.cpu.CPU.step` does, so a fault in
   step *k* leaves the same ``rip`` either way and a not-taken
   conditional branch falls through correctly;
-- step bodies either replicate a handler's semantics exactly
-  (specialized steps, including flag types — Python ``bool``\\ s) or
-  *call* the handler (the generic step passes the CPU and the decoded
-  instruction to the unbound ``CPU._exec_*`` method);
+- a data instruction's step body comes from the one translator the
+  trace tier uses too (:mod:`repro.vm.translate`), with the flags kept
+  on the CPU as Python ``bool``\\ s; a control transfer's body, built
+  here, sets ``cpu.rip``; every other step *calls* the unbound
+  ``HANDLERS[opcode](cpu, instruction)``, the single-step loop's own
+  call;
 - blocks never span the ``.tramp`` boundary, so every block is entirely
   trampoline code or entirely application code — the run loop's
   "checks executed" attribution stays exact.
 
 Sharing: a step receives the per-run state as arguments —
-``fn(cpu, regs, read_int, write_int)`` — and closes over constants and
+``fn(cpu, regs, rd, wr)``, the memory's ``read_int`` and ``write_int``
+as the last two — and closes over constants and
 decoded instructions only, so a block belongs to the image, not to one
 CPU.  The loader hangs one block cache on the Binary; a CPU takes a
 block from it when its own memory holds the same code bytes under the
@@ -50,20 +53,16 @@ the whole ladder, ``"superblock"`` caps execution at this tier, and
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.errors import VMError, VMFault
 from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
-from repro.isa.operands import Imm, Reg
-from repro.isa.registers import RSP, Register
-from repro.vm.trace import _JCC_EXPR, _SETCC_EXPR
+from repro.isa.registers import RSP
+from repro.vm.translate import JCC_CONDITIONS, condition, translate
 
 _M64 = (1 << 64) - 1
-_SIGN = 1 << 63
-_RIP = Register.RIP
 
 #: A block never grows past this many instructions; long straight-line
 #: runs split into chained blocks (the cap bounds translation latency
@@ -198,11 +197,10 @@ class SuperblockEngine:
     and publishes a new one.
     """
 
-    __slots__ = ("cpu", "cache", "enabled", "degraded", "degraded_reason",
+    __slots__ = ("cache", "enabled", "degraded", "degraded_reason",
                  "translations", "shared_cache", "revived")
 
-    def __init__(self, cpu, enabled: Optional[bool] = None) -> None:
-        self.cpu = cpu
+    def __init__(self, enabled: Optional[bool] = None) -> None:
         self.cache = {}
         self.enabled = default_enabled() if enabled is None else enabled
         self.degraded = False
@@ -219,8 +217,8 @@ class SuperblockEngine:
         it is taken again."""
         self.cache.clear()
 
-    def degrade(self, reason: str) -> None:
-        """Latch the engine off for the rest of this CPU's lifetime.
+    def degrade(self, cpu, reason: str) -> None:
+        """Latch *cpu*'s engine off for the rest of this CPU's lifetime.
 
         The run loop falls back to single-step execution — identical
         semantics, just slower — and telemetry/the fault campaign see
@@ -234,16 +232,16 @@ class SuperblockEngine:
         self.degraded = True
         self.degraded_reason = reason
         self.cache.clear()
-        trace = getattr(self.cpu, "trace", None)
+        trace = getattr(cpu, "trace", None)
         if trace is not None and trace.enabled:
-            trace.degrade(f"superblock engine degraded: {reason}")
-        tele = self.cpu.telemetry
+            trace.degrade(cpu, f"superblock engine degraded: {reason}")
+        tele = cpu.telemetry
         if tele is not None:
             tele.count("vm.superblock_degraded")
             tele.event("superblock_degraded", reason=reason)
 
-    def translate(self, address: int) -> Optional[Superblock]:
-        """Install the superblock starting at *address* in this CPU's
+    def translate(self, cpu, address: int) -> Optional[Superblock]:
+        """Install the superblock starting at *address* in *cpu*'s
         cache: the image's block when its code bytes still match, else
         a fresh translation.
 
@@ -257,13 +255,12 @@ class SuperblockEngine:
         if not self.enabled:
             return None
         if fault_point("vm.superblock"):
-            self.degrade("injected superblock translation fault")
+            self.degrade(cpu, "injected superblock translation fault")
             return None
-        cpu = self.cpu
         shared = self.shared_cache
         if shared is not None:
             block = shared.get(address)
-            if block is not None and self._matches(block):
+            if block is not None and self._matches(cpu, block):
                 self.cache[address] = block
                 self.revived += 1
                 tele = cpu.telemetry
@@ -309,14 +306,14 @@ class SuperblockEngine:
             tele.count("vm.superblocks_translated")
         return block
 
-    def _matches(self, block: Superblock) -> bool:
-        """Whether this CPU would translate *block* itself: same span,
+    def _matches(self, cpu, block: Superblock) -> bool:
+        """Whether *cpu* would translate *block* itself: same span,
         same code bytes (the check trace revival makes)."""
-        if block.span != self.cpu.trampoline_span:
+        if block.span != cpu.trampoline_span:
             return False
         code = block.code
         try:
-            return self.cpu.memory.read(block.start, len(code)) == code
+            return cpu.memory.read(block.start, len(code)) == code
         except VMFault:
             return False
 
@@ -351,54 +348,17 @@ def _code_of(cpu, instructions) -> Optional[bytes]:
     return b"".join(parts)
 
 
-# -- the specializer ---------------------------------------------------------
+# -- step construction -------------------------------------------------------
 #
-# A step is ``step(cpu, regs, read_int, write_int)`` built from a body
-# template: the body names the per-run arguments and a handful of
-# constants (register indices, immediates, displacements, sizes,
-# targets), and the constants become the closure's cells.  Effective
-# addresses are written into the body, specialised by addressing mode.
-# Bodies must leave *identical* architectural state to the handler they
-# replace, including flag value types (``bool``) and the order in which
-# a faulting access sees ``rsp`` updated.
+# A step is ``step(cpu, regs, rd, wr)``.  Its body comes from the shared
+# translator (:func:`repro.vm.translate.translate`) for data
+# instructions, with the flags on the CPU and every constant bound as a
+# closure cell, so all instructions of one shape share one compiled
+# factory; control transfers set ``cpu.rip`` here; anything else calls
+# the generic handler.
 
 _M = str(_M64)
-_S = str(_SIGN)
-_WRAP = str(1 << 64)
 _SP = f"regs[{int(RSP)}]"
-
-
-def _flag_expr(expression: str) -> str:
-    return re.sub(r"\b(zf|sf|cf|of)\b", r"cpu.\1", expression)
-
-
-_JCC_COND = {opcode: _flag_expr(expr) for opcode, expr in _JCC_EXPR.items()}
-_SETCC_COND = {opcode: _flag_expr(expr) for opcode, expr in _SETCC_EXPR.items()}
-
-_ZS = f"cpu.zf = r == 0; cpu.sf = bool(r & {_S})"
-_LOGIC = "regs[d] = r; cpu.cf = False; cpu.of = False; " + _ZS
-
-#: ALU bodies over ``a = regs[d]`` and the source expression ``SRC``,
-#: mirroring ``CPU._alu`` (SHL/SHR/SAR update only zf/sf).
-_ALU_BODIES = {
-    Opcode.ADD: (f"a = regs[d]; b = SRC; t = a + b; r = t & {_M}; regs[d] = r; "
-                 f"cpu.cf = t > {_M}; cpu.of = bool((~(a ^ b) & (a ^ r)) & {_S}); "
-                 + _ZS),
-    Opcode.SUB: (f"a = regs[d]; b = SRC; r = (a - b) & {_M}; regs[d] = r; "
-                 f"cpu.cf = b > a; cpu.of = bool(((a ^ b) & (a ^ r)) & {_S}); "
-                 + _ZS),
-    Opcode.AND: "r = regs[d] & SRC; " + _LOGIC,
-    Opcode.OR: "r = regs[d] | SRC; " + _LOGIC,
-    Opcode.XOR: "r = regs[d] ^ SRC; " + _LOGIC,
-    Opcode.IMUL: (f"a = regs[d]; b = SRC; "
-                  f"r = ((a - {_WRAP} if a & {_S} else a) "
-                  f"* (b - {_WRAP} if b & {_S} else b)) & {_M}; regs[d] = r; "
-                  + _ZS + "; cpu.cf = cpu.of = False"),
-    Opcode.SHL: f"r = (regs[d] << (SRC & 63)) & {_M}; regs[d] = r; " + _ZS,
-    Opcode.SHR: "r = regs[d] >> (SRC & 63); regs[d] = r; " + _ZS,
-    Opcode.SAR: (f"a = regs[d]; r = ((a - {_WRAP} if a & {_S} else a) >> (SRC & 63)) "
-                 f"& {_M}; regs[d] = r; " + _ZS),
-}
 
 #: Step factories by (body, constant names), each compiled once.
 _FACTORIES: Dict[tuple, object] = {}
@@ -411,7 +371,7 @@ def _step(body: str, **constants):
     factory = _FACTORIES.get(key)
     if factory is None:
         source = (f"def factory({', '.join(names)}):\n"
-                  f"    def step(cpu, regs, read_int, write_int):\n"
+                  f"    def step(cpu, regs, rd, wr):\n"
                   f"        {body}\n"
                   f"    return step\n")
         namespace: dict = {}
@@ -420,45 +380,20 @@ def _step(body: str, **constants):
     return factory(**constants)
 
 
-def _ea(instruction, mem, constants) -> str:
-    """The effective-address expression of *mem*, mirroring
-    ``CPU.effective_address``; binds its constants into *constants*."""
-    disp, base, index = mem.disp, mem.base, mem.index
-    if base is _RIP:
-        constants["ea"] = (disp + instruction.address + instruction.length) & _M64
-        return "ea"
-    if base is None and index is None:
-        constants["ea"] = disp & _M64
-        return "ea"
-    constants["disp"] = disp
-    if index is None:
-        constants["base"] = int(base)
-        return f"(regs[base] + disp) & {_M}"
-    constants["index"] = int(index)
-    constants["scale"] = mem.scale
-    if base is None:
-        return f"(disp + regs[index] * scale) & {_M}"
-    constants["base"] = int(base)
-    return f"(regs[base] + disp + regs[index] * scale) & {_M}"
-
-
-def _value(operand, name: str, constants) -> Optional[str]:
-    """The expression reading a register or immediate *operand* (None
-    for a memory operand), with its constant bound as *name*."""
-    if type(operand) is Reg:
-        constants[name] = int(operand.reg)
-        return f"regs[{name}]"
-    if type(operand) is Imm:
-        constants[name] = operand.value & _M64
-        return name
-    return None
-
-
 def _specialize(instruction):
-    """The step executing *instruction*: a specialised body for the hot
-    forms, else a call of the generic ``CPU._exec_*`` handler."""
+    """The step executing *instruction*: a translated body for data
+    instructions and transfers, else a call of the generic handler."""
     constants: dict = {}
-    body = _body(instruction, constants)
+
+    def bind(name: str, value: int) -> str:
+        constants[name] = value
+        return name
+
+    translated = translate(instruction, bind, "cpu.")
+    if translated is not None:
+        return _step(translated[0] or "pass", **constants)
+    constants.clear()  # what a declined translation bound
+    body = _transfer(instruction, constants)
     if body is None:
         from repro.vm.cpu import HANDLERS
 
@@ -467,119 +402,25 @@ def _specialize(instruction):
     return _step(body, **constants)
 
 
-def _body(instruction, constants) -> Optional[str]:  # noqa: C901 - one big opcode switch
-    """The step body for *instruction* (binding its constants), or None
-    when only the generic handler will do."""
+def _transfer(instruction, constants) -> Optional[str]:
+    """The body of a direct or indirect control transfer (binding its
+    constants), or None for TRAP, RTCALL and the forms the translator
+    leaves to the generic handler."""
     opcode = instruction.opcode
     operands = instruction.operands
-    size = instruction.size
-
-    if opcode is Opcode.MOV:
-        dst, src = operands
-        if type(dst) is Reg:
-            constants["d"] = int(dst.reg)
-            if type(src) is Reg:
-                constants["s"] = int(src.reg)
-                if size == 8:
-                    return "regs[d] = regs[s]"
-                constants["mask"] = (1 << (size * 8)) - 1
-                return "regs[d] = regs[s] & mask"
-            if type(src) is Imm:
-                value = src.value & _M64
-                if size != 8:
-                    value &= (1 << (size * 8)) - 1
-                constants["s"] = value
-                return "regs[d] = s"
-            constants["size"] = size
-            return f"regs[d] = read_int({_ea(instruction, src, constants)}, size)"
-        value = _value(src, "s", constants)
-        if value is None:
-            return None
-        constants["size"] = size
-        return f"write_int({_ea(instruction, dst, constants)}, {value}, size)"
-
-    if opcode is Opcode.MOVS:
-        constants["d"] = int(operands[0].reg)
-        constants["size"] = size
-        return (f"regs[d] = read_int({_ea(instruction, operands[1], constants)}, "
-                f"size, True) & {_M}")
-
-    if opcode is Opcode.LEA:
-        constants["d"] = int(operands[0].reg)
-        return f"regs[d] = {_ea(instruction, operands[1], constants)}"
-
-    if opcode in _ALU_BODIES:
-        dst, src = operands
-        if type(dst) is not Reg:
-            return None
-        value = _value(src, "s", constants)
-        if value is None:
-            return None  # memory source: generic handler
-        constants["d"] = int(dst.reg)
-        return _ALU_BODIES[opcode].replace("SRC", value)
-
-    if opcode is Opcode.CMP:
-        dst, src = operands
-        b = _value(src, "s", constants)
-        if b is None:
-            return None
-        a = _value(dst, "d", constants)
-        if a is None:
-            constants["size"] = size
-            a = f"read_int({_ea(instruction, dst, constants)}, size)"
-        return (f"a = {a}; b = {b}; r = (a - b) & {_M}; cpu.cf = b > a; "
-                f"cpu.of = bool(((a ^ b) & (a ^ r)) & {_S}); " + _ZS)
-
-    if opcode is Opcode.TEST:
-        a = _value(operands[0], "d", constants)
-        b = _value(operands[1], "s", constants)
-        if a is None or b is None:
-            return None
-        return f"r = {a} & {b}; cpu.cf = False; cpu.of = False; " + _ZS
-
-    if opcode is Opcode.NOT:
-        constants["d"] = int(operands[0].reg)
-        return f"regs[d] = (~regs[d]) & {_M}"
-
-    if opcode is Opcode.NEG:
-        constants["d"] = int(operands[0].reg)
-        return f"a = regs[d]; r = (-a) & {_M}; regs[d] = r; cpu.cf = a != 0; " + _ZS
-
-    if opcode in _SETCC_COND:
-        constants["d"] = int(operands[0].reg)
-        return f"regs[d] = 1 if {_SETCC_COND[opcode]} else 0"
-
-    if opcode is Opcode.PUSH:
-        constants["s"] = int(operands[0].reg)
-        return f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, regs[s], 8)"
-
-    if opcode is Opcode.POP:
-        constants["d"] = int(operands[0].reg)
-        return f"rsp = {_SP}; regs[d] = read_int(rsp, 8); {_SP} = (rsp + 8) & {_M}"
-
-    if opcode is Opcode.PUSHF:
-        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, "
-                "(1 if cpu.zf else 0) | (2 if cpu.sf else 0) "
-                "| (4 if cpu.cf else 0) | (8 if cpu.of else 0), 8)")
-
-    if opcode is Opcode.POPF:
-        return (f"rsp = {_SP}; v = read_int(rsp, 8); cpu.zf = bool(v & 1); "
-                "cpu.sf = bool(v & 2); cpu.cf = bool(v & 4); cpu.of = bool(v & 8); "
-                f"{_SP} = (rsp + 8) & {_M}")
-
     return_address = instruction.address + instruction.length
     if opcode is Opcode.JMP:
         constants["target"] = (return_address + operands[0].value) & _M64
         return "cpu.rip = target"
 
-    if opcode in _JCC_COND:
+    if opcode in JCC_CONDITIONS:
         constants["target"] = (return_address + operands[0].value) & _M64
-        return f"if {_JCC_COND[opcode]}: cpu.rip = target"
+        return f"if {condition(opcode, 'cpu.')}: cpu.rip = target"
 
     if opcode is Opcode.CALL:
         constants["ret"] = return_address
         constants["target"] = (return_address + operands[0].value) & _M64
-        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, ret, 8); "
+        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
                 "cpu.rip = target")
 
     if opcode is Opcode.JMPR:
@@ -589,15 +430,10 @@ def _body(instruction, constants) -> Optional[str]:  # noqa: C901 - one big opco
     if opcode is Opcode.CALLR:
         constants["ret"] = return_address
         constants["s"] = int(operands[0].reg)
-        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; write_int(rsp, ret, 8); "
+        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
                 "cpu.rip = regs[s]")
 
     if opcode is Opcode.RET:
-        return f"rsp = {_SP}; cpu.rip = read_int(rsp, 8); {_SP} = (rsp + 8) & {_M}"
+        return f"rsp = {_SP}; cpu.rip = rd(rsp, 8); {_SP} = (rsp + 8) & {_M}"
 
-    if opcode is Opcode.NOP:
-        return "pass"
-
-    # TRAP, RTCALL, DIV/MOD/IDIV/IMOD, memory-destination ALU, and
-    # anything exotic run through the generic handler.
     return None

@@ -24,6 +24,13 @@ from oracle to hottest:
    indexed directly, flags held in Python locals, effective addresses
    constant-folded, and no per-instruction dispatch of any kind.
 
+Code generation: a data instruction's statements come from the one
+translator both compiled tiers share (:func:`repro.vm.translate.translate`,
+asked for literal constants and flags in locals).  This module writes
+only what is trace-specific: guards and side exits for the transfers,
+the ``trap``/``rtcall`` exits, check fusion, and the generic call
+``h{j}(cpu, i{j})`` of the unbound handler for everything else.
+
 Equivalence contract (DESIGN.md §9): trace execution must be
 *bit-identical* to single-stepping the same instructions — registers,
 ``rip``, flags, retired-instruction counts, check-instruction counts,
@@ -80,8 +87,9 @@ architectural state left behind by a mid-trace fault:
 - **cross-run cache**: compiled traces are keyed by anchor address in
   a dict riding on the :class:`~repro.binfmt.binary.Binary` object
   (installed by ``vm/loader.py``), so a second run of the same image
-  *revives* a trace — re-``exec``-ing its cached code object against
-  the fresh CPU — instead of paying record + compile again.  Revival
+  *revives* a trace — installs the same :class:`Trace`, whose function
+  takes the CPU as an argument and whose globals hold no run state —
+  instead of paying record + compile again.  Revival
   is gated on byte-verifying every code span the recording covered
   against current guest memory: byte-equal code decodes identically,
   and all data-dependent behaviour is revalidated at run time by the
@@ -110,11 +118,12 @@ from typing import Dict, List, Optional, Set
 from repro.errors import VMFault
 from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
-from repro.isa.operands import Imm, Mem, Reg
+from repro.isa.operands import Reg
 from repro.isa.registers import RSP, Register
+from repro.vm.translate import JCC_CONDITIONS, SETCC_CONDITIONS, condition, translate
 
 _M64 = (1 << 64) - 1
-_SIGN = 1 << 63
+_M = str(_M64)
 _RIP = Register.RIP
 
 #: Taken back-edge executions before a loop head is recorded.
@@ -128,24 +137,6 @@ MAX_TRACE = 512
 
 #: Minimum length of a trampoline span worth fusing.
 MIN_FUSE_SPAN = 4
-
-#: Condition expressions over the flag locals, by conditional opcode.
-_JCC_EXPR = {
-    Opcode.JE: "zf", Opcode.JNE: "not zf",
-    Opcode.JL: "sf != of", Opcode.JLE: "(zf or sf != of)",
-    Opcode.JG: "(not zf and sf == of)", Opcode.JGE: "sf == of",
-    Opcode.JB: "cf", Opcode.JBE: "(cf or zf)",
-    Opcode.JA: "(not cf and not zf)", Opcode.JAE: "not cf",
-    Opcode.JS: "sf", Opcode.JNS: "not sf",
-}
-
-_SETCC_EXPR = {
-    Opcode.SETE: "zf", Opcode.SETNE: "not zf",
-    Opcode.SETL: "sf != of", Opcode.SETLE: "(zf or sf != of)",
-    Opcode.SETG: "(not zf and sf == of)", Opcode.SETGE: "sf == of",
-    Opcode.SETB: "cf", Opcode.SETBE: "(cf or zf)",
-    Opcode.SETA: "(not cf and not zf)", Opcode.SETAE: "not cf",
-}
 
 #: Opcodes a fused span may contain: deterministic over (registers,
 #: flags, loaded words) with effects the compiler can capture — register
@@ -161,7 +152,7 @@ _FUSABLE = frozenset({
     Opcode.IMUL, Opcode.SHL, Opcode.SHR, Opcode.SAR,
     Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD,
     Opcode.CMP, Opcode.TEST, Opcode.NOT, Opcode.NEG, Opcode.JMP,
-}) | frozenset(_JCC_EXPR) | frozenset(_SETCC_EXPR)
+}) | frozenset(JCC_CONDITIONS) | frozenset(SETCC_CONDITIONS)
 
 #: Which flags each opcode *consumes* — exact, per flag, matching
 #: ``repro.vm.cpu._CONDITIONS``.  A flag consumed before the span
@@ -192,15 +183,6 @@ for _op in (Opcode.SHL, Opcode.SHR, Opcode.SAR,
     _FLAG_WRITES[_op] = ("zf", "sf")
 _FLAG_WRITES[Opcode.NEG] = ("zf", "sf", "cf")
 _FLAG_WRITES[Opcode.POPF] = ("zf", "sf", "cf", "of")
-
-_ALU_INLINE = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.IMUL, Opcode.SHL, Opcode.SHR, Opcode.SAR,
-})
-
-
-def _signed(value: int) -> int:
-    return value - (1 << 64) if value & _SIGN else value
 
 
 class TraceEntry:
@@ -248,66 +230,44 @@ class Trace:
     full iteration fits *fuel* and every guard matches; it returns
     ``(retired, check_instructions)``.  ``length``/``checks`` are the
     per-iteration static counts the run loop uses for fuel pre-checks.
-    ``code`` (the compiled code object) and ``generics`` (the
-    ``(index, instruction)`` pairs bound to the generic-handler
-    globals) are what the cross-run cache needs to revive the trace on
-    a fresh CPU without re-recording.
+
+    ``fn`` receives the per-run state as arguments and its globals hold
+    only constants, decoded instructions and unbound handlers, so one
+    trace serves every run of its image: the cross-run cache (attached
+    to the Binary by the loader) holds the Trace itself.  Compiling a
+    trace costs orders of magnitude more than executing one iteration,
+    and every run of the same binary re-discovers the same hot loops.
+    Reuse is gated on ``code_spans``: the recorded path's instruction
+    bytes must match guest memory exactly at revival time, which makes
+    a revived trace as trustworthy as a fresh recording — its guards
+    and side exits re-validate all data-dependent behaviour at run time
+    anyway.
     """
 
     __slots__ = ("anchor", "fn", "length", "checks", "fused_spans", "source",
-                 "code", "generics")
+                 "code_spans")
 
-    def __init__(self, anchor, fn, length, checks, fused_spans, source,
-                 code=None, generics=()) -> None:
+    def __init__(self, anchor, fn, length, checks, fused_spans, source) -> None:
         self.anchor = anchor
         self.fn = fn
         self.length = length
         self.checks = checks
         self.fused_spans = fused_spans
         self.source = source
-        self.code = code
-        self.generics = generics
-
-
-class CachedTrace:
-    """A compiled trace in the per-binary cross-run cache.
-
-    Compiling a trace costs orders of magnitude more than executing
-    one iteration, and every run of the same binary re-discovers the
-    same hot loops; the cache (attached to the Binary by the loader)
-    carries the compiled code object across runs.  Reuse is gated on
-    ``code_spans``: the recorded path's instruction bytes must match
-    guest memory exactly at revival time, which makes a revived trace
-    as trustworthy as a fresh recording — its guards and side exits
-    re-validate all data-dependent behaviour at run time anyway.
-    """
-
-    __slots__ = ("code", "length", "checks", "fused_spans", "source",
-                 "code_spans", "generics")
-
-    def __init__(self, code, length, checks, fused_spans, source,
-                 code_spans, generics) -> None:
-        self.code = code
-        self.length = length
-        self.checks = checks
-        self.fused_spans = fused_spans
-        self.source = source
-        self.code_spans = code_spans  # [(address, encoded bytes)]
-        self.generics = generics      # [(entry index, instruction)]
+        self.code_spans: List[tuple] = []  # [(address, encoded bytes)]
 
 
 class TraceEngine:
     """Per-CPU back-edge profiler, trace recorder/compiler and cache."""
 
-    __slots__ = ("cpu", "traces", "counters", "blacklist", "enabled",
+    __slots__ = ("traces", "counters", "blacklist", "enabled",
                  "degraded", "degraded_reason", "recordings", "compiled",
                  "aborted", "fusion_spans", "fusion_hits", "shared_cache",
                  "revived")
 
-    def __init__(self, cpu, enabled: Optional[bool] = None) -> None:
+    def __init__(self, enabled: Optional[bool] = None) -> None:
         from repro.vm.superblock import default_engine
 
-        self.cpu = cpu
         self.traces: Dict[int, Trace] = {}
         self.counters: Dict[int, int] = {}
         self.blacklist: Set[int] = set()
@@ -321,7 +281,7 @@ class TraceEngine:
         self.fusion_hits = 0
         #: Per-binary cross-run cache (installed by the loader); None
         #: when the CPU was built without a Binary (unit tests).
-        self.shared_cache: Optional[Dict[int, CachedTrace]] = None
+        self.shared_cache: Optional[Dict[int, Optional[Trace]]] = None
         self.revived = 0
 
     def invalidate(self) -> None:
@@ -331,8 +291,8 @@ class TraceEngine:
         self.counters.clear()
         self.blacklist.clear()
 
-    def degrade(self, reason: str) -> None:
-        """Latch the tier off for the rest of this CPU's lifetime.
+    def degrade(self, cpu, reason: str) -> None:
+        """Latch *cpu*'s tier off for the rest of this CPU's lifetime.
 
         The run loop keeps executing on the superblock tier (or below)
         with identical semantics; telemetry and the fault campaign see
@@ -343,7 +303,7 @@ class TraceEngine:
         self.degraded_reason = reason
         self.traces.clear()
         self.counters.clear()
-        tele = self.cpu.telemetry
+        tele = cpu.telemetry
         if tele is not None:
             tele.count("vm.trace_degraded")
             tele.event("trace_degraded", reason=reason)
@@ -362,7 +322,7 @@ class TraceEngine:
 
     # -- profiling ---------------------------------------------------------
 
-    def hot(self, target: int) -> bool:
+    def hot(self, cpu, target: int) -> bool:
         """One taken back-edge to *target*; True when it just got hot.
 
         This tick is the tier's fault-injection surface (``vm.trace``):
@@ -372,7 +332,7 @@ class TraceEngine:
         if not self.enabled:
             return False
         if fault_point("vm.trace"):
-            self.degrade("injected trace-tier profiling fault")
+            self.degrade(cpu, "injected trace-tier profiling fault")
             return False
         if target in self.traces or target in self.blacklist:
             return False
@@ -381,11 +341,11 @@ class TraceEngine:
             self.counters[target] = count
             return False
         self.counters.pop(target, None)
-        if self._revive(target):
+        if self._revive(cpu, target):
             return False  # installed from the cache; no recording needed
         return True
 
-    def _revive(self, anchor: int) -> bool:
+    def _revive(self, cpu, anchor: int) -> bool:
         """Install *anchor*'s trace from the cross-run cache, if the
         cached code bytes still match guest memory.
 
@@ -398,44 +358,34 @@ class TraceEngine:
         cache = self.shared_cache
         if cache is None or anchor not in cache:
             return False
-        cached = cache[anchor]
-        if cached is None:
+        trace = cache[anchor]
+        if trace is None:
             self.blacklist.add(anchor)
             return True
-        read = self.cpu.memory.read
+        read = cpu.memory.read
         try:
-            for address, data in cached.code_spans:
+            for address, data in trace.code_spans:
                 if read(address, len(data)) != data:
                     del cache[anchor]
                     return False
         except VMFault:
             del cache[anchor]
             return False
-        glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed,
-                     "VMFault": VMFault, "E": self}
-        dispatch = self.cpu._dispatch
-        for j, instruction in cached.generics:
-            glb[f"h{j}"] = dispatch[instruction.opcode]
-            glb[f"i{j}"] = instruction
-        exec(cached.code, glb)  # re-binds f to this CPU's globals
-        self.traces[anchor] = Trace(
-            anchor, glb["f"], cached.length, cached.checks,
-            cached.fused_spans, cached.source, cached.code, cached.generics,
-        )
+        self.traces[anchor] = trace
         self.revived += 1
-        self.fusion_spans += cached.fused_spans
-        tele = self.cpu.telemetry
+        self.fusion_spans += trace.fused_spans
+        tele = cpu.telemetry
         if tele is not None:
             tele.count("vm.traces_revived")
         return True
 
     # -- recording ---------------------------------------------------------
 
-    def record(self, anchor: int, fuel: int):
+    def record(self, cpu, anchor: int, fuel: int):
         """Record, compile and cache the trace anchored at *anchor*.
 
         Recording **is** execution: the recorded iteration single-steps
-        through the dispatch table with full architectural effect, so
+        through the generic handlers with full architectural effect, so
         the caller must account the returned ``(retired, checks)``
         pair.  An exception during recording publishes the partial
         counts through ``cpu._trace_pending`` / ``_trace_pending_checks``
@@ -445,13 +395,13 @@ class TraceEngine:
         fails to close back on *anchor* within :data:`MAX_TRACE`
         instructions or within the remaining *fuel*.
         """
+        from repro.vm.cpu import HANDLERS
+
         self.recordings += 1
-        cpu = self.cpu
         tele = cpu.telemetry
         if tele is not None:
             tele.count("vm.trace_recordings")
         icache = cpu.icache
-        dispatch = cpu._dispatch
         memory = cpu.memory
         span = cpu.trampoline_span
         tramp_start, tramp_end = span if span is not None else (0, 0)
@@ -502,7 +452,7 @@ class TraceEngine:
                 after = rip + instruction.length
                 rsp_before = cpu.regs[RSP]
                 cpu.rip = after
-                dispatch[instruction.opcode](instruction)
+                HANDLERS[instruction.opcode](cpu, instruction)
                 retired += 1
                 if pending_writes:
                     for j, address, size in pending_writes:
@@ -544,21 +494,17 @@ class TraceEngine:
         )
         trace = None
         try:
-            trace = _compile(self, anchor, entries, reads, writes, snapshots)
+            trace = _compile(anchor, entries, reads, writes, snapshots)
         except Exception as error:  # a codegen bug must degrade, not crash
-            self.degrade(f"trace compilation failed: {error}")
+            self.degrade(cpu, f"trace compilation failed: {error}")
         if trace is not None:
             self.traces[anchor] = trace
             self.compiled += 1
             self.fusion_spans += trace.fused_spans
             if self.shared_cache is not None:
-                self.shared_cache[anchor] = CachedTrace(
-                    trace.code, trace.length, trace.checks,
-                    trace.fused_spans, trace.source,
-                    [(rip, memory.read(rip, length))
-                     for rip, length in code_lengths.items()],
-                    trace.generics,
-                )
+                trace.code_spans = [(rip, memory.read(rip, length))
+                                    for rip, length in code_lengths.items()]
+                self.shared_cache[anchor] = trace
             if tele is not None:
                 tele.count("vm.traces_compiled")
         else:
@@ -813,40 +759,24 @@ def _find_spans(entries, reads, writes, snapshots) -> List[FusedSpan]:
 # -- the compiler ------------------------------------------------------------
 
 
-def _ea_expr(instruction, mem: Mem) -> str:
-    """Source expression computing an effective address, mirroring
-    :meth:`repro.vm.cpu.CPU.effective_address` (constant-folded where
-    possible)."""
-    if mem.base is _RIP:
-        return str((mem.disp + instruction.address + instruction.length) & _M64)
-    parts = []
-    if mem.base is not None:
-        parts.append(f"regs[{int(mem.base)}]")
-    if mem.index is not None:
-        term = f"regs[{int(mem.index)}]"
-        if mem.scale != 1:
-            term += f" * {mem.scale}"
-        parts.append(term)
-    if mem.disp:
-        parts.append(str(mem.disp))
-    if not parts:
-        return "0"
-    return "(" + " + ".join(parts) + ") & M"
+def _literal(_name: str, value: int) -> str:
+    """The translator's constant policy for traces: write the literal."""
+    return str(value)
 
 
-def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
-             reads, writes, snapshots) -> Optional[Trace]:
+def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
+             snapshots) -> Trace:
     """Compile a recorded trace to one Python function (see module
     docstring for the generated shape and its invariants)."""
+    from repro.vm.cpu import HANDLERS
+
     n = len(entries)
     ck_before = [0] * (n + 1)
     for j, entry in enumerate(entries):
         ck_before[j + 1] = ck_before[j] + (1 if entry.in_tramp else 0)
     total_checks = ck_before[n]
-    glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed, "VMFault": VMFault,
-                 "E": engine}
-    generics: List[tuple] = []  # (entry index, instruction) for h{j}/i{j}
-    rsp = int(RSP)
+    glb: dict = {"VMFault": VMFault}
+    sp = f"regs[{int(RSP)}]"
     lines: List[str] = []
 
     def emit(ind: int, text: str) -> None:
@@ -873,203 +803,49 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
         emit(ind, f"cpu.rip = {entry.after}; k = {packed}")
 
     def generic(ind: int, j: int, entry: TraceEntry) -> None:
-        """Fallback: call the CPU's bound handler (exactly the dispatch
-        loop's call) with the flag locals synchronized around it."""
+        """Fallback: call the unbound handler (the single-step loop's
+        own call) with the flag locals synchronized around it."""
         raise_prefix(ind, j, entry)
         flags_out(ind)
-        glb[f"h{j}"] = engine.cpu._dispatch[entry.instruction.opcode]
+        glb[f"h{j}"] = HANDLERS[entry.instruction.opcode]
         glb[f"i{j}"] = entry.instruction
-        generics.append((j, entry.instruction))
-        emit(ind, f"h{j}(i{j})")
+        emit(ind, f"h{j}(cpu, i{j})")
         flags_in(ind)
 
-    def value_expr(operand, size: int, instruction) -> Optional[str]:
-        """Source expression for a CMP/TEST-style operand read
-        (mirrors ``CPU._read_operand``); None for a Mem operand."""
-        if type(operand) is Reg:
-            return f"regs[{int(operand.reg)}]"
-        if type(operand) is Imm:
-            return str(operand.value & _M64)
-        return None
-
-    def emit_entry(j: int, ind: int) -> None:  # noqa: C901 - opcode switch
+    def emit_entry(j: int, ind: int) -> None:
         entry = entries[j]
         instruction = entry.instruction
+        translated = translate(instruction, _literal, "")
+        if translated is not None:
+            statements, touches_memory = translated
+            if touches_memory:
+                raise_prefix(ind, j, entry)
+            if statements:
+                emit(ind, statements)
+            return
         opcode = instruction.opcode
         operands = instruction.operands
-        size = instruction.size
-
-        if opcode is Opcode.NOP:
-            return
-        if opcode is Opcode.MOV:
-            dst, src = operands
-            if type(dst) is Reg:
-                d = int(dst.reg)
-                if type(src) is Reg:
-                    s = int(src.reg)
-                    if size == 8:
-                        emit(ind, f"regs[{d}] = regs[{s}]")
-                    else:
-                        emit(ind, f"regs[{d}] = regs[{s}] & {(1 << (size * 8)) - 1}")
-                elif type(src) is Imm:
-                    value = src.value & _M64
-                    if size != 8:
-                        value &= (1 << (size * 8)) - 1
-                    emit(ind, f"regs[{d}] = {value}")
-                else:
-                    raise_prefix(ind, j, entry)
-                    emit(ind, f"regs[{d}] = rd({_ea_expr(instruction, src)}, {size})")
-            else:
-                raise_prefix(ind, j, entry)
-                ea = _ea_expr(instruction, dst)
-                if type(src) is Reg:
-                    emit(ind, f"wr({ea}, regs[{int(src.reg)}], {size})")
-                elif type(src) is Imm:
-                    emit(ind, f"wr({ea}, {src.value & _M64}, {size})")
-                else:
-                    generic(ind, j, entry)
-            return
-        if opcode is Opcode.MOVS:
-            dst, src = operands
-            raise_prefix(ind, j, entry)
-            emit(ind, f"regs[{int(dst.reg)}] = "
-                      f"rd({_ea_expr(instruction, src)}, {size}, True) & M")
-            return
-        if opcode is Opcode.LEA:
-            dst, src = operands
-            emit(ind, f"regs[{int(dst.reg)}] = {_ea_expr(instruction, src)}")
-            return
-        if opcode in _ALU_INLINE:
-            dst, src = operands
-            if type(dst) is not Reg:
-                generic(ind, j, entry)
-                return
-            d = int(dst.reg)
-            if type(src) is Reg:
-                b_expr = f"regs[{int(src.reg)}]"
-                b_literal = None
-            elif type(src) is Imm:
-                b_literal = src.value & _M64
-                b_expr = str(b_literal)
-            else:
-                generic(ind, j, entry)  # memory source: hookable path
-                return
-            if opcode is Opcode.ADD:
-                emit(ind, f"a = regs[{d}]; b = {b_expr}; r = (a + b) & M")
-                emit(ind, f"regs[{d}] = r; cf = a + b > M; "
-                          f"of = (~(a ^ b)) & (a ^ r) & S != 0; "
-                          f"zf = r == 0; sf = r & S != 0")
-            elif opcode is Opcode.SUB:
-                emit(ind, f"a = regs[{d}]; b = {b_expr}; r = (a - b) & M")
-                emit(ind, f"regs[{d}] = r; cf = b > a; "
-                          f"of = (a ^ b) & (a ^ r) & S != 0; "
-                          f"zf = r == 0; sf = r & S != 0")
-            elif opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-                symbol = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}[opcode]
-                emit(ind, f"r = regs[{d}] {symbol} {b_expr}")
-                emit(ind, f"regs[{d}] = r; cf = False; of = False; "
-                          f"zf = r == 0; sf = r & S != 0")
-            elif opcode is Opcode.IMUL:
-                emit(ind, f"r = (sg(regs[{d}]) * sg({b_expr})) & M")
-                emit(ind, f"regs[{d}] = r; cf = False; of = False; "
-                          f"zf = r == 0; sf = r & S != 0")
-            else:  # shifts: cf/of keep their prior values
-                count = (f"({b_expr} & 63)" if b_literal is None
-                         else str(b_literal & 63))
-                if opcode is Opcode.SHL:
-                    emit(ind, f"r = (regs[{d}] << {count}) & M")
-                elif opcode is Opcode.SHR:
-                    emit(ind, f"r = regs[{d}] >> {count}")
-                else:  # SAR
-                    emit(ind, f"r = (sg(regs[{d}]) >> {count}) & M")
-                emit(ind, f"regs[{d}] = r; zf = r == 0; sf = r & S != 0")
-            return
-        if opcode is Opcode.CMP:
-            dst, src = operands
-            a_expr = value_expr(dst, size, instruction)
-            b_expr = value_expr(src, size, instruction)
-            if a_expr is None or b_expr is None:
-                raise_prefix(ind, j, entry)
-                if a_expr is None:
-                    emit(ind, f"a = rd({_ea_expr(instruction, dst)}, {size})")
-                    a_expr = "a"
-                if b_expr is None:
-                    emit(ind, f"b = rd({_ea_expr(instruction, src)}, {size})")
-                    b_expr = "b"
-            emit(ind, f"a = {a_expr}; b = {b_expr}; r = (a - b) & M")
-            emit(ind, f"cf = b > a; of = (a ^ b) & (a ^ r) & S != 0; "
-                      f"zf = r == 0; sf = r & S != 0")
-            return
-        if opcode is Opcode.TEST:
-            dst, src = operands
-            a_expr = value_expr(dst, 8, instruction)
-            b_expr = value_expr(src, 8, instruction)
-            if a_expr is None or b_expr is None:
-                generic(ind, j, entry)
-                return
-            emit(ind, f"r = {a_expr} & {b_expr}")
-            emit(ind, "cf = False; of = False; "
-                      "zf = r == 0; sf = r & S != 0")
-            return
-        if opcode is Opcode.NOT:
-            d = int(operands[0].reg)
-            emit(ind, f"regs[{d}] = ~regs[{d}] & M")
-            return
-        if opcode is Opcode.NEG:
-            d = int(operands[0].reg)
-            emit(ind, f"a = regs[{d}]; r = (-a) & M")
-            emit(ind, f"regs[{d}] = r; cf = a != 0; zf = r == 0; sf = r & S != 0")
-            return
-        if opcode in _SETCC_EXPR:
-            emit(ind, f"regs[{int(operands[0].reg)}] = "
-                      f"1 if {_SETCC_EXPR[opcode]} else 0")
-            return
-        if opcode is Opcode.PUSH:
-            raise_prefix(ind, j, entry)
-            emit(ind, f"regs[{rsp}] = rs = (regs[{rsp}] - 8) & M")
-            emit(ind, f"wr(rs, regs[{int(operands[0].reg)}], 8)")
-            return
-        if opcode is Opcode.POP:
-            raise_prefix(ind, j, entry)
-            emit(ind, f"rs = regs[{rsp}]")
-            emit(ind, f"regs[{int(operands[0].reg)}] = rd(rs, 8)")
-            emit(ind, f"regs[{rsp}] = (rs + 8) & M")
-            return
-        if opcode is Opcode.PUSHF:
-            raise_prefix(ind, j, entry)
-            emit(ind, f"regs[{rsp}] = rs = (regs[{rsp}] - 8) & M")
-            emit(ind, "wr(rs, (1 if zf else 0) | (2 if sf else 0) | "
-                      "(4 if cf else 0) | (8 if of else 0), 8)")
-            return
-        if opcode is Opcode.POPF:
-            raise_prefix(ind, j, entry)
-            emit(ind, f"rs = regs[{rsp}]; a = rd(rs, 8)")
-            emit(ind, "zf = a & 1 != 0; sf = a & 2 != 0; "
-                      "cf = a & 4 != 0; of = a & 8 != 0")
-            emit(ind, f"regs[{rsp}] = (rs + 8) & M")
-            return
         if opcode is Opcode.JMP:
             return  # static target == the next recorded entry; nothing to do
-        if opcode in _JCC_EXPR:
-            condition = _JCC_EXPR[opcode]
-            taken = entry.next_rip != entry.after
-            if taken:
-                emit(ind, f"if not ({condition}):")
+        if opcode in JCC_CONDITIONS:
+            test = condition(opcode, "")
+            if entry.next_rip != entry.after:  # recorded taken
+                emit(ind, f"if not ({test}):")
                 side_exit(ind + 1, j, str(entry.after))
             else:
                 target = (entry.after + operands[0].value) & _M64
-                emit(ind, f"if {condition}:")
+                emit(ind, f"if {test}:")
                 side_exit(ind + 1, j, str(target))
             return
         if opcode is Opcode.CALL:
             raise_prefix(ind, j, entry)
-            emit(ind, f"regs[{rsp}] = rs = (regs[{rsp}] - 8) & M")
+            emit(ind, f"{sp} = rs = ({sp} - 8) & {_M}")
             emit(ind, f"wr(rs, {entry.after}, 8)")
             return
         if opcode is Opcode.RET:
             raise_prefix(ind, j, entry)
-            emit(ind, f"rs = regs[{rsp}]; a = rd(rs, 8)")
-            emit(ind, f"regs[{rsp}] = (rs + 8) & M")
+            emit(ind, f"rs = {sp}; a = rd(rs, 8)")
+            emit(ind, f"{sp} = (rs + 8) & {_M}")
             emit(ind, f"if a != {entry.next_rip}:")
             side_exit(ind + 1, j, "a")
             return
@@ -1080,20 +856,18 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
             return
         if opcode is Opcode.CALLR:
             raise_prefix(ind, j, entry)
-            emit(ind, f"regs[{rsp}] = rs = (regs[{rsp}] - 8) & M")
+            emit(ind, f"{sp} = rs = ({sp} - 8) & {_M}")
             emit(ind, f"wr(rs, {entry.after}, 8)")
             emit(ind, f"a = regs[{int(operands[0].reg)}]")
             emit(ind, f"if a != {entry.next_rip}:")
             side_exit(ind + 1, j, "a")
             return
+        generic(ind, j, entry)
         if opcode in (Opcode.TRAP, Opcode.RTCALL):
-            generic(ind, j, entry)
             # The runtime may redirect rip (exit stubs, injected hangs):
             # leaving the trace keeps the interpreter's view exact.
             emit(ind, f"if cpu.rip != {entry.after}:")
             side_exit(ind + 1, j, None)
-            return
-        generic(ind, j, entry)
 
     spans = _find_spans(entries, reads, writes, snapshots)
     span_at = {span.start: span for span in spans}
@@ -1129,7 +903,7 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
         else:
             emit(body, "g = True")
         emit(body, "if g:")
-        emit(body + 1, "E.fusion_hits += 1")
+        emit(body + 1, "cpu.trace.fusion_hits += 1")
         for address, size, value in span.write_effects:
             if isinstance(value, tuple):  # transparent pair: live save
                 emit(body + 1, f"wr({address}, regs[{value[1]}], {size})")
@@ -1157,5 +931,4 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
     source = "\n".join(lines)
     code = compile(source, f"<trace@{anchor:#x}>", "exec")
     exec(code, glb)
-    return Trace(anchor, glb["f"], n, total_checks, len(spans), source,
-                 code, generics)
+    return Trace(anchor, glb["f"], n, total_checks, len(spans), source)

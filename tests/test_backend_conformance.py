@@ -37,7 +37,8 @@ class FakeCPU:
 
 def make(name, mode="log", seed=1):
     runtime = registry.create(name, mode=mode, seed=seed)
-    runtime.attach(FakeCPU())
+    runtime.fake_cpu = FakeCPU()  # a runtime holds its CPU weakly
+    runtime.attach(runtime.fake_cpu)
     return runtime
 
 

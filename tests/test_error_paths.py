@@ -60,7 +60,8 @@ class FakeCPU:
 
 def attached_runtime(mode="log"):
     runtime = RedFatRuntime(mode=mode)
-    runtime.attach(FakeCPU())
+    runtime.fake_cpu = FakeCPU()  # a runtime holds its CPU weakly
+    runtime.attach(runtime.fake_cpu)
     return runtime
 
 
@@ -147,6 +148,13 @@ class TestFreeMisuse:
         runtime = attached_runtime(mode="abort")
         runtime.free(0)
         assert not runtime.errors
+
+    def test_runtime_outliving_its_cpu_raises_typed_error(self):
+        runtime = RedFatRuntime(mode="log")
+        assert runtime.cpu is None
+        runtime.attach(FakeCPU())  # nothing else keeps this CPU alive
+        with pytest.raises(VMError, match="outlived its CPU"):
+            runtime.malloc(32)
 
 
 class TestTrapKinds:

@@ -6,7 +6,13 @@ from repro.cc import compile_source
 from repro.core import RedFat, RedFatOptions
 from repro.core.redfat_tool import PROT_LOWFAT, PROT_NONE, PROT_REDZONE
 from repro.errors import InstrumentationError, RewriteError, VMTimeoutError
-from repro.faults import FAULT_POINTS, FaultInjector, injection, point_names
+from repro.faults import (
+    FAULT_POINTS,
+    FaultInjector,
+    FaultPoint,
+    injection,
+    point_names,
+)
 from repro.faults.campaign import (
     CLEAN,
     DEGRADED,
@@ -260,10 +266,14 @@ class TestCampaign:
         second = run_one(7, program, reference.output, fuel=200_000)
         assert first == second
 
-    def test_unreached_point_is_unfired_not_clean(self):
+    def test_unreached_point_is_unfired_not_clean(self, monkeypatch):
         """A run whose armed point is never reached tested nothing: it
-        is ``unfired``, and ``clean`` is left to faults that fired."""
-        result = run_campaign(seeds=2, point="analysis.ranges",
+        is ``unfired``, and ``clean`` is left to faults that fired.
+        Every registered point fires in a campaign run, so this arms
+        one that no code guards."""
+        monkeypatch.setitem(FAULT_POINTS, "test.unreached",
+                            FaultPoint("test.unreached", "guarded nowhere"))
+        result = run_campaign(seeds=2, point="test.unreached",
                               fuel=200_000)
         assert [r.outcome for r in result.records] == [UNFIRED, UNFIRED]
         assert not any(r.fired for r in result.records)

@@ -33,8 +33,8 @@ class FakeCPU:
 
 
 def attach(runtime):
-    cpu = FakeCPU()
-    runtime.attach(cpu)
+    runtime.fake_cpu = FakeCPU()  # a runtime holds its CPU weakly
+    runtime.attach(runtime.fake_cpu)
     return runtime
 
 

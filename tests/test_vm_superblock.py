@@ -9,8 +9,10 @@ sharing rules (byte checks, rebases, degradation) are pinned here too.
 Plus the perfscope recorder that keeps it honest over time.
 """
 
+import gc
 import json
 import types
+import weakref
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.vm.superblock import (
     default_enabled,
     engine_override,
 )
+from repro.vm.trace import TraceEngine
 from repro.workloads.juliet import generate_cases
 
 # Diverse MiniC programs: tight ALU loops, branchy dispatch, heap
@@ -406,13 +409,33 @@ class TestStepOracle:
 
 #: Every specialised step form under every addressing mode (base,
 #: index, base+index, absolute, rip-relative), sized moves, flags saved
-#: with ``pushf`` after each flag-setting family, and generic steps
+#: with ``pushf`` after each flag-setting family (ADD, SUB and NEG also
+#: at their carry and signed-overflow edges), and generic steps
 #: (DIV, a memory-destination ALU, RTCALL).  Mapped at 0x1000 with a
 #: callee at 0x1800, an exit stub at 0x1c00 and data at 0x8000.
 ISA_MIX = """
 mov %rbx, $0x8000
 mov %rcx, $3
 mov %rdx, $-7
+mov %r9, $5
+add %r9, %rdx
+pushf
+mov %r9, $-2
+add %r9, $1
+pushf
+mov %r9, $-1
+add %r9, $1
+pushf
+mov %r9, $0x7fffffffffffffff
+add %r9, $1
+pushf
+sub %r9, $1
+pushf
+mov %r9, $0
+neg %r9
+pushf
+sub %r9, $1
+pushf
 mov (%rbx), $0x1234567890
 mov 8(%rbx), %rdx
 mov 16(%rbx,%rcx,8), %rcx
@@ -487,10 +510,17 @@ ret
 """
 
 
-def _mix_cpu():
+#: ISA_MIX as the body of a loop that runs often enough for the trace
+#: tier to record and compile it: every form then also runs as
+#: compiled-trace code.
+ISA_MIX_LOOP = ("mov %rbp, $24\ntop:\n"
+                + ISA_MIX.replace("over:\n", "over:\nsub %rbp, $1\njne top\n"))
+
+
+def _mix_cpu(text=ISA_MIX):
     memory = Memory()
     memory.map_range(0x1000, 0x1000)
-    for address, text in ((0x1000, ISA_MIX), (0x1800, "mov %r10, $9\nret"),
+    for address, text in ((0x1000, text), (0x1800, "mov %r10, $9\nret"),
                           (0x1C00, f"mov %rdi, %rax\nrtcall ${int(Service.EXIT)}")):
         memory.write(address, assemble_text(text + "\n", address))
     memory.map_range(0x7000, 0x3000)
@@ -501,6 +531,11 @@ def _mix_cpu():
     return cpu
 
 
+def _mix_state(cpu, status):
+    return (status, cpu.instructions_executed, list(cpu.regs), cpu.rip,
+            (cpu.zf, cpu.sf, cpu.cf, cpu.of), cpu.memory.page_contents())
+
+
 class TestStepForms:
     def test_every_form_matches_single_step(self):
         states = []
@@ -508,12 +543,19 @@ class TestStepForms:
             with engine_override(engine):
                 cpu = _mix_cpu()
             status = cpu.run(1000)
-            states.append((status, cpu.instructions_executed, list(cpu.regs),
-                           cpu.rip, (cpu.zf, cpu.sf, cpu.cf, cpu.of),
-                           cpu.memory.page_contents()))
+            states.append(_mix_state(cpu, status))
             if engine == "superblock":
                 assert cpu.superblock.translations > 1
         assert states[0] == states[1]
+        # The same forms as compiled-trace code.
+        looped = []
+        for engine in ("trace", "superblock", "single-step"):
+            with engine_override(engine):
+                cpu = _mix_cpu(ISA_MIX_LOOP)
+            looped.append(_mix_state(cpu, cpu.run(10_000)))
+            if engine == "trace":
+                assert cpu.trace.compiled > 0, "the trace tier never ran"
+        assert looped[0] == looped[1] == looped[2]
 
 
 def _captured(fn):
@@ -537,7 +579,9 @@ def _captured(fn):
 
 
 def _is_run_state(value, cpu) -> bool:
-    if isinstance(value, (CPU, Memory)) or value is cpu.regs:
+    if isinstance(value, (CPU, Memory, SuperblockEngine, TraceEngine)):
+        return True
+    if value is cpu.regs:
         return True
     return (isinstance(value, types.MethodType)
             and isinstance(value.__self__, (CPU, Memory)))
@@ -566,19 +610,23 @@ class TestSharedBlocks:
     """One translated block serves every run of its image."""
 
     def test_blocks_hold_no_run_state(self):
-        """No step may reach a CPU, a Memory, a register list or a bound
-        method of either — what lets a block outlive the run that
+        """No step and no compiled trace may reach a CPU, a Memory, a
+        register list, a tier engine or a bound method of a CPU or a
+        Memory — what lets a block or a trace outlive the run that
         translated it."""
         program = compile_source(PROGRAMS["heap"])
         harden = RedFat(RedFatOptions.preset("unoptimized")).instrument(
             program.binary.strip()
         )
-        with engine_override("superblock"):
-            result = program.run(binary=harden.binary,
-                                 runtime=harden.create_runtime(mode="log"))
-            mix = _mix_cpu()
-        mix.run(1000)
-        for cpu in (result.cpu, mix):
+        cpus = []
+        for engine in ("superblock", "trace"):
+            with engine_override(engine):
+                result = program.run(binary=harden.binary,
+                                     runtime=harden.create_runtime(mode="log"))
+                mix = _mix_cpu(ISA_MIX if engine == "superblock" else ISA_MIX_LOOP)
+            mix.run(10_000)
+            cpus += [result.cpu, mix]
+        for cpu in cpus:
             assert cpu.superblock.cache
             for block in cpu.superblock.cache.values():
                 for step in block.steps:
@@ -586,6 +634,42 @@ class TestSharedBlocks:
                         assert not _is_run_state(value, cpu), (
                             f"block {block.start:#x} holds {value!r}"
                         )
+        assert sum(len(cpu.trace.traces) for cpu in cpus) >= 2
+        for cpu in cpus:
+            for trace in cpu.trace.traces.values():
+                for name, value in trace.fn.__globals__.items():
+                    if name == "__builtins__":
+                        continue
+                    for value in _captured(value):
+                        assert not _is_run_state(value, cpu), (
+                            f"trace {trace.anchor:#x} global {name} holds {value!r}"
+                        )
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("hardened", [False, True])
+    def test_finished_run_is_freed_by_reference_counting(self, engine, hardened):
+        """Nothing of a run outlives its result without the cycle
+        collector: the runtime holds the CPU weakly, the engines, blocks
+        and traces not at all."""
+        program = compile_source(PROGRAMS["heap"])
+        binary = runtime = None
+        if hardened:
+            harden = RedFat(RedFatOptions.preset("unoptimized")).instrument(
+                program.binary.strip()
+            )
+            binary, runtime = harden.binary, harden.create_runtime(mode="log")
+        gc.collect()
+        gc.disable()
+        try:
+            with engine_override(engine):
+                result = program.run(binary=binary, runtime=runtime)
+            if engine == "trace":
+                assert result.cpu.trace.compiled + result.cpu.trace.revived > 0
+            refs = [weakref.ref(result.cpu), weakref.ref(result.runtime)]
+            del result, runtime
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_second_run_translates_nothing(self):
         program = compile_source(PROGRAMS["branchy"])
@@ -629,7 +713,7 @@ class TestSharedBlocks:
         entry = cpu.rip
         cpu._decode_at(entry)
         cpu.memory.write(entry + 1, bytes([cpu.memory.read(entry + 1, 1)[0] ^ 1]))
-        block = cpu.superblock.translate(entry)
+        block = cpu.superblock.translate(cpu, entry)
         assert block.code is None
         assert entry not in program.binary._block_cache
 
@@ -654,7 +738,7 @@ class TestSharedBlocks:
             reference = program.run()
             degraded = load_binary(program.binary, GlibcRuntime())
             healthy = load_binary(program.binary, GlibcRuntime())
-        degraded.superblock.degrade("test latch")
+        degraded.superblock.degrade(degraded, "test latch")
         assert program.binary._block_cache
         states = [_cpu_state(cpu, cpu.run()) for cpu in (degraded, healthy)]
         assert states[0] == states[1] == _cpu_state(reference.cpu, reference.status)
@@ -669,7 +753,7 @@ class TestSharedBlocks:
         start = next(iter(cpu.superblock.cache))
         cpu.flush_icache()
         assert not cpu.superblock.cache
-        assert cpu.superblock.translate(start) is program.binary._block_cache[start]
+        assert cpu.superblock.translate(cpu, start) is program.binary._block_cache[start]
 
     def test_telemetry_counts_translations_and_revivals_apart(self):
         program = compile_source(PROGRAMS["branchy"])
@@ -725,7 +809,7 @@ class TestEngineControls:
         program = compile_source(PROGRAMS["alu-loop"])
         result = program.run()
         engine = result.cpu.superblock
-        engine.degrade("test latch")
+        engine.degrade(result.cpu, "test latch")
         assert not engine.enabled
         assert engine.degraded
         assert engine.degraded_reason == "test latch"

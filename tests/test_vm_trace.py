@@ -337,10 +337,16 @@ class TestCorruptedCode:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_corrupted_text_raises_only_typed_errors(self):
+        """Every tier ends a corrupted guest in the same typed error and
+        the same state.  A guest that stores into its own text is left
+        out of the state comparison: code bytes are checked only when a
+        block or trace is entered (DESIGN.md §9), so the compiled tiers
+        may run a stale translation to the end of the block or trace."""
         program = compile_source(INVARIANT_LOOP)
         harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
         guests = [(program.binary, GlibcRuntime),
                   (harden.binary, lambda: harden.create_runtime(mode="log"))]
+        compared = 0
         for seed in range(self.CORRUPTIONS):
             rng = random.Random(seed)
             image, make_runtime = guests[seed % 2]
@@ -350,15 +356,35 @@ class TestCorruptedCode:
             for _ in range(rng.randrange(1, 20)):
                 data[rng.randrange(len(data))] = rng.randrange(256)
             text.data = bytes(data)
+            spans = [(segment.vaddr, segment.vaddr + len(segment.data))
+                     for segment in binary.text_segments()]
+            code_stores = []
+
+            def watch(address, size, _is_read, is_write, _instruction):
+                if is_write and any(address < end and start < address + size
+                                    for start, end in spans):
+                    code_stores.append(address)
+
+            outcomes = []
             for engine in ENGINES:
                 with engine_override(engine):
                     cpu = load_binary(binary, make_runtime())
+                    if engine == "single-step":
+                        cpu.access_hook = watch
                     try:
                         cpu.run(max_instructions=20_000)
-                    except ReproError:
-                        pass
-                    except Exception as error:
-                        pytest.fail(f"seed {seed}, {engine}: {error!r}")
+                        error = None
+                    except ReproError as raised:
+                        error = f"{type(raised).__name__}: {raised}"
+                    except Exception as raised:
+                        pytest.fail(f"seed {seed}, {engine}: {raised!r}")
+                outcomes.append((error, list(cpu.regs), cpu.rip,
+                                 cpu.instructions_executed,
+                                 cpu.memory.page_contents()))
+            if not code_stores:
+                assert outcomes[0] == outcomes[1] == outcomes[2], f"seed {seed}"
+                compared += 1
+        assert compared >= self.CORRUPTIONS * 9 // 10
 
 
 class TestInvalidation:
@@ -387,7 +413,7 @@ class TestDegradationLadder:
 
             cpu = load_binary(program.binary, GlibcRuntime())
             program.poke_args(cpu, [])
-            cpu.trace.degrade("test latch")
+            cpu.trace.degrade(cpu, "test latch")
             status = cpu.run(10_000_000)
         assert status == reference.status
         assert cpu.instructions_executed == reference.cpu.instructions_executed
@@ -399,7 +425,7 @@ class TestDegradationLadder:
         with engine_override("trace"):
             result = program.run()
         cpu = result.cpu
-        cpu.superblock.degrade("test latch")
+        cpu.superblock.degrade(cpu, "test latch")
         assert cpu.trace.degraded
         assert "superblock" in cpu.trace.degraded_reason
 
