@@ -48,6 +48,11 @@ from repro.analysis.ranges import (
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import GPRS, RSP, Register
 
+# Aliases for the per-block loops (DESIGN.md §7).
+_CALL = Opcode.CALL
+_CALLR = Opcode.CALLR
+_JMPR = Opcode.JMPR
+
 
 @dataclass
 class FunctionInfo:
@@ -118,15 +123,16 @@ def _flood_function(graph: BlockGraph, entry: int,
         block = graph.block_at(start)
         last = block.instructions[-1] if block.instructions else None
         if last is not None:
-            if last.opcode is Opcode.CALL:
+            opcode = last.opcode
+            if opcode is _CALL:
                 target = last.jump_target()
                 if target is not None and target in entries:
                     info.calls[start] = target
                 elif target is not None:
                     info.leaky = True  # call into undecoded text
-            elif last.opcode is Opcode.CALLR:
+            elif opcode is _CALLR:
                 info.has_indirect = True
-            elif last.opcode is Opcode.JMPR:
+            elif opcode is _JMPR:
                 info.has_jmpr = True
         if start in graph.leaky:
             info.leaky = True
@@ -205,7 +211,7 @@ def build_call_graph(graph: BlockGraph) -> CallGraph:
     for start in starts:
         block = graph.block_at(start)
         last = block.instructions[-1] if block.instructions else None
-        if last is not None and last.opcode is Opcode.CALL:
+        if last is not None and last.opcode is _CALL:
             target = last.jump_target()
             if target is not None and target in starts:
                 entries.add(target)

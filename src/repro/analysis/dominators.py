@@ -53,6 +53,8 @@ _SAFE_SERVICES = frozenset({
     int(Service.PROFILE),
 })
 
+_RTCALL = Opcode.RTCALL  # a module global: DESIGN.md §7
+
 
 def compute_dominators(graph: BlockGraph) -> Dict[int, FrozenSet[int]]:
     """``block start -> frozenset of dominating block starts`` (reflexive).
@@ -72,7 +74,7 @@ def compute_dominators(graph: BlockGraph) -> Dict[int, FrozenSet[int]]:
 
 
 def _clobbers(instruction: Instruction, registers: FrozenSet) -> bool:
-    if instruction.opcode is Opcode.RTCALL:
+    if instruction.opcode is _RTCALL:
         # The runtime service is a known quantity, unlike an arbitrary
         # callee: services that cannot free/move heap objects only
         # clobber the caller-saved registers (regs_written covers them).

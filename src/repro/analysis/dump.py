@@ -16,6 +16,7 @@ bottom-up function summaries, or the per-block value-range facts.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from typing import List, Optional
 
@@ -228,6 +229,30 @@ def _classify_sites(info: DataflowInfo) -> dict:
             continue
         classification[instruction.address] = "eliminated"
     return classification
+
+
+def _canonical(value) -> str:
+    """A text form of a fact that does not depend on dict or set order."""
+    if isinstance(value, dict):
+        items = sorted((_canonical(k), _canonical(v)) for k, v in value.items())
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "s{" + ",".join(sorted(_canonical(x) for x in value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "(" + ",".join(_canonical(x) for x in value) + ")"
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is not None:
+        return type(value).__name__ + "(" + ",".join(
+            f"{name}={_canonical(getattr(value, name))}" for name in fields) + ")"
+    return repr(value)
+
+
+def fact_digest(info: DataflowInfo) -> str:
+    """sha256 of the range facts, function summaries and provenance
+    entry facts in *info*: equal digests mean the analyses proved the
+    same facts, whatever order they were computed in."""
+    text = _canonical((info.range_facts, info.summaries, info.entry_facts))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def analyze_target(target, telemetry=None) -> DataflowInfo:

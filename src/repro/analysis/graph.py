@@ -33,6 +33,16 @@ from repro.rewriter.cfg import BasicBlock, ControlFlowInfo
 #: Opcodes transferring to an unknown callee with an eventual return.
 CALL_OPCODES = frozenset({Opcode.CALL, Opcode.CALLR, Opcode.RTCALL})
 
+#: Block terminators without successors.
+_NO_SUCCESSOR = frozenset({Opcode.RET, Opcode.TRAP})
+
+# Aliases for the per-block loops (an ``Opcode.X`` load is an enum
+# attribute lookup; DESIGN.md §7).
+_JMP = Opcode.JMP
+_JMPR = Opcode.JMPR
+_CALL = Opcode.CALL
+_CALLR = Opcode.CALLR
+
 
 @dataclass
 class BlockGraph:
@@ -90,7 +100,7 @@ def build_block_graph(control_flow: ControlFlowInfo) -> BlockGraph:
         address for address in control_flow.targets if address in start_set
     )
     has_indirect_call = any(
-        instruction.opcode is Opcode.CALLR
+        instruction.opcode is _CALLR
         for instruction in control_flow.instructions
     )
 
@@ -109,21 +119,22 @@ def build_block_graph(control_flow: ControlFlowInfo) -> BlockGraph:
     for block in control_flow.blocks:
         last = block.instructions[-1]
         fall_through = last.address + last.length
-        if last.opcode is Opcode.JMP:
+        opcode = last.opcode
+        if opcode is _JMP:
             target = last.jump_target()
             link(block.start, target if target is not None else -1)
         elif last.is_conditional:
             target = last.jump_target()
             link(block.start, target if target is not None else -1)
             link(block.start, fall_through)
-        elif last.opcode is Opcode.JMPR:
+        elif opcode is _JMPR:
             if not target_blocks:
                 leaky.add(block.start)
             for target in target_blocks:
                 link(block.start, target)
-        elif last.opcode in CALL_OPCODES:
+        elif opcode in CALL_OPCODES:
             link(block.start, fall_through)
-        elif last.opcode in (Opcode.RET, Opcode.TRAP):
+        elif opcode in _NO_SUCCESSOR:
             pass  # no successors
         else:
             # Block split by a leader (jump target) right after it.
@@ -133,7 +144,7 @@ def build_block_graph(control_flow: ControlFlowInfo) -> BlockGraph:
     if control_flow.entry is not None:
         roots.add(control_flow.entry)
     for instruction in control_flow.instructions:
-        if instruction.opcode is Opcode.CALL:
+        if instruction.opcode is _CALL:
             target = instruction.jump_target()
             if target is not None and target in start_set:
                 roots.add(target)

@@ -47,7 +47,9 @@ ALL_REGS_LIVE: FrozenSet = frozenset(GPRS)
 _SCRATCH_CANDIDATES: FrozenSet = frozenset(GPRS) - {RSP}
 
 #: Block terminators that hand control to ABI-respecting code.
-_ABI_BOUNDARY = (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RTCALL)
+_ABI_BOUNDARY = frozenset({Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RTCALL})
+
+_TRAP = Opcode.TRAP  # a module global: DESIGN.md §7
 
 
 def step_backward(live: FrozenSet, instruction: Instruction) -> FrozenSet:
@@ -62,7 +64,7 @@ def effective_exit(graph: BlockGraph, node: int, successor_fact: FrozenSet) -> F
     last = block.instructions[-1]
     if node in graph.leaky:
         return ALL_LIVE
-    if last.opcode is Opcode.TRAP:
+    if last.opcode is _TRAP:
         return frozenset()
     if last.opcode in _ABI_BOUNDARY:
         # Callee/caller may read any register; flags never survive.

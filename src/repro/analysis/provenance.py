@@ -50,7 +50,7 @@ class Kind(enum.IntEnum):
     def is_nonheap(self) -> bool:
         """True when a pointer of this kind can never address the low-fat
         heap — the justification for eliminating its checks."""
-        return self in (Kind.STACK, Kind.GLOBAL, Kind.CONST, Kind.NONHEAP)
+        return self in _NONHEAP_KINDS
 
 
 #: One lattice value: ``(kind, offset bound)``.  The bound is meaningful
@@ -60,6 +60,20 @@ Prov = Tuple[Kind, int]
 TOP: Prov = (Kind.TOP, 0)
 HEAP: Prov = (Kind.HEAP, 0)
 STACK0: Prov = (Kind.STACK, 0)
+
+# The per-instruction and per-edge code below reads these module
+# globals, never a ``Kind.X``/``Opcode.X`` member (an enum attribute
+# load is ~10x a global's cost; DESIGN.md §7).
+_NONHEAP_KINDS = frozenset({Kind.STACK, Kind.GLOBAL, Kind.CONST, Kind.NONHEAP})
+_TOP_KIND = Kind.TOP
+_HEAP_KIND = Kind.HEAP
+_NONHEAP_KIND = Kind.NONHEAP
+_CONST0: Prov = (Kind.CONST, 0)
+_CONST1: Prov = (Kind.CONST, 1)
+_GLOBAL0: Prov = (Kind.GLOBAL, 0)
+_RIP = Register.RIP
+_CALL = Opcode.CALL
+_CALLR = Opcode.CALLR
 
 #: Register facts at one program point.  A missing key means TOP — the
 #: dict only carries the registers we know something about.  RSP is
@@ -95,12 +109,12 @@ def join_value(a: Prov, b: Prov) -> Prov:
         return a
     kind_a, bound_a = a
     kind_b, bound_b = b
-    if kind_a is Kind.TOP or kind_b is Kind.TOP:
+    if kind_a is _TOP_KIND or kind_b is _TOP_KIND:
         return TOP
-    if kind_a.is_nonheap and kind_b.is_nonheap:
-        kind = kind_a if kind_a is kind_b else Kind.NONHEAP
+    if kind_a in _NONHEAP_KINDS and kind_b in _NONHEAP_KINDS:
+        kind = kind_a if kind_a is kind_b else _NONHEAP_KIND
         return (kind, _join_bound(bound_a, bound_b))
-    if kind_a is Kind.HEAP and kind_b is Kind.HEAP:
+    if kind_a is _HEAP_KIND and kind_b is _HEAP_KIND:
         return HEAP
     return TOP  # non-heap joined with heap-maybe: nothing provable
 
@@ -123,7 +137,7 @@ def join_facts(a: RegFacts, b: RegFacts) -> RegFacts:
 def _widen(value: Prov, delta: int) -> Prov:
     """Accumulate a constant offset; saturate past the ±2 GB window."""
     kind, bound = value
-    if not kind.is_nonheap:
+    if kind not in _NONHEAP_KINDS:
         return value  # heap ± const is still heap-maybe; TOP stays TOP
     bound += abs(delta)
     if bound > INT32_MAX:
@@ -142,15 +156,89 @@ def _set(facts: RegFacts, register: Register, value: Prov) -> None:
 
 def _mem_value(facts: RegFacts, mem: Mem) -> Prov:
     """The provenance of ``lea``'s computed address."""
-    if mem.base is Register.RIP:
-        base: Prov = (Kind.GLOBAL, 0)
+    if mem.base is _RIP:
+        base: Prov = _GLOBAL0
     elif mem.base is not None:
         base = facts.get(mem.base, TOP)
     else:
-        base = (Kind.CONST, 0)
+        base = _CONST0
     if mem.index is not None:
         return TOP  # unbounded scaled index: could reach any region
     return _widen(base, mem.disp)
+
+
+# -- transfer functions -----------------------------------------------------
+#
+# One small function per instruction form, ``fn(facts, instruction)``,
+# looked up by opcode in ``_TRANSFERS``; an opcode without a row sends
+# its ``regs_written`` to TOP.  Decoded instructions are in one of their
+# opcode's legal forms, so operands are unpacked without arity checks.
+
+
+def _kill(facts: RegFacts, instruction: Instruction) -> None:
+    """The generic transfer: every written register becomes TOP."""
+    for register in instruction.regs_written():
+        if register is not RSP:
+            facts.pop(register, None)
+
+
+def _mov(facts: RegFacts, instruction: Instruction) -> None:
+    destination, source = instruction.operands
+    if type(destination) is not Reg:
+        return  # a store writes no register
+    kind = type(source)
+    if kind is Reg:
+        value = facts.get(source.reg, TOP)
+    elif kind is Imm:
+        value = _CONST0 if abs(source.value) <= INT32_MAX else TOP
+    else:
+        value = HEAP  # a loaded value may be a heap pointer
+    _set(facts, destination.reg, value)
+
+
+def _lea(facts: RegFacts, instruction: Instruction) -> None:
+    destination, mem = instruction.operands
+    _set(facts, destination.reg, _mem_value(facts, mem))
+
+
+def _add_sub(facts: RegFacts, instruction: Instruction) -> None:
+    destination, source = instruction.operands
+    if type(destination) is Reg and type(source) is Imm:
+        register = destination.reg
+        _set(facts, register, _widen(facts.get(register, TOP), source.value))
+    else:
+        _kill(facts, instruction)  # a reg/mem addend destroys the anchor
+
+
+def _xor(facts: RegFacts, instruction: Instruction) -> None:
+    destination, source = instruction.operands
+    if (type(destination) is Reg and type(source) is Reg
+            and source.reg is destination.reg):
+        _set(facts, destination.reg, _CONST0)
+    else:
+        _kill(facts, instruction)
+
+
+def _setcc(facts: RegFacts, instruction: Instruction) -> None:
+    _set(facts, instruction.operands[0].reg, _CONST1)
+
+
+def _pop(facts: RegFacts, instruction: Instruction) -> None:
+    _set(facts, instruction.operands[0].reg, HEAP)  # reloaded spill: trust nothing
+
+
+def _rtcall(facts: RegFacts, instruction: Instruction) -> None:
+    for register in instruction.regs_written():
+        _set(facts, register, HEAP if register is RAX else TOP)
+
+
+#: Opcode -> transfer; anything else takes :func:`_kill`.
+_TRANSFERS = {
+    Opcode.MOV: _mov, Opcode.MOVS: _mov, Opcode.LEA: _lea,
+    Opcode.ADD: _add_sub, Opcode.SUB: _add_sub, Opcode.XOR: _xor,
+    Opcode.POP: _pop, Opcode.RTCALL: _rtcall,
+    **dict.fromkeys(SETCC_CONDITIONS, _setcc),
+}
 
 
 def apply_instruction(facts: RegFacts, instruction: Instruction) -> RegFacts:
@@ -159,47 +247,7 @@ def apply_instruction(facts: RegFacts, instruction: Instruction) -> RegFacts:
     Callers walking a block for per-site queries must copy the block
     entry fact first.
     """
-    op = instruction.opcode
-    ops = instruction.operands
-
-    if op in (Opcode.MOV, Opcode.MOVS) and len(ops) == 2 and isinstance(ops[0], Reg):
-        destination = ops[0].reg
-        source = ops[1]
-        if isinstance(source, Reg):
-            _set(facts, destination, facts.get(source.reg, TOP))
-        elif isinstance(source, Imm):
-            if abs(source.value) <= INT32_MAX:
-                _set(facts, destination, (Kind.CONST, 0))
-            else:
-                _set(facts, destination, TOP)
-        elif isinstance(source, Mem):
-            _set(facts, destination, HEAP)  # a loaded value may be a heap ptr
-        return facts
-    if op is Opcode.LEA and len(ops) == 2 and isinstance(ops[1], Mem):
-        _set(facts, ops[0].reg, _mem_value(facts, ops[1]))
-        return facts
-    if op in (Opcode.ADD, Opcode.SUB) and len(ops) == 2 and isinstance(ops[0], Reg):
-        destination = ops[0].reg
-        if isinstance(ops[1], Imm):
-            _set(facts, destination, _widen(facts.get(destination, TOP), ops[1].value))
-            return facts
-        # fall through: reg/mem addend destroys the anchor
-    if op is Opcode.XOR and len(ops) == 2 and ops[0] == ops[1]:
-        _set(facts, ops[0].reg, (Kind.CONST, 0))
-        return facts
-    if op in SETCC_CONDITIONS and ops and isinstance(ops[0], Reg):
-        _set(facts, ops[0].reg, (Kind.CONST, 1))
-        return facts
-    if op is Opcode.POP and ops and isinstance(ops[0], Reg):
-        _set(facts, ops[0].reg, HEAP)  # reloaded spill: trust nothing
-        return facts
-    if op is Opcode.RTCALL:
-        for register in instruction.regs_written():
-            _set(facts, register, HEAP if register is RAX else TOP)
-        return facts
-
-    for register in instruction.regs_written():
-        _set(facts, register, TOP)
+    _TRANSFERS.get(instruction.opcode, _kill)(facts, instruction)
     return facts
 
 
@@ -207,8 +255,9 @@ def transfer_block(facts: RegFacts, instructions) -> RegFacts:
     """Forward block transfer: apply every instruction's effect on the
     register facts in order, returning the block-exit facts."""
     result = dict(facts)
+    transfers = _TRANSFERS
     for instruction in instructions:
-        apply_instruction(result, instruction)
+        transfers.get(instruction.opcode, _kill)(result, instruction)
     result[RSP] = STACK0
     return result
 
@@ -230,11 +279,11 @@ def operand_provenance(facts: RegFacts, mem: Mem) -> Optional[Prov]:
     """
     if mem.index is not None:
         return None
-    if mem.base is None or mem.base is Register.RIP:
+    if mem.base is None or mem.base is _RIP:
         return None  # already handled by the syntactic rule
     value = facts.get(mem.base, TOP)
     kind, bound = value
-    if not kind.is_nonheap:
+    if kind not in _NONHEAP_KINDS:
         return None
     if bound + abs(mem.disp) > INT32_MAX:
         return None
@@ -260,7 +309,8 @@ def compute_entry_facts(graph, summaries=None) -> Dict[int, RegFacts]:
 
     def edge(source, sink, fact: RegFacts) -> RegFacts:
         last = graph.block_at(source).instructions[-1]
-        if last.opcode is Opcode.CALL and summaries is not None:
+        opcode = last.opcode
+        if opcode is _CALL and summaries is not None:
             target = last.jump_target()
             summary = summaries.get(target) if target is not None else None
             if summary is not None and not summary.widened:
@@ -271,7 +321,7 @@ def compute_entry_facts(graph, summaries=None) -> Dict[int, RegFacts]:
                 }
                 kept[RSP] = STACK0
                 return kept
-        if last.opcode in (Opcode.CALL, Opcode.CALLR):
+        if opcode is _CALL or opcode is _CALLR:
             return call_edge(fact)
         return fact
 

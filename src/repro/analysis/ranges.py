@@ -47,6 +47,7 @@ lost here costs a check or a finding, never a missed detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -111,7 +112,9 @@ def num(lo: Optional[int], hi: Optional[int], stride: int = 0,
     return _norm(RangeVal("num", 0, lo, hi, stride, widened=widened))
 
 
+@lru_cache(maxsize=4096)
 def const(value: int) -> RangeVal:
+    """The exact value *value*: one shared frozen instance per value."""
     return num(value, value)
 
 
@@ -160,6 +163,8 @@ def join_value(old: Optional[RangeVal], new: Optional[RangeVal]) -> Optional[Ran
     a power of two when it grew, and dropped to unbounded when it grows
     again after *old* was widened — the short ascending chain that makes
     pointer-increment loops converge."""
+    if old is new:
+        return old  # the common case; skips the 11-field tuple compare
     if old is None or new is None:
         return None
     if old == new:
@@ -345,22 +350,30 @@ def join_state(old: Optional[RangeState],
         return HAVOC
     if old.rsp_delta != new.rsp_delta:
         return HAVOC
-    regs: Dict[Register, RangeVal] = {}
-    for register, value in old.regs.items():
-        joined = join_value(value, new.regs.get(register))
-        if joined is not None:
-            regs[register] = joined
-    slots: Dict[int, RangeVal] = {}
-    for key, value in old.slots.items():
-        joined = join_value(value, new.slots.get(key))
-        if joined is not None:
-            slots[key] = joined
+    old_freed, new_freed = old.freed, new.freed
+    old_absent = FREED_MAYBE if old.freed_unknown else FREED_NO
+    new_absent = FREED_MAYBE if new.freed_unknown else FREED_NO
     freed: Dict[int, str] = {}
-    freed_unknown = old.freed_unknown or new.freed_unknown
-    for site in set(old.freed) | set(new.freed):
-        a, b = old.freed_state(site), new.freed_state(site)
+    for site in set(old_freed) | set(new_freed):
+        a, b = old_freed.get(site, old_absent), new_freed.get(site, new_absent)
         freed[site] = a if a == b else FREED_MAYBE
-    return RangeState(regs, slots, old.rsp_delta, freed, freed_unknown)
+    return RangeState(_join_map(old.regs, new.regs),
+                      _join_map(old.slots, new.slots), old.rsp_delta, freed,
+                      old.freed_unknown or new.freed_unknown)
+
+
+def _join_map(old: Dict, new: Dict) -> Dict:
+    """Join two register (or slot) maps key by key; a key missing on
+    either side is unknown and dropped."""
+    joined = {}
+    for key, value in old.items():
+        other = new.get(key)
+        if other is not value:  # the common case needs no join
+            value = join_value(value, other)
+            if value is None:
+                continue
+        joined[key] = value
+    return joined
 
 
 def _demote_freed(state: RangeState) -> None:
@@ -404,16 +417,35 @@ class SummaryCollector:
 
 
 # -- transfer functions -----------------------------------------------------
+#
+# One small function per instruction form, ``fn(state, instruction,
+# collector)``, looked up by opcode in ``_TRANSFERS``; an opcode without
+# a row takes the generic kill of its ``regs_written``.  Each mutates a
+# non-havoc *state* in place.  Decoded instructions are in one of their
+# opcode's legal forms (the decoder rejects the rest), so the functions
+# unpack operands without re-checking arity.  No per-instruction path
+# loads an enum member: ``Opcode.X``/``Register.X`` is an 80-100 ns
+# class-attribute lookup on CPython 3.11, a module global under 10 ns
+# (DESIGN.md §7), hence the aliases below.
+
+_RIP = Register.RIP
+_RET = Opcode.RET
+_CALL = Opcode.CALL
+_CALLR = Opcode.CALLR
+
+
+def _havoc(state: RangeState) -> None:
+    """The stack height is lost: nothing about the frame is known."""
+    state.havoc = True
+    state.regs.clear()
+    state.slots.clear()
 
 
 def _set_reg(state: RangeState, register: Register,
              value: Optional[RangeVal]) -> None:
     if register is RSP:
-        state.havoc = True
-        state.regs.clear()
-        state.slots.clear()
-        return
-    if value is None:
+        _havoc(state)
+    elif value is None:
         state.regs.pop(register, None)
     else:
         state.regs[register] = value
@@ -436,6 +468,18 @@ def _load(state: RangeState, mem: Mem, size: int, sign: bool) -> Optional[RangeV
     return _unknown_load(size, sign)
 
 
+def _operand(state: RangeState, operand, size: int) -> Optional[RangeVal]:
+    """The value a source operand reads (a load zero-extends)."""
+    kind = type(operand)
+    if kind is Reg:
+        return state.regs.get(operand.reg)
+    if kind is Imm:
+        return const(operand.value)
+    if kind is Mem:
+        return _load(state, operand, size, False)
+    return None
+
+
 def _kill_slots(state: RangeState, key: int, size: int) -> None:
     first = key - key % 8
     last = (key + size - 1) - (key + size - 1) % 8
@@ -446,12 +490,7 @@ def _kill_slots(state: RangeState, key: int, size: int) -> None:
 
 def _store(state: RangeState, mem: Mem, source, size: int,
            collector: Optional[SummaryCollector]) -> None:
-    if isinstance(source, Reg):
-        value = state.regs.get(source.reg)
-    elif isinstance(source, Imm):
-        value = const(source.value)
-    else:
-        value = None
+    value = _operand(state, source, size)
     if mem.base is RSP and mem.index is None:
         key = state.rsp_delta + mem.disp
         if key >= 0 and collector is not None:
@@ -462,7 +501,7 @@ def _store(state: RangeState, mem: Mem, source, size: int,
         if size == 8 and key % 8 == 0 and value is not None:
             state.slots[key] = value
         return
-    if mem.base is None or mem.base is Register.RIP:
+    if mem.base is None or mem.base is _RIP:
         return  # absolute/global data: never aliases tracked stack slots
     base = state.regs.get(mem.base)
     if base is not None and base.base == "alloc":
@@ -511,6 +550,57 @@ def _alloc_result(state: RangeState, site: int,
                     fresh=True)
 
 
+def _kill_written(state: RangeState, instruction: Instruction,
+                  collector: Optional[SummaryCollector]) -> None:
+    """The generic transfer: every register the instruction may write
+    becomes unknown, and a write to RSP loses the stack height."""
+    for register in instruction.regs_written():
+        if register is RSP:
+            _havoc(state)
+            return
+        state.regs.pop(register, None)
+
+
+def _no_effect(state: RangeState, instruction: Instruction,
+               collector: Optional[SummaryCollector]) -> None:
+    """call/callr: their effect is applied on the fall-through edge by
+    :func:`apply_call`; ret has no successor."""
+
+
+def _push(state: RangeState, instruction: Instruction,
+          collector: Optional[SummaryCollector]) -> None:
+    state.rsp_delta -= 8
+    value = state.regs.get(instruction.operands[0].reg)
+    if value is None:
+        state.slots.pop(state.rsp_delta, None)
+    else:
+        state.slots[state.rsp_delta] = value
+
+
+def _pop(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    value = state.slots.pop(state.rsp_delta, None)
+    state.rsp_delta += 8
+    _set_reg(state, instruction.operands[0].reg, value)
+
+
+def _pushf(state: RangeState, instruction: Instruction,
+           collector: Optional[SummaryCollector]) -> None:
+    state.rsp_delta -= 8
+    state.slots.pop(state.rsp_delta, None)
+
+
+def _popf(state: RangeState, instruction: Instruction,
+          collector: Optional[SummaryCollector]) -> None:
+    state.rsp_delta += 8
+
+
+def _move_rsp(state: RangeState, delta: int) -> None:
+    state.rsp_delta += delta
+    for key in [k for k in state.slots if k < state.rsp_delta]:
+        del state.slots[key]  # below RSP: dead
+
+
 def _apply_rtcall(state: RangeState, instruction: Instruction,
                   collector: Optional[SummaryCollector]) -> None:
     service = instruction.operands[0].value if instruction.operands else -1
@@ -532,6 +622,172 @@ def _apply_rtcall(state: RangeState, instruction: Instruction,
         state.regs[RAX] = result
 
 
+def _mov(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    destination, source = instruction.operands
+    if type(destination) is Reg:
+        _set_reg(state, destination.reg,
+                 _operand(state, source, instruction.size))
+    else:
+        _store(state, destination, source, instruction.size, collector)
+
+
+def _movs(state: RangeState, instruction: Instruction,
+          collector: Optional[SummaryCollector]) -> None:
+    destination, source = instruction.operands
+    _set_reg(state, destination.reg,
+             _load(state, source, instruction.size, True))
+
+
+def _lea(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    destination, mem = instruction.operands
+    base = mem.base
+    if base is None or base is RSP or base is _RIP:
+        value = None  # stack/global addresses: not in this domain
+    else:
+        value = _shift(state.regs.get(base), mem.disp)
+        if mem.index is not None:
+            value = _add(value, _mul(state.regs.get(mem.index),
+                                     const(mem.scale)))
+    _set_reg(state, destination.reg, value)
+
+
+def _add_op(state: RangeState, instruction: Instruction,
+            collector: Optional[SummaryCollector]) -> None:
+    destination, source = instruction.operands
+    if type(destination) is Reg:
+        register = destination.reg
+        if register is not RSP:
+            _set_reg(state, register,
+                     _add(state.regs.get(register),
+                          _operand(state, source, instruction.size)))
+            return
+        if type(source) is Imm:
+            _move_rsp(state, source.value)
+            return
+    _kill_written(state, instruction, collector)
+
+
+def _sub_op(state: RangeState, instruction: Instruction,
+            collector: Optional[SummaryCollector]) -> None:
+    destination, source = instruction.operands
+    if type(destination) is Reg:
+        register = destination.reg
+        if register is not RSP:
+            if type(source) is Reg and source.reg is register:
+                value = const(0)
+            else:
+                value = _add(state.regs.get(register),
+                             _neg(_operand(state, source, instruction.size)))
+            _set_reg(state, register, value)
+            return
+        if type(source) is Imm:
+            _move_rsp(state, -source.value)
+            return
+    _kill_written(state, instruction, collector)
+
+
+def _target(instruction: Instruction) -> Optional[Register]:
+    """The register a two-operand ALU op writes; None for a memory
+    destination or RSP, which the generic kill handles."""
+    destination = instruction.operands[0]
+    if type(destination) is Reg and destination.reg is not RSP:
+        return destination.reg
+    return None
+
+
+def _imul(state: RangeState, instruction: Instruction,
+          collector: Optional[SummaryCollector]) -> None:
+    register = _target(instruction)
+    if register is None:
+        _kill_written(state, instruction, collector)
+        return
+    operand = _operand(state, instruction.operands[1], instruction.size)
+    _set_reg(state, register, _mul(state.regs.get(register), operand))
+
+
+def _and(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    register, source = _target(instruction), instruction.operands[1]
+    if register is not None and type(source) is Imm and source.value >= 0:
+        _set_reg(state, register, num(0, source.value))
+    else:
+        _kill_written(state, instruction, collector)
+
+
+def _xor(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    register, source = _target(instruction), instruction.operands[1]
+    if register is not None and type(source) is Reg and source.reg is register:
+        _set_reg(state, register, const(0))
+    else:
+        _kill_written(state, instruction, collector)
+
+
+def _shl(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    register, source = _target(instruction), instruction.operands[1]
+    if register is not None and type(source) is Imm and 0 <= source.value < 40:
+        _set_reg(state, register,
+                 _mul(state.regs.get(register), const(1 << source.value)))
+    else:
+        _kill_written(state, instruction, collector)
+
+
+def _mod(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    register, source = _target(instruction), instruction.operands[1]
+    if register is not None and type(source) is Imm and source.value > 0:
+        _set_reg(state, register, num(0, source.value - 1))
+    else:
+        _kill_written(state, instruction, collector)
+
+
+def _shr(state: RangeState, instruction: Instruction,
+         collector: Optional[SummaryCollector]) -> None:
+    """shr/sar by an immediate of a non-negative value."""
+    register, source = _target(instruction), instruction.operands[1]
+    current = state.regs.get(register) if register is not None else None
+    if (type(source) is Imm and 0 <= source.value < 64
+            and current is not None and current.base == "num"
+            and current.lo is not None and current.lo >= 0):
+        shift = source.value
+        hi = None if current.hi is None else current.hi >> shift
+        _set_reg(state, register, num(current.lo >> shift, hi,
+                                      widened=current.widened))
+    else:
+        _kill_written(state, instruction, collector)
+
+
+def _setcc(state: RangeState, instruction: Instruction,
+           collector: Optional[SummaryCollector]) -> None:
+    _set_reg(state, instruction.operands[0].reg, _BOOLEAN)
+
+
+def _negate(state: RangeState, instruction: Instruction,
+            collector: Optional[SummaryCollector]) -> None:
+    register = instruction.operands[0].reg
+    _set_reg(state, register, _neg(state.regs.get(register)))
+
+
+_BOOLEAN = num(0, 1)
+
+#: Opcode -> transfer; anything else takes :func:`_kill_written`.
+_TRANSFERS = {
+    Opcode.PUSH: _push, Opcode.POP: _pop,
+    Opcode.PUSHF: _pushf, Opcode.POPF: _popf,
+    Opcode.CALL: _no_effect, Opcode.CALLR: _no_effect, Opcode.RET: _no_effect,
+    Opcode.RTCALL: _apply_rtcall,
+    Opcode.MOV: _mov, Opcode.MOVS: _movs, Opcode.LEA: _lea,
+    Opcode.ADD: _add_op, Opcode.SUB: _sub_op, Opcode.IMUL: _imul,
+    Opcode.AND: _and, Opcode.XOR: _xor, Opcode.SHL: _shl,
+    Opcode.MOD: _mod, Opcode.IMOD: _mod, Opcode.SHR: _shr, Opcode.SAR: _shr,
+    Opcode.NEG: _negate,
+    **dict.fromkeys(SETCC_CONDITIONS, _setcc),
+}
+
+
 def apply_instruction(state: RangeState, instruction: Instruction,
                       collector: Optional[SummaryCollector] = None) -> RangeState:
     """Destructively apply one instruction's transfer; returns *state*.
@@ -539,129 +795,9 @@ def apply_instruction(state: RangeState, instruction: Instruction,
     ``call``/``callr`` are no-ops here — their (summary-driven) effect is
     applied on the fall-through edge by :func:`apply_call`.
     """
-    if state.havoc:
-        return state
-    op = instruction.opcode
-    ops = instruction.operands
-
-    if op is Opcode.PUSH:
-        state.rsp_delta -= 8
-        value = state.regs.get(ops[0].reg)
-        if value is None:
-            state.slots.pop(state.rsp_delta, None)
-        else:
-            state.slots[state.rsp_delta] = value
-        return state
-    if op is Opcode.POP:
-        value = state.slots.pop(state.rsp_delta, None)
-        state.rsp_delta += 8
-        _set_reg(state, ops[0].reg, value)
-        return state
-    if op is Opcode.PUSHF:
-        state.rsp_delta -= 8
-        state.slots.pop(state.rsp_delta, None)
-        return state
-    if op is Opcode.POPF:
-        state.rsp_delta += 8
-        return state
-    if (op in (Opcode.ADD, Opcode.SUB) and isinstance(ops[0], Reg)
-            and ops[0].reg is RSP and isinstance(ops[1], Imm)):
-        delta = ops[1].value if op is Opcode.ADD else -ops[1].value
-        state.rsp_delta += delta
-        for key in [k for k in state.slots if k < state.rsp_delta]:
-            del state.slots[key]  # below RSP: dead
-        return state
-    if op in (Opcode.CALL, Opcode.CALLR, Opcode.RET):
-        return state  # call effects live on the edge; ret has no successor
-    if op is Opcode.RTCALL:
-        _apply_rtcall(state, instruction, collector)
-        return state
-
-    if op in (Opcode.MOV, Opcode.MOVS) and len(ops) == 2:
-        if isinstance(ops[0], Reg):
-            source = ops[1]
-            if isinstance(source, Reg):
-                value = state.regs.get(source.reg)
-            elif isinstance(source, Imm):
-                value = const(source.value)
-            else:
-                value = _load(state, source, instruction.size,
-                              sign=op is Opcode.MOVS)
-            _set_reg(state, ops[0].reg, value)
-        else:
-            _store(state, ops[0], ops[1], instruction.size, collector)
-        return state
-    if op is Opcode.LEA and len(ops) == 2 and isinstance(ops[1], Mem):
-        mem = ops[1]
-        if mem.base is None or mem.base in (RSP, Register.RIP):
-            value = None  # stack/global addresses: not in this domain
-        else:
-            value = _shift(state.regs.get(mem.base), mem.disp)
-            if mem.index is not None:
-                value = _add(value, _mul(state.regs.get(mem.index),
-                                         const(mem.scale)))
-        _set_reg(state, ops[0].reg, value)
-        return state
-
-    if len(ops) == 2 and isinstance(ops[0], Reg) and ops[0].reg is not RSP:
-        destination = ops[0].reg
-        current = state.regs.get(destination)
-        if isinstance(ops[1], Reg):
-            operand = state.regs.get(ops[1].reg)
-        elif isinstance(ops[1], Imm):
-            operand = const(ops[1].value)
-        elif isinstance(ops[1], Mem):
-            operand = _load(state, ops[1], instruction.size, sign=False)
-        else:
-            operand = None
-        if op is Opcode.ADD:
-            _set_reg(state, destination, _add(current, operand))
-            return state
-        if op is Opcode.SUB:
-            if (isinstance(ops[1], Reg) and ops[1].reg is destination):
-                _set_reg(state, destination, const(0))
-            else:
-                _set_reg(state, destination, _add(current, _neg(operand)))
-            return state
-        if op is Opcode.IMUL:
-            _set_reg(state, destination, _mul(current, operand))
-            return state
-        if op is Opcode.AND and isinstance(ops[1], Imm) and ops[1].value >= 0:
-            _set_reg(state, destination, num(0, ops[1].value))
-            return state
-        if op is Opcode.XOR and ops[0] == ops[1]:
-            _set_reg(state, destination, const(0))
-            return state
-        if op is Opcode.SHL and isinstance(ops[1], Imm) and 0 <= ops[1].value < 40:
-            _set_reg(state, destination, _mul(current, const(1 << ops[1].value)))
-            return state
-        if (op in (Opcode.MOD, Opcode.IMOD) and isinstance(ops[1], Imm)
-                and ops[1].value > 0):
-            _set_reg(state, destination, num(0, ops[1].value - 1))
-            return state
-        if (op in (Opcode.SHR, Opcode.SAR) and isinstance(ops[1], Imm)
-                and 0 <= ops[1].value < 64 and current is not None
-                and current.base == "num" and current.lo is not None
-                and current.lo >= 0):
-            shift = ops[1].value
-            hi = None if current.hi is None else current.hi >> shift
-            _set_reg(state, destination, num(current.lo >> shift, hi,
-                                             widened=current.widened))
-            return state
-    if op in SETCC_CONDITIONS and ops and isinstance(ops[0], Reg):
-        _set_reg(state, ops[0].reg, num(0, 1))
-        return state
-    if op is Opcode.NEG and ops and isinstance(ops[0], Reg):
-        _set_reg(state, ops[0].reg, _neg(state.regs.get(ops[0].reg)))
-        return state
-
-    for register in instruction.regs_written():
-        if register is RSP:
-            state.havoc = True
-            state.regs.clear()
-            state.slots.clear()
-            return state
-        state.regs.pop(register, None)
+    if not state.havoc:
+        _TRANSFERS.get(instruction.opcode, _kill_written)(
+            state, instruction, collector)
     return state
 
 
@@ -669,10 +805,13 @@ def transfer_block(state: RangeState, instructions,
                    collector: Optional[SummaryCollector] = None) -> RangeState:
     """Forward block transfer on a copy of *state*."""
     result = state.copy()
+    transfers = _TRANSFERS
     for instruction in instructions:
-        if instruction.opcode is Opcode.RET and collector is not None:
+        opcode = instruction.opcode
+        if opcode is _RET and collector is not None:
             collector.note_return(result.reg(RAX))
-        apply_instruction(result, instruction, collector)
+        if not result.havoc:
+            transfers.get(opcode, _kill_written)(result, instruction, collector)
     return result
 
 
@@ -785,12 +924,13 @@ def analyze_function(graph, function, boundary: RangeState, summaries,
 
     def edge(source: int, sink: int, state: RangeState) -> RangeState:
         last = graph.block_at(source).instructions[-1]
-        if last.opcode is Opcode.CALL:
+        opcode = last.opcode
+        if opcode is _CALL:
             target = last.jump_target()
             return apply_call(state, last,
                               summaries.get(target) if summaries else None,
                               collector)
-        if last.opcode is Opcode.CALLR:
+        if opcode is _CALLR:
             return apply_call(state, last, None, collector)
         return state
 
@@ -892,7 +1032,7 @@ def classify_access(state: Optional[RangeState], mem: Mem,
     """
     if state is None or state.havoc:
         return None
-    if mem.base is None or mem.base in (RSP, Register.RIP):
+    if mem.base is None or mem.base is RSP or mem.base is _RIP:
         return None
     base = state.regs.get(mem.base)
     if base is None or base.base != "alloc":

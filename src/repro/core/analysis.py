@@ -31,7 +31,7 @@ from typing import List
 
 from repro.isa.instructions import Instruction
 from repro.isa.operands import Mem
-from repro.isa.registers import RSP, Register
+from repro.isa.registers import RIP, RSP
 from repro.rewriter.cfg import ControlFlowInfo
 from repro.core.options import RedFatOptions
 
@@ -55,11 +55,11 @@ class CheckSite:
         """The (LowFat) component needs unambiguous pointer arithmetic:
         ``ptr = base`` and ``i = disp + index*scale`` (paper §3).  An
         operand with no base register has no pointer to check."""
-        return self.mem.base is not None and self.mem.base is not Register.RIP
+        return self.mem.base is not None and self.mem.base is not RIP
 
     def operand_registers(self) -> frozenset:
         registers = set()
-        if self.mem.base is not None and self.mem.base is not Register.RIP:
+        if self.mem.base is not None and self.mem.base is not RIP:
             registers.add(self.mem.base)
         if self.mem.index is not None:
             registers.add(self.mem.index)
@@ -134,7 +134,7 @@ def can_eliminate(mem: Mem) -> bool:
         return False
     if mem.base is None:
         return True  # absolute disp32: always inside non-fat region 0
-    return mem.base in (RSP, Register.RIP)
+    return mem.base is RSP or mem.base is RIP
 
 
 def _provenance_eliminable(dataflow, instruction: Instruction, mem: Mem) -> bool:

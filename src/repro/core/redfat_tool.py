@@ -45,11 +45,16 @@ PROT_REDZONE = "redzone"
 PROT_NONE = "none"
 
 
+#: The SIZES table's bytes (region -> class size, 8 bytes each), built
+#: once: the table is a constant of the layout.
+_SIZES_BLOB = b"".join(entry.to_bytes(8, "little")
+                       for entry in build_sizes_table(MAX_REGIONS))
+
+
 def sizes_table_segment() -> Segment:
-    """The SIZES table the hardened binary embeds (region -> class size)."""
-    table = build_sizes_table(MAX_REGIONS)
-    blob = b"".join(entry.to_bytes(8, "little") for entry in table)
-    return Segment(SIZES_SEGMENT, SIZES_TABLE_ADDR, blob, SEG_READ)
+    """The SIZES table the hardened binary embeds (region -> class size);
+    a fresh segment per call around the shared immutable bytes."""
+    return Segment(SIZES_SEGMENT, SIZES_TABLE_ADDR, _SIZES_BLOB, SEG_READ)
 
 
 @dataclass

@@ -67,6 +67,15 @@ _LEGAL_FORMS = tuple(frozenset(LEGAL_FORMS.get(byte, ())) for byte in range(256)
 #: undecodable register operand, not a crash (:func:`_register`).
 _REGISTERS = {register.value: register for register in Register}
 
+#: Opcodes by encoding byte (None: an invalid opcode).  Indexing it is
+#: ~8 ns; ``Opcode(byte)`` goes through ``EnumType.__call__`` at ~300 ns
+#: on CPython 3.11 (DESIGN.md §7).
+_OPCODES = tuple({op.value: op for op in Opcode}.get(byte) for byte in range(256))
+
+_RIP = Register.RIP
+_TRAP = Opcode.TRAP
+_RTCALL = Opcode.RTCALL
+
 _IMM8 = 0
 _IMM32 = 1
 _IMM64 = 2
@@ -180,11 +189,11 @@ def _decode_mem(data: bytes, offset: int) -> Tuple[Mem, int]:
         regbyte = data[offset]
         offset += 1
         if has_base:
-            base = Register(regbyte & 0xF)
+            base = _REGISTERS[regbyte & 0xF]
         if has_index:
-            index = Register(regbyte >> 4)
+            index = _REGISTERS[regbyte >> 4]
     if rip_relative:
-        base = Register.RIP
+        base = _RIP
     disp = 0
     if disp_width == 1:
         disp = int.from_bytes(data[offset : offset + 1], "little", signed=True)
@@ -198,17 +207,16 @@ def _decode_mem(data: bytes, offset: int) -> Tuple[Mem, int]:
 def _opcode_length(byte: int):
     """Length of the fixed-layout opcode *byte*; None for an opcode with
     a form byte, 0 for an invalid opcode."""
-    try:
-        opcode = Opcode(byte)
-    except ValueError:
+    opcode = _OPCODES[byte]
+    if opcode is None:
         return 0
     if opcode in BARE_OPCODES:
         return 1
     if opcode in JUMP_OPCODES:
         return JUMP_LEN
-    if opcode in _REGBYTE_OPCODES or opcode is Opcode.TRAP:
+    if opcode in _REGBYTE_OPCODES or opcode is _TRAP:
         return 2
-    if opcode is Opcode.RTCALL:
+    if opcode is _RTCALL:
         return 3
     return None
 
@@ -301,12 +309,12 @@ def _encode(instruction: Instruction) -> bytes:
         if len(operands) != 1 or not isinstance(operands[0], Reg):
             raise EncodingError(f"{opcode.name} takes a single register operand")
         raw = bytes([opcode, operands[0].reg.value])
-    elif opcode is Opcode.TRAP:
+    elif opcode is _TRAP:
         code = operands[0].value if operands else 0
         if not 0 <= code <= 0xFF:
             raise EncodingError(f"trap code {code} out of range")
         raw = bytes([opcode, code])
-    elif opcode is Opcode.RTCALL:
+    elif opcode is _RTCALL:
         service = operands[0].value
         if not 0 <= service <= 0xFFFF:
             raise EncodingError(f"rtcall service {service} out of range")
@@ -352,14 +360,11 @@ def decode(data: bytes, offset: int = 0, address: int = 0) -> Instruction:
 
 def _decode(data: bytes, offset: int, address: int) -> Instruction:
     start = offset
-    try:
-        opcode = Opcode(data[offset])
-    except (ValueError, IndexError):
-        raise EncodingError(
-            f"invalid opcode {data[offset]:#x} at offset {offset:#x}"
-            if offset < len(data)
-            else f"truncated instruction at offset {offset:#x}"
-        ) from None
+    if offset >= len(data):
+        raise EncodingError(f"truncated instruction at offset {offset:#x}")
+    opcode = _OPCODES[data[offset]]
+    if opcode is None:
+        raise EncodingError(f"invalid opcode {data[offset]:#x} at offset {offset:#x}")
     offset += 1
     if opcode in BARE_OPCODES:
         operands: tuple = ()
@@ -373,11 +378,11 @@ def _decode(data: bytes, offset: int, address: int) -> Instruction:
         operands = (Reg(_register(data, offset)),)
         offset += 1
         size = 8
-    elif opcode is Opcode.TRAP:
+    elif opcode is _TRAP:
         operands = (Imm(data[offset]),)
         offset += 1
         size = 8
-    elif opcode is Opcode.RTCALL:
+    elif opcode is _RTCALL:
         operands = (Imm(int.from_bytes(data[offset : offset + 2], "little")),)
         offset += 2
         size = 8

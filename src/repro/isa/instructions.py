@@ -29,6 +29,31 @@ from repro.isa.registers import ARG_REGS, RSP, Register
 #: Sentinel member of a live set standing for the flags register.
 FLAGS = "FLAGS"
 
+# Opcode classes the on-demand accessors test, as module globals (an
+# ``Opcode.X`` load is an enum attribute lookup; DESIGN.md §7).
+_TERMINATORS = JUMP_OPCODES | {Opcode.JMPR, Opcode.CALLR, Opcode.RET, Opcode.TRAP}
+_MOVES = frozenset({Opcode.MOV, Opcode.MOVS})
+_CMP = Opcode.CMP
+_RTCALL = Opcode.RTCALL
+_PUSHF = Opcode.PUSHF
+_COMPARES = frozenset({Opcode.CMP, Opcode.TEST})
+#: Two-operand opcodes that also read their first (register) operand.
+_READS_FIRST = ALU_RW | _COMPARES
+#: Single-register forms that read / write their register.
+_R_READS = frozenset({Opcode.PUSH, Opcode.JMPR, Opcode.CALLR, Opcode.NOT, Opcode.NEG})
+_R_WRITES = frozenset({Opcode.POP, Opcode.NOT, Opcode.NEG})
+#: Opcodes that read and write RSP implicitly.
+_STACK_OPS = frozenset({Opcode.PUSH, Opcode.POP, Opcode.RET, Opcode.PUSHF,
+                        Opcode.POPF, Opcode.CALL, Opcode.CALLR})
+#: Runtime calls follow the C ABI: caller-saved registers and the
+#: return register may be clobbered.
+_RTCALL_CLOBBERS = frozenset({
+    Register.RAX, Register.RCX, Register.RDX, Register.RSI, Register.RDI,
+    Register.R8, Register.R9, Register.R10, Register.R11,
+})
+_FLAG_WRITERS = ALU_RW | {Opcode.CMP, Opcode.TEST, Opcode.NOT, Opcode.NEG, Opcode.POPF}
+_RIP = Register.RIP
+
 
 class Effects(NamedTuple):
     """The static effects of one encoding, as the analyses ask for them.
@@ -162,12 +187,7 @@ class Instruction:
         effects = self.effects
         if effects is not None:
             return effects.terminator
-        return self.opcode in JUMP_OPCODES or self.opcode in (
-            Opcode.JMPR,
-            Opcode.CALLR,
-            Opcode.RET,
-            Opcode.TRAP,
-        )
+        return self.opcode in _TERMINATORS
 
     def jump_target(self) -> Optional[int]:
         """Absolute target of a direct jump/call, if resolvable."""
@@ -208,11 +228,11 @@ class Instruction:
             return None
         form = self.form
         op = self.opcode
-        if op in (Opcode.MOV, Opcode.MOVS):
-            if form in (FORM_RM,):
+        if op in _MOVES:
+            if form == FORM_RM:
                 return (mem, True, False, self.size)
             return (mem, False, True, self.size)
-        if op is Opcode.CMP:
+        if op is _CMP:
             return (mem, True, False, self.size)
         if op in ALU_RW:
             if form == FORM_RM:
@@ -234,16 +254,16 @@ class Instruction:
         ops = self.operands
         for operand in ops:
             if isinstance(operand, Mem):
-                if operand.base is not None and operand.base is not Register.RIP:
+                if operand.base is not None and operand.base is not _RIP:
                     regs.add(operand.base)
                 if operand.index is not None:
                     regs.add(operand.index)
         if form == FORM_RR:
             regs.add(ops[1].reg)
-            if op in ALU_RW or op is Opcode.CMP or op is Opcode.TEST:
+            if op in _READS_FIRST:
                 regs.add(ops[0].reg)
         elif form == FORM_RI:
-            if op in ALU_RW or op is Opcode.CMP or op is Opcode.TEST:
+            if op in _READS_FIRST:
                 regs.add(ops[0].reg)
         elif form == FORM_RM:
             if op in ALU_RW:
@@ -251,13 +271,11 @@ class Instruction:
         elif form == FORM_MR:
             regs.add(ops[1].reg)
         elif form == FORM_R:
-            if op in (Opcode.PUSH, Opcode.JMPR, Opcode.CALLR, Opcode.NOT, Opcode.NEG):
+            if op in _R_READS:
                 regs.add(ops[0].reg)
-        if op in (Opcode.PUSH, Opcode.POP, Opcode.RET, Opcode.PUSHF, Opcode.POPF):
+        if op in _STACK_OPS:
             regs.add(RSP)
-        if op in (Opcode.CALL, Opcode.CALLR):
-            regs.add(RSP)
-        if op is Opcode.RTCALL:
+        if op is _RTCALL:
             # The runtime service consumes its arguments from the C ABI
             # argument registers; without this, a register holding a
             # pending malloc/free argument could be declared dead (and
@@ -277,36 +295,25 @@ class Instruction:
         if op in SETCC_CONDITIONS and form == FORM_R:
             regs.add(ops[0].reg)
         elif form in (FORM_RR, FORM_RI, FORM_RM):
-            if op not in (Opcode.CMP, Opcode.TEST):
+            if op not in _COMPARES:
                 regs.add(ops[0].reg)
-        elif form == FORM_R and op in (Opcode.POP, Opcode.NOT, Opcode.NEG):
+        elif form == FORM_R and op in _R_WRITES:
             regs.add(ops[0].reg)
-        if op in (Opcode.PUSH, Opcode.POP, Opcode.RET, Opcode.PUSHF, Opcode.POPF):
+        if op in _STACK_OPS:
             regs.add(RSP)
-        if op in (Opcode.CALL, Opcode.CALLR):
-            regs.add(RSP)
-        if op is Opcode.RTCALL:
-            # Runtime calls follow the C ABI: caller-saved registers and
-            # the return register may be clobbered.
-            regs.update(
-                (Register.RAX, Register.RCX, Register.RDX, Register.RSI,
-                 Register.RDI, Register.R8, Register.R9, Register.R10,
-                 Register.R11)
-            )
+        if op is _RTCALL:
+            regs.update(_RTCALL_CLOBBERS)
         return frozenset(regs)
 
     def writes_flags(self) -> bool:
-        return (
-            self.opcode in ALU_RW
-            or self.opcode in (Opcode.CMP, Opcode.TEST, Opcode.NOT, Opcode.NEG, Opcode.POPF)
-        )
+        return self.opcode in _FLAG_WRITERS
 
     def reads_flags(self) -> bool:
         """True when the instruction consumes the flags (jcc/setcc/pushf)."""
         return (
             self.opcode in CONDITIONAL_JUMPS
             or self.opcode in SETCC_CONDITIONS
-            or self.opcode is Opcode.PUSHF
+            or self.opcode is _PUSHF
         )
 
     def derive_effects(self) -> Effects:

@@ -40,6 +40,8 @@ from repro.isa.opcodes import JUMP_OPCODES, Opcode
 #: Block-ending opcodes whose fall-through is a return point.
 _RETURNING = frozenset({Opcode.CALL, Opcode.CALLR, Opcode.RTCALL})
 
+_RTCALL = Opcode.RTCALL  # a module global: DESIGN.md §7
+
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -102,7 +104,7 @@ def _build_control_flow(
         address = instruction.address
         by_address[address] = instruction
         opcode = instruction.opcode
-        if instruction.effects.terminator or opcode is Opcode.RTCALL:
+        if instruction.effects.terminator or opcode is _RTCALL:
             end = address + instruction.length
             leaders.add(end)
             if opcode in JUMP_OPCODES:
@@ -122,7 +124,7 @@ def _build_control_flow(
             members = current.instructions
         members.append(instruction)
         block_of[address] = current
-        if instruction.effects.terminator or instruction.opcode is Opcode.RTCALL:
+        if instruction.effects.terminator or instruction.opcode is _RTCALL:
             current = None
     tele.count("cfg.basic_blocks", len(blocks))
     tele.count("cfg.jump_targets", len(targets))

@@ -43,6 +43,9 @@ TRAMPOLINE_SEGMENT = ".tramp"
 
 _NOP = bytes([int(Opcode.NOP)])
 
+#: Terminators control never falls through.
+_NON_RETURNING = frozenset({Opcode.JMP, Opcode.JMPR, Opcode.RET})
+
 
 @dataclass
 class PatchRequest:
@@ -174,7 +177,7 @@ class Rewriter:
         total = group[-1].length
         while total < JUMP_LEN:
             last = group[-1]
-            if last.opcode in (Opcode.JMP, Opcode.JMPR, Opcode.RET):
+            if last.opcode in _NON_RETURNING:
                 return None, "patch bytes would cross a non-returning terminator"
             next_address = last.address + last.length
             next_instruction = by_address.get(next_address)
@@ -229,7 +232,7 @@ class Rewriter:
                         body.extend(plan.attached.get(instruction.address, ()))
                     body.append(relocate_instruction(instruction))
                 last = plan.group[-1]
-                if last.opcode not in (Opcode.JMP, Opcode.JMPR, Opcode.RET):
+                if last.opcode not in _NON_RETURNING:
                     body.append(
                         Instruction(Opcode.JMP, (Imm(0),), abs_target=last.end_address)
                     )

@@ -239,67 +239,6 @@ class CPU:
         self.cf = bool(value & 4)
         self.of = bool(value & 8)
 
-    # -- ALU core -------------------------------------------------------------------
-
-    def _alu(self, opcode: Opcode, a: int, b: int) -> int:
-        if opcode is Opcode.ADD:
-            result = (a + b) & _M64
-            self._flags_add(a, b, result)
-        elif opcode is Opcode.SUB:
-            result = (a - b) & _M64
-            self._flags_sub(a, b, result)
-        elif opcode is Opcode.AND:
-            result = a & b
-            self._flags_logic(result)
-        elif opcode is Opcode.OR:
-            result = a | b
-            self._flags_logic(result)
-        elif opcode is Opcode.XOR:
-            result = a ^ b
-            self._flags_logic(result)
-        elif opcode is Opcode.IMUL:
-            result = (_signed(a) * _signed(b)) & _M64
-            self._set_zs(result)
-            self.cf = self.of = False
-        elif opcode is Opcode.DIV:
-            if b == 0:
-                raise VMError("guest divide by zero")
-            result = a // b
-            self._set_zs(result)
-        elif opcode is Opcode.MOD:
-            if b == 0:
-                raise VMError("guest modulo by zero")
-            result = a % b
-            self._set_zs(result)
-        elif opcode is Opcode.IDIV:
-            if b == 0:
-                raise VMError("guest divide by zero")
-            sa, sb = _signed(a), _signed(b)
-            result = (abs(sa) // abs(sb)) & _M64
-            if (sa < 0) != (sb < 0):
-                result = (-result) & _M64
-            self._set_zs(result)
-        elif opcode is Opcode.IMOD:
-            if b == 0:
-                raise VMError("guest modulo by zero")
-            sa, sb = _signed(a), _signed(b)
-            result = (abs(sa) % abs(sb)) & _M64
-            if sa < 0:
-                result = (-result) & _M64
-            self._set_zs(result)
-        elif opcode is Opcode.SHL:
-            result = (a << (b & 63)) & _M64
-            self._set_zs(result)
-        elif opcode is Opcode.SHR:
-            result = a >> (b & 63)
-            self._set_zs(result)
-        elif opcode is Opcode.SAR:
-            result = (_signed(a) >> (b & 63)) & _M64
-            self._set_zs(result)
-        else:  # pragma: no cover - dispatch guarantees coverage
-            raise VMError(f"not an ALU opcode: {opcode!r}")
-        return result
-
     # -- instruction handlers --------------------------------------------------------
 
     def _exec_mov(self, instruction: Instruction) -> None:
@@ -336,14 +275,14 @@ class CPU:
         if type(dst) is Reg:
             a = self.regs[dst.reg]
             b = self._read_operand(src, instruction, size)
-            self.regs[dst.reg] = self._alu(opcode, a, b)
+            self.regs[dst.reg] = _ALU[opcode](self, a, b)
         else:
             address = self.effective_address(dst, instruction)
             if self.access_hook is not None:
                 self.access_hook(address, size, True, True, instruction)
             a = self.memory.read_int(address, size)
             b = self._read_operand(src, instruction, size)
-            self.memory.write_int(address, self._alu(opcode, a, b), size)
+            self.memory.write_int(address, _ALU[opcode](self, a, b), size)
 
     def _exec_cmp(self, instruction: Instruction) -> None:
         dst, src = instruction.operands
@@ -599,6 +538,115 @@ class CPU:
         raise VMTimeoutError(max_instructions)
 
 
+# -- ALU core -------------------------------------------------------------------
+#
+# One function per ALU opcode, ``fn(cpu, a, b) -> result``, setting the
+# flags as the opcode does; ``CPU._exec_alu`` picks it with one lookup
+# in ``_ALU`` rather than a chain of ``Opcode.X`` tests (DESIGN.md §7).
+
+
+def _alu_add(cpu: CPU, a: int, b: int) -> int:
+    result = (a + b) & _M64
+    cpu._flags_add(a, b, result)
+    return result
+
+
+def _alu_sub(cpu: CPU, a: int, b: int) -> int:
+    result = (a - b) & _M64
+    cpu._flags_sub(a, b, result)
+    return result
+
+
+def _alu_and(cpu: CPU, a: int, b: int) -> int:
+    result = a & b
+    cpu._flags_logic(result)
+    return result
+
+
+def _alu_or(cpu: CPU, a: int, b: int) -> int:
+    result = a | b
+    cpu._flags_logic(result)
+    return result
+
+
+def _alu_xor(cpu: CPU, a: int, b: int) -> int:
+    result = a ^ b
+    cpu._flags_logic(result)
+    return result
+
+
+def _alu_imul(cpu: CPU, a: int, b: int) -> int:
+    result = (_signed(a) * _signed(b)) & _M64
+    cpu._set_zs(result)
+    cpu.cf = cpu.of = False
+    return result
+
+
+def _alu_div(cpu: CPU, a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("guest divide by zero")
+    result = a // b
+    cpu._set_zs(result)
+    return result
+
+
+def _alu_mod(cpu: CPU, a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("guest modulo by zero")
+    result = a % b
+    cpu._set_zs(result)
+    return result
+
+
+def _alu_idiv(cpu: CPU, a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("guest divide by zero")
+    sa, sb = _signed(a), _signed(b)
+    result = (abs(sa) // abs(sb)) & _M64
+    if (sa < 0) != (sb < 0):
+        result = (-result) & _M64
+    cpu._set_zs(result)
+    return result
+
+
+def _alu_imod(cpu: CPU, a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("guest modulo by zero")
+    sa, sb = _signed(a), _signed(b)
+    result = (abs(sa) % abs(sb)) & _M64
+    if sa < 0:
+        result = (-result) & _M64
+    cpu._set_zs(result)
+    return result
+
+
+def _alu_shl(cpu: CPU, a: int, b: int) -> int:
+    result = (a << (b & 63)) & _M64
+    cpu._set_zs(result)
+    return result
+
+
+def _alu_shr(cpu: CPU, a: int, b: int) -> int:
+    result = a >> (b & 63)
+    cpu._set_zs(result)
+    return result
+
+
+def _alu_sar(cpu: CPU, a: int, b: int) -> int:
+    result = (_signed(a) >> (b & 63)) & _M64
+    cpu._set_zs(result)
+    return result
+
+
+_ALU: Dict[int, Callable[[CPU, int, int], int]] = {
+    Opcode.ADD: _alu_add, Opcode.SUB: _alu_sub, Opcode.AND: _alu_and,
+    Opcode.OR: _alu_or, Opcode.XOR: _alu_xor, Opcode.IMUL: _alu_imul,
+    Opcode.DIV: _alu_div, Opcode.MOD: _alu_mod, Opcode.IDIV: _alu_idiv,
+    Opcode.IMOD: _alu_imod, Opcode.SHL: _alu_shl, Opcode.SHR: _alu_shr,
+    Opcode.SAR: _alu_sar,
+}
+
+
 #: Opcode -> unbound ``CPU._exec_*`` handler, called as
 #: ``HANDLERS[opcode](cpu, instruction)`` by every tier: the single-step
 #: loop, a superblock's generic step and a compiled trace's generic call.
@@ -624,11 +672,7 @@ HANDLERS: Dict[int, Callable] = {
     Opcode.TRAP: CPU._exec_trap,
     Opcode.RTCALL: CPU._exec_rtcall,
 }
-for _opcode in (
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.IMUL, Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD,
-    Opcode.SHL, Opcode.SHR, Opcode.SAR,
-):
+for _opcode in _ALU:
     HANDLERS[_opcode] = CPU._exec_alu
 for _opcode in _JCC:
     HANDLERS[_opcode] = CPU._exec_jcc

@@ -402,38 +402,57 @@ def _specialize(instruction):
     return _step(body, **constants)
 
 
+# Control-transfer bodies, ``fn(instruction, constants, return_address)``,
+# one per opcode in ``_TRANSFERS``: each binds its constants and returns
+# the step body, which sets ``cpu.rip``.
+
+
+def _jmp(instruction, constants, return_address: int) -> str:
+    constants["target"] = (return_address + instruction.operands[0].value) & _M64
+    return "cpu.rip = target"
+
+
+def _jcc(instruction, constants, return_address: int) -> str:
+    constants["target"] = (return_address + instruction.operands[0].value) & _M64
+    return f"if {condition(instruction.opcode, 'cpu.')}: cpu.rip = target"
+
+
+def _call(instruction, constants, return_address: int) -> str:
+    constants["ret"] = return_address
+    constants["target"] = (return_address + instruction.operands[0].value) & _M64
+    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
+            "cpu.rip = target")
+
+
+def _jmpr(instruction, constants, return_address: int) -> str:
+    constants["s"] = int(instruction.operands[0].reg)
+    return "cpu.rip = regs[s]"
+
+
+def _callr(instruction, constants, return_address: int) -> str:
+    constants["ret"] = return_address
+    constants["s"] = int(instruction.operands[0].reg)
+    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
+            "cpu.rip = regs[s]")
+
+
+def _ret(instruction, constants, return_address: int) -> str:
+    return f"rsp = {_SP}; cpu.rip = rd(rsp, 8); {_SP} = (rsp + 8) & {_M}"
+
+
+_TRANSFERS = {
+    Opcode.JMP: _jmp, Opcode.CALL: _call, Opcode.JMPR: _jmpr,
+    Opcode.CALLR: _callr, Opcode.RET: _ret,
+    **dict.fromkeys(JCC_CONDITIONS, _jcc),
+}
+
+
 def _transfer(instruction, constants) -> Optional[str]:
     """The body of a direct or indirect control transfer (binding its
     constants), or None for TRAP, RTCALL and the forms the translator
     leaves to the generic handler."""
-    opcode = instruction.opcode
-    operands = instruction.operands
-    return_address = instruction.address + instruction.length
-    if opcode is Opcode.JMP:
-        constants["target"] = (return_address + operands[0].value) & _M64
-        return "cpu.rip = target"
-
-    if opcode in JCC_CONDITIONS:
-        constants["target"] = (return_address + operands[0].value) & _M64
-        return f"if {condition(opcode, 'cpu.')}: cpu.rip = target"
-
-    if opcode is Opcode.CALL:
-        constants["ret"] = return_address
-        constants["target"] = (return_address + operands[0].value) & _M64
-        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
-                "cpu.rip = target")
-
-    if opcode is Opcode.JMPR:
-        constants["s"] = int(operands[0].reg)
-        return "cpu.rip = regs[s]"
-
-    if opcode is Opcode.CALLR:
-        constants["ret"] = return_address
-        constants["s"] = int(operands[0].reg)
-        return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
-                "cpu.rip = regs[s]")
-
-    if opcode is Opcode.RET:
-        return f"rsp = {_SP}; cpu.rip = rd(rsp, 8); {_SP} = (rsp + 8) & {_M}"
-
-    return None
+    body = _TRANSFERS.get(instruction.opcode)
+    if body is None:
+        return None
+    return body(instruction, constants,
+                instruction.address + instruction.length)

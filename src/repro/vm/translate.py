@@ -106,7 +106,7 @@ def _zs(f: str) -> str:
 
 
 #: ALU statements on ``regs[d]`` with source *b* (shift count *n*) and
-#: flags at *f*, mirroring ``CPU._alu``: shifts set only zf and sf.
+#: flags at *f*, mirroring ``vm.cpu._ALU``: shifts set only zf and sf.
 _ALU = {
     Opcode.ADD: lambda d, b, n, f: (
         f"a = regs[{d}]; b = {b}; t = a + b; r = t & {_M}; regs[{d}] = r; "
