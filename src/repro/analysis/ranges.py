@@ -552,8 +552,13 @@ def _alloc_result(state: RangeState, site: int,
 
 def _kill_written(state: RangeState, instruction: Instruction,
                   collector: Optional[SummaryCollector]) -> None:
-    """The generic transfer: every register the instruction may write
-    becomes unknown, and a write to RSP loses the stack height."""
+    """The generic transfer: a memory operand the instruction writes (an
+    ALU op on memory) is a store of an unknown value, every register it
+    may write becomes unknown, and a write to RSP loses the stack
+    height."""
+    access = instruction.memory_access()
+    if access is not None and access[2]:
+        _store(state, access[0], None, access[3], collector)
     for register in instruction.regs_written():
         if register is RSP:
             _havoc(state)

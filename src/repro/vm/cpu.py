@@ -16,11 +16,11 @@ Design notes:
   views of the superblocks and traces built on top of it).
 - Execution is tiered (DESIGN.md §9) inside one run loop,
   :meth:`CPU.run`.  The *superblock* tier runs straight-line runs of
-  decoded instructions pre-translated into step functions shared by
-  every run of the image (:mod:`repro.vm.superblock`); the *trace* tier
-  above it profiles taken application back-edges and compiles hot loops
-  into exec-generated Python functions with guarded side exits
-  (:mod:`repro.vm.trace`).  Both tiers are bit-identical to
+  decoded instructions pre-translated into one function per block,
+  shared by every run of the image (:mod:`repro.vm.superblock`); the
+  *trace* tier above it profiles taken application back-edges and
+  compiles hot loops into exec-generated Python functions with guarded
+  side exits (:mod:`repro.vm.trace`).  Both tiers are bit-identical to
   single-stepping (:meth:`CPU.step`) — the semantics oracle at the
   bottom of the ladder; the loop falls down the ladder when a DBI
   ``access_hook`` is installed, when the remaining watchdog fuel cannot
@@ -404,7 +404,7 @@ class CPU:
 
         This is the VM's one run loop.  Its tiers are picked once, on
         entry: superblocks unless the engine is off or a DBI
-        ``access_hook`` is installed (specialized steps would bypass
+        ``access_hook`` is installed (translated blocks would bypass
         it), and compiled traces on top unless the trace tier is off or
         a ``coverage`` map is attached (traces record no edges).  A
         ``translate`` that returns None (the engine degraded mid-run)
@@ -415,9 +415,10 @@ class CPU:
           fuel; it returns its exact ``(retired, checks)`` counts, and a
           mid-trace exception publishes them through
           ``cpu._trace_pending`` / ``_trace_pending_checks``;
-        - else the superblock at ``rip``, when it fits the fuel; each
-          step commits ``rip`` before it executes and a mid-block
-          exception is accounted through :meth:`Superblock.retired_before`;
+        - else the superblock at ``rip``, when it fits the fuel: one
+          call of its block function, in which every step that can
+          raise commits ``rip`` first, so a mid-block exception is
+          accounted through :meth:`Superblock.retired_before`;
         - else one single-stepped instruction (:meth:`step`'s fetch and
           dispatch), so the watchdog fires at exactly the same
           instruction under every engine.
@@ -481,9 +482,7 @@ class CPU:
                     if (block is not None
                             and executed + block.length <= max_instructions):
                         try:
-                            for next_rip, fn in block.steps:
-                                self.rip = next_rip
-                                fn(self, regs, read_int, write_int)
+                            block.fn(self, regs, read_int, write_int)
                         except BaseException:
                             retired = block.retired_before(self.rip)
                             executed += retired

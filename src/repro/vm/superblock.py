@@ -4,18 +4,20 @@ A *superblock* is a straight-line run of decoded instructions starting at
 some address and ending at the first control transfer (jump, conditional
 jump, call, indirect jump/call, return), runtime boundary (``rtcall``,
 ``trap``) or trampoline-span crossing.  The engine pre-translates each
-run into a list of step functions that thread register and flag state
-directly — no per-instruction fetch, no icache probe, no dispatch dict
-lookup — and caches the result keyed on the start address.
+run into one Python function that runs all its steps — no
+per-instruction fetch, icache probe, dispatch or call — and caches the
+block keyed on the start address.
 
 Equivalence contract (DESIGN.md §5f): executing a superblock must be
 *bit-identical* to single-stepping the same instructions, including the
 partial architectural state left behind by a mid-block fault:
 
-- every step commits ``cpu.rip = address + length`` *before* its body
-  runs, exactly as :meth:`repro.vm.cpu.CPU.step` does, so a fault in
-  step *k* leaves the same ``rip`` either way and a not-taken
-  conditional branch falls through correctly;
+- step *k* stores ``cpu.rip = n_k``, its end address, before its body
+  whenever ``rip`` can be observed: when the body can raise (a memory
+  access or a zero divisor), when it is a transfer (a not-taken
+  conditional branch falls through) or a generic handler call, and at
+  the block's last step.  A raising step thus leaves the same ``rip``
+  as single-stepping, and the steps that store nothing cannot fail;
 - a data instruction's step body comes from the one translator the
   trace tier uses too (:mod:`repro.vm.translate`), with the flags kept
   on the CPU as Python ``bool``\\ s; a control transfer's body, built
@@ -26,7 +28,16 @@ partial architectural state left behind by a mid-block fault:
   trampoline code or entirely application code — the run loop's
   "checks executed" attribution stays exact.
 
-Sharing: a step receives the per-run state as arguments —
+Shapes: a block's source depends only on its *shape*, per step the
+body, the names of its constants (closure cells ``<name>_<k>``) and
+whether it commits ``rip``.  Each shape is compiled once per process
+into a factory, and every block of that shape is the factory called
+with the block's own constants, so same-shape blocks share one code
+object.  Shapes repeat heavily (a cold spec-unoptimized round
+translates 3330 blocks of 222 shapes; all 29 SPEC kernels under two
+presets end at 610), so the shape table is not bounded.
+
+Sharing: a block function receives the per-run state as arguments —
 ``fn(cpu, regs, rd, wr)``, the memory's ``read_int`` and ``write_int``
 as the last two — and closes over constants and
 decoded instructions only, so a block belongs to the image, not to one
@@ -54,13 +65,13 @@ the whole ladder, ``"superblock"`` caps execution at this tier, and
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import VMError, VMFault
 from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RSP
-from repro.vm.translate import JCC_CONDITIONS, condition, translate
+from repro.vm.translate import HELPERS, JCC_CONDITIONS, condition, translate
 
 _M64 = (1 << 64) - 1
 
@@ -135,25 +146,26 @@ def engine_override(engine):
 class Superblock:
     """One translated straight-line run.
 
-    ``steps`` holds ``(next_rip, fn)`` pairs: the run loop stores
-    ``next_rip`` into ``cpu.rip`` and calls ``fn(cpu, regs, read_int,
-    write_int)`` — the per-run state as arguments, the same convention
-    as a compiled trace's ``fn``.  A step closes over constants and
-    decoded instructions only, so the block is a pure function of the
-    ``code`` bytes it covers at ``start`` and of the trampoline
-    ``span`` it was cut against: any run whose memory holds the same
-    bytes under the same span can execute it.
+    ``fn(cpu, regs, read_int, write_int)`` runs all ``length`` steps —
+    the per-run state as arguments, the same convention as a compiled
+    trace's ``fn`` — and ``ends`` holds each step's end address.  The
+    function closes over constants and decoded instructions only, so
+    the block is a pure function of the ``code`` bytes it covers at
+    ``start`` and of the trampoline ``span`` it was cut against: any run
+    whose memory holds the same bytes under the same span can execute
+    it.
     """
 
-    __slots__ = ("start", "steps", "length", "in_trampoline", "last_transfer",
-                 "code", "span")
+    __slots__ = ("start", "fn", "ends", "length", "in_trampoline",
+                 "last_transfer", "code", "span")
 
-    def __init__(self, start: int, steps: List[tuple], in_trampoline: bool,
+    def __init__(self, start: int, fn, ends: tuple, in_trampoline: bool,
                  last_transfer: Optional[int] = None, code: Optional[bytes] = None,
                  span: Optional[tuple] = None) -> None:
         self.start = start
-        self.steps = steps
-        self.length = len(steps)
+        self.fn = fn
+        self.ends = ends
+        self.length = len(ends)
         #: The whole block lies inside the ``.tramp`` segment (blocks
         #: never straddle the boundary), so traced runs attribute
         #: ``length`` check-instructions per execution.
@@ -174,16 +186,14 @@ class Superblock:
         """How many steps retired before the one that left ``cpu.rip``
         at *rip* raised.
 
-        Every step sets ``rip`` to its own ``next_rip`` before running,
-        and ``next_rip`` is strictly increasing within a block, so the
-        faulting step is the unique one whose ``next_rip`` matches.
+        Every step that can raise first sets ``rip`` to its own end
+        address, and the end addresses strictly increase within a
+        block, so the raising step is the unique one ending at *rip*.
         """
-        retired = 0
-        for next_rip, _fn in self.steps:
-            if next_rip == rip:
-                return retired
-            retired += 1
-        return retired
+        try:
+            return self.ends.index(rip)
+        except ValueError:
+            return self.length
 
 
 class SuperblockEngine:
@@ -291,9 +301,9 @@ class SuperblockEngine:
                 break
             rip += instruction.length
         last = instructions[-1]
+        fn, ends = _block_function(instructions)
         block = Superblock(
-            address, [(i.address + i.length, _specialize(i)) for i in instructions],
-            start_in_tramp,
+            address, fn, ends, start_in_tramp,
             last.address if last.opcode in TRANSFER_OPCODES else None,
             _code_of(cpu, instructions), span,
         )
@@ -348,111 +358,139 @@ def _code_of(cpu, instructions) -> Optional[bytes]:
     return b"".join(parts)
 
 
-# -- step construction -------------------------------------------------------
+# -- block construction ------------------------------------------------------
 #
-# A step is ``step(cpu, regs, rd, wr)``.  Its body comes from the shared
-# translator (:func:`repro.vm.translate.translate`) for data
-# instructions, with the flags on the CPU and every constant bound as a
-# closure cell, so all instructions of one shape share one compiled
-# factory; control transfers set ``cpu.rip`` here; anything else calls
-# the generic handler.
+# A block is one function ``block(cpu, regs, rd, wr)`` running its
+# steps in a row: the translator's body for a data instruction,
+# ``_TRANSFERS``' for a control transfer, else a generic handler call.
 
 _M = str(_M64)
 _SP = f"regs[{int(RSP)}]"
 
-#: Step factories by (body, constant names), each compiled once.
-_FACTORIES: Dict[tuple, object] = {}
+#: Block-function factories by shape, each compiled once per process
+#: and never dropped (see the module docstring for the measured sizes).
+_SHAPES: Dict[tuple, object] = {}
+#: The step keys ``_SHAPES``' keys are made of, one copy of each.
+_STEPS: Dict[tuple, tuple] = {}
 
 
-def _step(body: str, **constants):
-    """A step running *body* with *constants* bound as closure cells."""
-    names = tuple(sorted(constants))
-    key = (body, names)
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        source = (f"def factory({', '.join(names)}):\n"
-                  f"    def step(cpu, regs, rd, wr):\n"
-                  f"        {body}\n"
-                  f"    return step\n")
-        namespace: dict = {}
-        exec(source, namespace)
-        factory = _FACTORIES[key] = namespace["factory"]
-    return factory(**constants)
+def _block_function(instructions):
+    """The function running *instructions* as one block, and the
+    tuple of its steps' end addresses.
 
+    Step *k* stores ``cpu.rip = n_k`` (its end address) before its body
+    only when something can observe ``rip``: the body can raise (a
+    memory access or a zero divisor), it is a transfer or a generic
+    handler call, or it is the block's last step.  A step that commits
+    nothing cannot fail, so a raising step always leaves ``rip`` at its
+    own end address, exactly as single-stepping does.
+    """
+    from repro.vm.cpu import HANDLERS
 
-def _specialize(instruction):
-    """The step executing *instruction*: a translated body for data
-    instructions and transfers, else a call of the generic handler."""
-    constants: dict = {}
+    names: list = []
+    values: list = []
+    suffix = ""
 
-    def bind(name: str, value: int) -> str:
-        constants[name] = value
+    def bind(name: str, value) -> str:
+        name += suffix
+        names.append(name)
+        values.append(value)
         return name
 
-    translated = translate(instruction, bind, "cpu.")
-    if translated is not None:
-        return _step(translated[0] or "pass", **constants)
-    constants.clear()  # what a declined translation bound
-    body = _transfer(instruction, constants)
-    if body is None:
-        from repro.vm.cpu import HANDLERS
-
-        return _step("handler(cpu, instruction)",
-                     handler=HANDLERS[instruction.opcode], instruction=instruction)
-    return _step(body, **constants)
-
-
-# Control-transfer bodies, ``fn(instruction, constants, return_address)``,
-# one per opcode in ``_TRANSFERS``: each binds its constants and returns
-# the step body, which sets ``cpu.rip``.
-
-
-def _jmp(instruction, constants, return_address: int) -> str:
-    constants["target"] = (return_address + instruction.operands[0].value) & _M64
-    return "cpu.rip = target"
-
-
-def _jcc(instruction, constants, return_address: int) -> str:
-    constants["target"] = (return_address + instruction.operands[0].value) & _M64
-    return f"if {condition(instruction.opcode, 'cpu.')}: cpu.rip = target"
-
-
-def _call(instruction, constants, return_address: int) -> str:
-    constants["ret"] = return_address
-    constants["target"] = (return_address + instruction.operands[0].value) & _M64
-    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
-            "cpu.rip = target")
-
-
-def _jmpr(instruction, constants, return_address: int) -> str:
-    constants["s"] = int(instruction.operands[0].reg)
-    return "cpu.rip = regs[s]"
+    shape = []
+    ends = []
+    last = len(instructions) - 1
+    for k, instruction in enumerate(instructions):
+        suffix = f"_{k}"
+        first = len(names)
+        end = instruction.address + instruction.length
+        translated = translate(instruction, bind, "cpu.")
+        if translated is not None:
+            body, commits = translated
+        else:
+            del names[first:], values[first:]  # what a declined translation bound
+            commits = True
+            transfer = _TRANSFERS.get(instruction.opcode)
+            if transfer is not None:
+                body = transfer(instruction, bind, end)
+            else:
+                body = (f"{bind('handler', HANDLERS[instruction.opcode])}"
+                        f"(cpu, {bind('instruction', instruction)})")
+        if commits or k == last:
+            commits = True
+            bind("n", end)
+        shape.append((body, tuple(names[first:]), commits))
+        ends.append(end)
+    shape = tuple(shape)
+    factory = _SHAPES.get(shape)
+    if factory is None:
+        factory = _compile_shape(shape, names)
+        # The table keeps one copy of each step key: a step recurs in
+        # many shapes (689 distinct steps in the 222 shapes of a cold
+        # spec-unoptimized round), and the keys' source text would
+        # otherwise outweigh the compiled code.
+        _SHAPES[tuple(_STEPS.setdefault(step, step) for step in shape)] = factory
+    return factory(*values), tuple(ends)
 
 
-def _callr(instruction, constants, return_address: int) -> str:
-    constants["ret"] = return_address
-    constants["s"] = int(instruction.operands[0].reg)
-    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, ret, 8); "
-            "cpu.rip = regs[s]")
+def _compile_shape(shape, names):
+    """The factory ``factory(*values)`` of blocks of *shape*, whose
+    constants are *names* in binding order."""
+    lines = [f"def factory({', '.join(names)}):",
+             "    def block(cpu, regs, rd, wr):"]
+    for k, (body, _names, commits) in enumerate(shape):
+        if commits:
+            lines.append(f"        cpu.rip = n_{k}")
+        if body:
+            lines.append(f"        {body}")
+    lines.append("    return block")
+    namespace = dict(HELPERS)
+    exec("\n".join(lines), namespace)
+    return namespace["factory"]
 
 
-def _ret(instruction, constants, return_address: int) -> str:
+# Control-transfer bodies, ``fn(instruction, const, return_address)``,
+# one per opcode in ``_TRANSFERS``: each names its constants through
+# *const* (the translator's policy) and returns the step body, which
+# sets ``cpu.rip``.
+
+
+def _jmp(instruction, const, return_address: int) -> str:
+    target = const("target", (return_address + instruction.operands[0].value) & _M64)
+    return f"cpu.rip = {target}"
+
+
+def _jcc(instruction, const, return_address: int) -> str:
+    target = const("target", (return_address + instruction.operands[0].value) & _M64)
+    return f"if {condition(instruction.opcode, 'cpu.')}: cpu.rip = {target}"
+
+
+def _call(instruction, const, return_address: int) -> str:
+    ret = const("ret", return_address)
+    target = const("target", (return_address + instruction.operands[0].value) & _M64)
+    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, {ret}, 8); "
+            f"cpu.rip = {target}")
+
+
+def _jmpr(instruction, const, return_address: int) -> str:
+    return f"cpu.rip = regs[{const('s', int(instruction.operands[0].reg))}]"
+
+
+def _callr(instruction, const, return_address: int) -> str:
+    ret = const("ret", return_address)
+    s = const("s", int(instruction.operands[0].reg))
+    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, {ret}, 8); "
+            f"cpu.rip = regs[{s}]")
+
+
+def _ret(instruction, const, return_address: int) -> str:
     return f"rsp = {_SP}; cpu.rip = rd(rsp, 8); {_SP} = (rsp + 8) & {_M}"
 
 
+#: Opcode -> control-transfer body; TRAP and RTCALL, which end a block
+#: but fall through, take the generic handler call.
 _TRANSFERS = {
     Opcode.JMP: _jmp, Opcode.CALL: _call, Opcode.JMPR: _jmpr,
     Opcode.CALLR: _callr, Opcode.RET: _ret,
     **dict.fromkeys(JCC_CONDITIONS, _jcc),
 }
-
-
-def _transfer(instruction, constants) -> Optional[str]:
-    """The body of a direct or indirect control transfer (binding its
-    constants), or None for TRAP, RTCALL and the forms the translator
-    leaves to the generic handler."""
-    body = _TRANSFERS.get(instruction.opcode)
-    if body is None:
-        return None
-    return body(instruction, constants,
-                instruction.address + instruction.length)

@@ -7,9 +7,9 @@ from oracle to hottest:
    dispatch, retire one instruction at a time.  The semantics oracle:
    every other tier must be bit-identical to it.
 2. **superblock** (:mod:`repro.vm.superblock`) — straight-line runs
-   pre-translated to lists of step functions; stops at every control
-   transfer, so a hot loop still pays one dispatch per block and one
-   step call per instruction.
+   pre-translated to one function per block; stops at every control
+   transfer, so a hot loop still pays one dispatch and one call per
+   block, and keeps its flags on the CPU.
 3. **trace** (this module) — profile-guided: the run loop
    (:meth:`repro.vm.cpu.CPU.run`, which holds all three tiers) counts
    taken *back edges* (a retired application transfer whose target
@@ -120,11 +120,19 @@ from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Reg
 from repro.isa.registers import RSP, Register
-from repro.vm.translate import JCC_CONDITIONS, SETCC_CONDITIONS, condition, translate
+from repro.vm.translate import (
+    HELPERS, JCC_CONDITIONS, SETCC_CONDITIONS, condition, translate,
+)
 
 _M64 = (1 << 64) - 1
 _M = str(_M64)
 _RIP = Register.RIP
+#: The stack opcodes :meth:`TraceEngine.record` tests per instruction,
+#: as module globals rather than enum attribute loads (DESIGN.md §7).
+_PUSH = Opcode.PUSH
+_PUSHF = Opcode.PUSHF
+_POP = Opcode.POP
+_POPF = Opcode.POPF
 
 #: Taken back-edge executions before a loop head is recorded.
 HOT_THRESHOLD = 12
@@ -461,14 +469,14 @@ class TraceEngine:
                         )
                     pending_writes.clear()
                 opcode = instruction.opcode
-                if opcode is Opcode.PUSH or opcode is Opcode.PUSHF:
+                if opcode is _PUSH or opcode is _PUSHF:
                     # Stack traffic bypasses the access hook; capture it
                     # here so fusion sees the save/restore bytes.
                     address = cpu.regs[RSP]
                     writes.setdefault(index, []).append(
                         (address, 8, read_int(address, 8))
                     )
-                elif opcode is Opcode.POP or opcode is Opcode.POPF:
+                elif opcode is _POP or opcode is _POPF:
                     reads.setdefault(index, []).append(
                         (rsp_before, 8, read_int(rsp_before, 8))
                     )
@@ -775,7 +783,7 @@ def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
     for j, entry in enumerate(entries):
         ck_before[j + 1] = ck_before[j] + (1 if entry.in_tramp else 0)
     total_checks = ck_before[n]
-    glb: dict = {"VMFault": VMFault}
+    glb: dict = {"VMFault": VMFault, **HELPERS}
     sp = f"regs[{int(RSP)}]"
     lines: List[str] = []
 
@@ -817,8 +825,8 @@ def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
         instruction = entry.instruction
         translated = translate(instruction, _literal, "")
         if translated is not None:
-            statements, touches_memory = translated
-            if touches_memory:
+            statements, can_raise = translated
+            if can_raise:
                 raise_prefix(ind, j, entry)
             if statements:
                 emit(ind, statements)

@@ -1,23 +1,25 @@
 """The one translator from data instructions to Python source.
 
 Both compiled tiers turn the data-instruction forms — MOV, MOVS, LEA,
-the ALU ops, CMP, TEST, NOT, NEG, SETcc, PUSH, POP, PUSHF, POPF and NOP
-— into Python statements through :func:`translate`, so every flag
-formula is written exactly once outside the single-step oracle
-(``CPU._exec_*`` in :mod:`repro.vm.cpu`), and both tiers stay
-bit-identical to it by construction (DESIGN.md §5f, §9).
+the ALU ops (DIV, MOD, IDIV and IMOD included), CMP, TEST, NOT, NEG,
+SETcc, PUSH, POP, PUSHF, POPF and NOP — into Python statements
+through :func:`translate`, so every flag formula is written exactly
+once outside the single-step oracle (``CPU._exec_*`` in
+:mod:`repro.vm.cpu`), and both tiers stay bit-identical to it by
+construction (DESIGN.md §5f, §9).
 
 The statements name the per-run state ``cpu``, ``regs`` and the memory
 accessors ``rd(address, size[, signed])`` / ``wr(address, value,
-size)``, and use the temporaries ``a``, ``b``, ``r``, ``t``, ``v`` and
-``rs``.  Two small policies adapt them to a tier instead of branching on
-it:
+size)``, and use the temporaries ``a``, ``b``, ``r``, ``t``, ``v``,
+``rs``, ``sa`` and ``sb``; a zero divisor calls a :data:`HELPERS`
+function.  Two small policies adapt them to a tier instead of
+branching on it:
 
 - *const* ``(name, value) -> str`` spells a constant taken from the
   instruction (a register index, an immediate, a displacement, a size).
-  The superblock tier binds it as the closure cell *name*, so every
-  instruction of one shape shares one compiled step factory; the trace
-  tier writes the literal.
+  The superblock tier binds it as a closure cell, *name* suffixed with
+  the step's index, so every block of one shape shares one compiled
+  factory; the trace tier writes the literal.
 - *flags* is the prefix of the four flag variables: ``"cpu."`` for the
   CPU's attributes (the superblock tier) or ``""`` for the locals a
   compiled trace keeps them in.  Either way a flag is only ever assigned
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
+from repro.errors import VMError
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Reg
 from repro.isa.registers import RSP, Register
@@ -105,8 +108,52 @@ def _zs(f: str) -> str:
     return f"{f}zf = r == 0; {f}sf = r & {_S} != 0"
 
 
+def _divide_by_zero():
+    raise VMError("guest divide by zero")
+
+
+def _modulo_by_zero():
+    raise VMError("guest modulo by zero")
+
+
+#: What the statements call besides ``rd`` and ``wr``: each tier puts
+#: these names into the globals of the code it compiles.  A zero divisor
+#: raises the single-step oracle's own error text through them.
+HELPERS = {"divide_by_zero": _divide_by_zero, "modulo_by_zero": _modulo_by_zero}
+
+
+def _div(d, b, n, f):
+    return (f"b = {b} or divide_by_zero(); r = regs[{d}] // b; "
+            f"regs[{d}] = r; {_zs(f)}")
+
+
+def _mod(d, b, n, f):
+    return (f"b = {b} or modulo_by_zero(); r = regs[{d}] % b; "
+            f"regs[{d}] = r; {_zs(f)}")
+
+
+def _signed_ab(d):
+    """``a`` and ``b`` (already the divisor) as the signed ``sa`` and
+    ``sb``."""
+    return (f"a = regs[{d}]; sa = a - {_WRAP} if a & {_S} else a; "
+            f"sb = b - {_WRAP} if b & {_S} else b")
+
+
+def _idiv(d, b, n, f):
+    # The quotient's magnitude is at most 2**63, so negating before the
+    # mask gives the oracle's ``(-(q & M)) & M``.
+    return (f"b = {b} or divide_by_zero(); {_signed_ab(d)}; r = abs(sa) // abs(sb); "
+            f"r = (-r if (sa < 0) != (sb < 0) else r) & {_M}; regs[{d}] = r; {_zs(f)}")
+
+
+def _imod(d, b, n, f):
+    return (f"b = {b} or modulo_by_zero(); {_signed_ab(d)}; r = abs(sa) % abs(sb); "
+            f"r = (-r if sa < 0 else r) & {_M}; regs[{d}] = r; {_zs(f)}")
+
+
 #: ALU statements on ``regs[d]`` with source *b* (shift count *n*) and
-#: flags at *f*, mirroring ``vm.cpu._ALU``: shifts set only zf and sf.
+#: flags at *f*, mirroring ``vm.cpu._ALU``: shifts and divisions set
+#: only zf and sf.
 _ALU = {
     Opcode.ADD: lambda d, b, n, f: (
         f"a = regs[{d}]; b = {b}; t = a + b; r = t & {_M}; regs[{d}] = r; "
@@ -130,8 +177,11 @@ _ALU = {
     Opcode.SAR: lambda d, b, n, f: (
         f"a = regs[{d}]; r = ((a - {_WRAP} if a & {_S} else a) >> {n}) & {_M}; "
         f"regs[{d}] = r; {_zs(f)}"),
+    Opcode.DIV: _div, Opcode.MOD: _mod, Opcode.IDIV: _idiv, Opcode.IMOD: _imod,
 }
 _SHIFTS = frozenset({Opcode.SHL, Opcode.SHR, Opcode.SAR})
+#: The ALU ops that raise on a zero divisor.
+_DIVISIONS = frozenset({Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD})
 
 
 def _alu(instruction, const, f):
@@ -146,7 +196,7 @@ def _alu(instruction, const, f):
         if b is None:
             return None  # a memory source: the generic handler
         count = f"({b} & 63)"
-    return _ALU[opcode](const("d", int(dst.reg)), b, count, f), False
+    return _ALU[opcode](const("d", int(dst.reg)), b, count, f), opcode in _DIVISIONS
 
 
 def _mov(instruction, const, f):
@@ -252,14 +302,15 @@ _FORMS = {
 
 def translate(instruction, const: Callable[[str, int], str],
               flags: str) -> Optional[Tuple[str, bool]]:
-    """``(statements, touches_memory)`` executing the data instruction
+    """``(statements, can_raise)`` executing the data instruction
     *instruction*, or None when only the generic handler will do
-    (control transfers, TRAP/RTCALL, DIV/MOD/IDIV/IMOD, a memory operand
-    of an ALU op or TEST, memory-to-memory forms).
+    (control transfers, TRAP/RTCALL, a memory operand of an ALU op or
+    TEST, memory-to-memory forms).
 
     *statements* is one line of ``;``-separated simple statements
-    (empty for NOP).  *touches_memory* says whether they call ``rd`` or
-    ``wr``, which can raise a :class:`~repro.errors.VMFault`.
+    (empty for NOP).  *can_raise* says whether they can raise: a call of
+    ``rd`` or ``wr`` (a :class:`~repro.errors.VMFault`) or a zero
+    divisor (the oracle's :class:`~repro.errors.VMError`).
     """
     form = _FORMS.get(instruction.opcode)
     return None if form is None else form(instruction, const, flags)

@@ -66,6 +66,32 @@ def run_hardened(binary, options, mode="abort"):
     return result, runtime, harden
 
 
+class TestMemoryDestinationAlu:
+    #: A counter spilled to the stack, bumped in memory past the end of
+    #: a 64-byte object and reloaded as the index of a store.
+    PROGRAM = """
+        mov %rdi, $64
+        rtcall $1
+        mov %rbx, %rax
+        mov %rcx, $0
+        push %rcx
+        add (%rsp), $100
+        pop %rcx
+        mov (%rbx,%rcx,1), $0x41
+        mov %rax, $0
+        ret
+    """
+
+    def test_overflow_through_an_alu_bumped_slot_is_reported(self):
+        """The range analysis must not keep the slot's stale 0: the
+        store's check survives under ``fully`` and catches the write."""
+        result, runtime, harden = run_hardened(
+            build(self.PROGRAM), RedFatOptions.preset("fully"), mode="log")
+        assert harden.stats.eliminated_range == 0
+        assert result.status == 0
+        assert len(runtime.errors) == 1
+
+
 class TestDetectionAcrossConfigs:
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_in_bounds_passes(self, name):

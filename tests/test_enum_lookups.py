@@ -5,8 +5,10 @@ class-attribute lookup through the enum's metaclass: 80-100 ns a load
 on CPython 3.11, against under 10 ns for a module global
 (DESIGN.md §7).  The range and provenance transfers, the block-graph
 and call-graph walks, the ALU of the single-step oracle, the superblock
-transfer bodies and the decoder run once per instruction (or per edge),
-so they read hoisted module constants and frozensets instead.  This test
+block builder and transfer bodies, the translator's ALU and division
+forms, the trace recorder's per-instruction loop and the decoder run
+once per instruction (or per edge), so they read hoisted module
+constants and frozensets instead.  This test
 parses each such function and fails naming the file and line of any
 ``Opcode.X`` / ``Kind.X`` / ``Register.X`` load in it.
 """
@@ -18,7 +20,7 @@ import textwrap
 from repro.analysis import callgraph, graph, liveness, provenance, ranges
 from repro.core import analysis as core_analysis
 from repro.isa import encoding
-from repro.vm import cpu, superblock
+from repro.vm import cpu, superblock, trace, translate
 
 ENUMS = {"Opcode", "Kind", "Register"}
 
@@ -42,7 +44,11 @@ def per_instruction_functions():
         core_analysis.find_candidate_sites, core_analysis.can_eliminate,
         core_analysis.CheckSite.operand_registers,
         cpu.CPU._exec_alu, *cpu._ALU.values(),
-        superblock._transfer, *superblock._TRANSFERS.values(),
+        superblock.SuperblockEngine.translate, superblock._block_function,
+        *superblock._TRANSFERS.values(),
+        translate.translate, translate._alu, translate._signed_ab,
+        translate._div, translate._mod, translate._idiv, translate._imod,
+        trace.TraceEngine.record,
         encoding._decode, encoding._decode_mem, encoding._length,
     ]
     seen = set()

@@ -285,6 +285,41 @@ class TestDefaultRow:
         assert state.havoc and state.regs == {}
 
 
+class TestMemoryDestinationAlu:
+    """An ALU op on memory (MR/MI form) stores an unknown value there,
+    whether its opcode has a row (ADD) or takes the default (OR)."""
+
+    @pytest.mark.parametrize("opcode", [Opcode.ADD, Opcode.OR])
+    def test_alu_on_a_stack_slot_kills_the_slot(self, opcode):
+        state = RangeState(slots={-8: const(0), -16: const(5)}, rsp_delta=-16)
+        collector = SummaryCollector()
+        step(opcode, Mem(8, RSP), Imm(100), state=state, collector=collector)
+        assert state.slots == {-16: const(5)}
+        assert not collector.stack_stores  # inside this frame
+
+    def test_alu_on_the_callers_frame_is_a_stack_store(self):
+        collector = SummaryCollector()
+        step(Opcode.SUB, Mem(8, RSP), Reg(RAX), collector=collector)
+        assert collector.stack_stores
+
+    def test_alu_through_unknown_pointer_clears_slots(self):
+        state = RangeState(slots={-8: const(1)}, rsp_delta=-8)
+        collector = SummaryCollector()
+        step(Opcode.XOR, Mem(0, RBX), Imm(1), state=state, collector=collector)
+        assert state.slots == {} and collector.unknown_stores
+
+    def test_alu_through_an_argument_pointer_is_recorded(self):
+        state = frame(rdi=RangeVal("arg", 0, 0, 0))
+        collector = SummaryCollector()
+        step(Opcode.ADD, Mem(0, RDI), Imm(1), state=state, collector=collector)
+        assert collector.pointer_store_args == {0}
+
+    def test_alu_reading_memory_stores_nothing(self):
+        state = RangeState(slots={-8: const(1)}, rsp_delta=-8)
+        step(Opcode.ADD, Reg(RAX), Mem(0, RSP), state=state)
+        assert state.slots == {-8: const(1)}
+
+
 def test_every_row_is_tested():
     """A new row in the transfer table needs its own test above."""
     rows = {

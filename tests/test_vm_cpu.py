@@ -286,7 +286,7 @@ class TestUndecodableCode:
         cpu.memory.write(bad, self.BAD_REGISTER)
         with pytest.raises(VMError):
             cpu.run(10)
-        assert len(cpu.superblock.cache[0x1000].steps) == 1
+        assert cpu.superblock.cache[0x1000].length == 1
         assert cpu.regs[RAX] == 5 and cpu.regs[RBX] == 0
         assert cpu.rip == bad
         assert cpu.instructions_executed == 1

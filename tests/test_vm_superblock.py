@@ -18,13 +18,13 @@ import pytest
 
 from repro.cc import compile_source
 from repro.core import RedFat, RedFatOptions
-from repro.errors import GuestExit, GuestMemoryError, VMTimeoutError
+from repro.errors import GuestExit, GuestMemoryError, VMError, VMTimeoutError
 from repro.faults.campaign import DEGRADED, compile_campaign_program, run_campaign
 from repro.isa.assembler import assemble_text
 from repro.isa.encoding import decode_all
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm
-from repro.isa.registers import RSP
+from repro.isa.registers import R9, RBX, RCX, RDI, RDX, RSI, RSP
 from repro.runtime.glibc import GlibcRuntime
 from repro.telemetry.hub import Telemetry
 from repro.vm.cpu import CPU
@@ -407,13 +407,15 @@ class TestStepOracle:
             assert states[0][0] != "timeout"
 
 
-#: Every specialised step form under every addressing mode (base,
+#: Every translated step form under every addressing mode (base,
 #: index, base+index, absolute, rip-relative), sized moves, flags saved
 #: with ``pushf`` after each flag-setting family (ADD, SUB and NEG also
-#: at their carry and signed-overflow edges), and generic steps
-#: (DIV, a memory-destination ALU, RTCALL).  Mapped at 0x1000 with a
-#: callee at 0x1800, an exit stub at 0x1c00 and data at 0x8000.
-ISA_MIX = """
+#: at their carry and signed-overflow edges; DIV, MOD, IDIV and IMOD
+#: with register and immediate divisors of either sign), and generic
+#: steps (a memory-destination ALU, RTCALL).  Mapped at 0x1000 with a
+#: callee at 0x1800, a last block at 0x1c00 whose second step divides
+#: by zero, and data at 0x8000.
+ISA_MIX = f"""
 mov %rbx, $0x8000
 mov %rcx, $3
 mov %rdx, $-7
@@ -493,6 +495,21 @@ pushf
 pop %r11
 div %r11, %rcx
 add (%rbx), %rcx
+mov %r9, $-100
+idiv %r9, $7
+pushf
+imod %r9, $-3
+pushf
+mov %rdi, %r9
+rtcall ${int(Service.PRINT_INT)}
+mov %r13, $0x8000000000000001
+mod %r13, %r9
+pushf
+div %r13, $3
+idiv %rdx, %r9
+imod %r13, %rcx
+mod %rsi, $7
+pushf
 call fn
 mov %rcx, $0x1800
 callr %rcx
@@ -517,23 +534,37 @@ ISA_MIX_LOOP = ("mov %rbp, $24\ntop:\n"
                 + ISA_MIX.replace("over:\n", "over:\nsub %rbp, $1\njne top\n"))
 
 
-def _mix_cpu(text=ISA_MIX):
+def _code_cpu(pieces, regs=()):
+    """A CPU whose memory holds each ``(address, text)`` of *pieces*,
+    with the stack mapped, *regs* preset and ``rip`` at the first."""
     memory = Memory()
     memory.map_range(0x1000, 0x1000)
-    for address, text in ((0x1000, text), (0x1800, "mov %r10, $9\nret"),
-                          (0x1C00, f"mov %rdi, %rax\nrtcall ${int(Service.EXIT)}")):
+    for address, text in pieces:
         memory.write(address, assemble_text(text + "\n", address))
-    memory.map_range(0x7000, 0x3000)
     memory.map_range(0x1F000, 0x2000)
     cpu = CPU(memory, GlibcRuntime())
-    cpu.rip = 0x1000
+    cpu.rip = pieces[0][0]
     cpu.regs[RSP] = 0x20000
+    for register, value in regs:
+        cpu.regs[register] = value
     return cpu
 
 
-def _mix_state(cpu, status):
-    return (status, cpu.instructions_executed, list(cpu.regs), cpu.rip,
-            (cpu.zf, cpu.sf, cpu.cf, cpu.of), cpu.memory.page_contents())
+def _mix_cpu(text=ISA_MIX):
+    # %rbp is 0 once the code reaches 0x1c00.
+    last = f"mov %rdi, %rax\nmod %rdi, %rbp\nrtcall ${int(Service.EXIT)}"
+    cpu = _code_cpu([(0x1000, text), (0x1800, "mov %r10, $9\nret"), (0x1C00, last)])
+    cpu.memory.map_range(0x7000, 0x3000)
+    return cpu
+
+
+def _run_mix(cpu, fuel):
+    """Run a mix to its modulo by zero; the state it leaves."""
+    with pytest.raises(VMError, match="guest modulo by zero") as raised:
+        cpu.run(fuel)
+    return (str(raised.value), cpu.instructions_executed, list(cpu.regs),
+            cpu.rip, (cpu.zf, cpu.sf, cpu.cf, cpu.of), cpu.memory.page_contents(),
+            tuple(cpu.runtime.output))
 
 
 class TestStepForms:
@@ -542,8 +573,7 @@ class TestStepForms:
         for engine in ("superblock", "single-step"):
             with engine_override(engine):
                 cpu = _mix_cpu()
-            status = cpu.run(1000)
-            states.append(_mix_state(cpu, status))
+            states.append(_run_mix(cpu, 1000))
             if engine == "superblock":
                 assert cpu.superblock.translations > 1
         assert states[0] == states[1]
@@ -552,7 +582,7 @@ class TestStepForms:
         for engine in ("trace", "superblock", "single-step"):
             with engine_override(engine):
                 cpu = _mix_cpu(ISA_MIX_LOOP)
-            looped.append(_mix_state(cpu, cpu.run(10_000)))
+            looped.append(_run_mix(cpu, 10_000))
             if engine == "trace":
                 assert cpu.trace.compiled > 0, "the trace tier never ran"
         assert looped[0] == looped[1] == looped[2]
@@ -624,16 +654,22 @@ class TestSharedBlocks:
                 result = program.run(binary=harden.binary,
                                      runtime=harden.create_runtime(mode="log"))
                 mix = _mix_cpu(ISA_MIX if engine == "superblock" else ISA_MIX_LOOP)
-            mix.run(10_000)
+            _run_mix(mix, 10_000)
             cpus += [result.cpu, mix]
+        walked = 0
         for cpu in cpus:
             assert cpu.superblock.cache
             for block in cpu.superblock.cache.values():
-                for step in block.steps:
-                    for value in _captured(step[1]):
-                        assert not _is_run_state(value, cpu), (
-                            f"block {block.start:#x} holds {value!r}"
-                        )
+                for value in _captured(block.fn):
+                    walked += 1
+                    assert not _is_run_state(value, cpu), (
+                        f"block {block.start:#x} holds {value!r}"
+                    )
+        # Each block function closes over its last step's end address
+        # at least, most over far more: a walk that reached no cell
+        # would count one value per block.
+        blocks = sum(len(cpu.superblock.cache) for cpu in cpus)
+        assert walked > 2 * blocks
         assert sum(len(cpu.trace.traces) for cpu in cpus) >= 2
         for cpu in cpus:
             for trace in cpu.trace.traces.values():
@@ -768,6 +804,62 @@ class TestSharedBlocks:
         assert "vm.superblocks_translated" not in counters[1]
         assert (counters[1]["vm.superblocks_revived"]
                 == counters[0]["vm.superblocks_translated"])
+
+
+class TestBlockFunctions:
+    """A block runs as one function compiled per block shape."""
+
+    def test_same_shape_blocks_share_one_code_object(self):
+        exit_stub = f"mov %rdi, %rax\nrtcall ${int(Service.EXIT)}"
+        with engine_override("superblock"):
+            cpu = _code_cpu([
+                (0x1000, "mov %rax, $5\nadd %rax, 8(%rbx)\nmov %rcx, $0x1800\njmpr %rcx"),
+                (0x1800, "mov %rdx, $-9\nadd %rdx, 24(%rsi)\nmov %r8, $0x1c00\njmpr %r8"),
+                (0x1C00, exit_stub),
+            ], regs=[(RBX, 0x1F000), (RSI, 0x1F100)])
+        assert cpu.run(100) == 5
+        blocks = cpu.superblock.cache
+        first, second, stub = blocks[0x1000], blocks[0x1800], blocks[0x1C00]
+        assert first.fn is not second.fn
+        assert first.fn.__code__ is second.fn.__code__
+        assert first.fn.__code__ is not stub.fn.__code__
+        assert first.ends != second.ends
+
+    #: Five steps that change registers and flags but cannot fault.
+    FILLERS = ("add %rdx, $3", "cmp %rdx, $5", "lea %rsi, 8(%rdx,%rdx,2)",
+               "sub %rdi, $1", "neg %r9")
+    #: MOV (reg, reg) whose first register byte (0x3f) names no register.
+    BAD_REGISTER = bytes([0x01, 0x32, 0x3F, 0x02])
+    #: Faulting steps: a load from unmapped memory and a zero divisor.
+    FAULTS = {"load": ("mov %rax, 16(%rbx)", "unmapped guest address 0x50010"),
+              "mod": ("mod %rax, %rcx", "guest modulo by zero")}
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("k", range(6))
+    def test_fault_at_any_step_matches_single_step(self, fault, k):
+        """A fault at step *k* of a six-step block leaves what
+        single-stepping leaves, though only raising steps commit rip."""
+        text, message = self.FAULTS[fault]
+        lines = list(self.FILLERS)
+        lines.insert(k, text)
+        code = "\n".join(lines)
+        regs = [(RBX, 0x50000), (RCX, 0), (RDX, 1), (RDI, 4), (R9, 7)]
+        outcomes = []
+        for engine in ("superblock", "single-step"):
+            with engine_override(engine):
+                cpu = _code_cpu([(0x1000, code)], regs)
+            # An undecodable word ends the block after the sixth step.
+            cpu.memory.write(0x1000 + len(assemble_text(code + "\n", 0x1000)),
+                             self.BAD_REGISTER)
+            with pytest.raises(VMError, match=message) as raised:
+                cpu.run(100)
+            if engine == "superblock":
+                assert cpu.superblock.cache[0x1000].length == 6
+            outcomes.append((type(raised.value), str(raised.value), list(cpu.regs),
+                             cpu.rip, (cpu.zf, cpu.sf, cpu.cf, cpu.of),
+                             cpu.instructions_executed))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][5] == k
 
 
 class TestEngineControls:
