@@ -432,6 +432,7 @@ _RIP = Register.RIP
 _RET = Opcode.RET
 _CALL = Opcode.CALL
 _CALLR = Opcode.CALLR
+_IMOD = Opcode.IMOD
 
 
 def _havoc(state: RangeState) -> None:
@@ -742,9 +743,19 @@ def _shl(state: RangeState, instruction: Instruction,
 
 def _mod(state: RangeState, instruction: Instruction,
          collector: Optional[SummaryCollector]) -> None:
+    """mod/imod by a positive immediate *k*: ``[0, k-1]``, except that
+    ``imod`` keeps the dividend's sign, so a dividend that may be
+    negative gives ``[-(k-1), k-1]``."""
     register, source = _target(instruction), instruction.operands[1]
     if register is not None and type(source) is Imm and source.value > 0:
-        _set_reg(state, register, num(0, source.value - 1))
+        bound = source.value - 1
+        lo = 0
+        if instruction.opcode is _IMOD:
+            current = state.regs.get(register)
+            if (current is None or current.base != "num"
+                    or current.lo is None or current.lo < 0):
+                lo = -bound
+        _set_reg(state, register, num(lo, bound))
     else:
         _kill_written(state, instruction, collector)
 

@@ -198,12 +198,11 @@ def run(
     or ``"name:key=val,..."`` with per-backend options (see
     :mod:`repro.runtime.registry`).  *mode* selects abort-on-error vs.
     log-and-continue and *seed* feeds the randomized backends.
-    *engine* forces the VM's execution tier — ``"trace"`` (default,
-    the full three-tier JIT; see :mod:`repro.vm.trace`),
-    ``"superblock"`` (the superblock engine with tracing disabled) or
-    ``"single-step"`` (the reference engine; see
-    :mod:`repro.vm.superblock`) — for this run only; results are
-    identical in every tier.
+    *engine* forces the VM's execution tier — ``"superblock"`` (the
+    default; see :mod:`repro.vm.superblock`), ``"trace"`` (the
+    hot-loop JIT on top of it; see :mod:`repro.vm.trace`) or
+    ``"single-step"`` (the reference engine) — for this run only;
+    results are identical in every tier.
     """
     from repro.runtime import registry
     from repro.vm.superblock import engine_override

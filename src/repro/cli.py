@@ -13,7 +13,7 @@ Subcommands::
     redfat profile  prog.melf -o allow.lst [--args N ...]
     redfat run      prog.melf [--args N ...] [--runtime SPEC]
                     [--mode abort|log] [--fuel N]
-                    [--engine trace|superblock|single-step]
+                    [--engine superblock|trace|single-step]
                     [--metrics out.json]
     redfat runtimes                                  list the allocator zoo
     redfat shootout [--backends a,b,...] [--juliet N] [-o report.json]
@@ -34,7 +34,10 @@ Subcommands::
 ``--runtime`` takes a registry spec: a backend name (``glibc``,
 ``redfat``, ``s2malloc``, ``camp``, ``shadow``) or
 ``name:key=val,...`` with per-backend options — ``redfat runtimes``
-prints what is registered.
+prints what is registered.  ``run --engine`` picks the VM tier:
+``superblock`` (the default), ``trace`` (the hot-loop JIT on top of
+superblocks) or ``single-step`` (the reference engine); every tier
+retires the same instructions with the same results.
 
 Binaries are the library's on-disk images; ``harden`` consumes and
 produces files, exactly like the paper's Fig. 5 pipeline.  ``harden``
@@ -473,11 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--fuel", type=int, default=2_000_000_000,
         help="watchdog instruction budget before a hung guest is killed")
     run_cmd.add_argument(
-        "--engine", choices=("trace", "superblock", "single-step"),
+        "--engine", choices=("superblock", "trace", "single-step"),
         default=None,
-        help="force the VM execution tier (default: trace, the full "
-             "three-tier JIT; superblock disables tracing; single-step "
-             "is the reference engine — results are identical)")
+        help="force the VM execution tier (default: superblock; trace "
+             "adds the hot-loop JIT on top; single-step is the reference "
+             "engine — results are identical)")
     run_cmd.add_argument(
         "--metrics", metavar="OUT.json",
         help="export the VM telemetry report (instructions, checks, fuel)")

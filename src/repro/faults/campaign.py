@@ -57,6 +57,7 @@ from repro.farm import ArtifactCache, content_key
 from repro.faults.injector import FaultInjector, injection
 from repro.faults.points import point_names
 from repro.telemetry.hub import Telemetry, coerce
+from repro.vm.superblock import engine_override
 
 #: Outcome labels (the complete, closed set).
 DETECTED = "detected"
@@ -277,7 +278,10 @@ def run_one(
     cache_dir = tempfile.TemporaryDirectory(prefix="redfat-fault-run-")
     cache = ArtifactCache(cache_dir=cache_dir.name, telemetry=tele)
     options = RedFatOptions(keep_going=True)
-    with injection(injector):
+    # The guest runs on the trace tier, the top of the VM's fallback
+    # chain (trace -> superblock -> single-step), so the vm.trace point
+    # stays on the campaign's attack surface.
+    with injection(injector), engine_override("trace"):
         try:
             stripped = program.binary.strip()
             harden, _ = cache.get_or_compute(

@@ -7,11 +7,11 @@ hardened vs. original binary, which is deterministic and machine
 independent (see DESIGN.md, "Overhead metric").
 
 Execution has three engines, tiers of the one run loop in
-:meth:`~repro.vm.cpu.CPU.run` (DESIGN.md §5f, §9): **trace** (hot loops
-compiled to Python functions, above superblocks), **superblock**
-(straight-line instruction runs pre-translated into step functions) and
-**single-step**, the reference all tiers are bit-identical to by
-contract.  Select per run with
+:meth:`~repro.vm.cpu.CPU.run` (DESIGN.md §5f, §9): **superblock**
+(straight-line instruction runs pre-translated into one function per
+block; the default), **trace** (hot loops compiled to Python functions
+above superblocks; only on request) and **single-step**, the reference
+all tiers are bit-identical to by contract.  Select per run with
 :func:`~repro.vm.superblock.engine_override`, ``api.run(engine=...)``,
 or ``redfat run --engine ...``; ``redfat perf`` tracks the speedup over
 time.

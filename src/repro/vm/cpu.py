@@ -17,14 +17,15 @@ Design notes:
 - Execution is tiered (DESIGN.md §9) inside one run loop,
   :meth:`CPU.run`.  The *superblock* tier runs straight-line runs of
   decoded instructions pre-translated into one function per block,
-  shared by every run of the image (:mod:`repro.vm.superblock`); the
-  *trace* tier above it profiles taken application back-edges and
-  compiles hot loops into exec-generated Python functions with guarded
-  side exits (:mod:`repro.vm.trace`).  Both tiers are bit-identical to
-  single-stepping (:meth:`CPU.step`) — the semantics oracle at the
-  bottom of the ladder; the loop falls down the ladder when a DBI
-  ``access_hook`` is installed, when the remaining watchdog fuel cannot
-  cover a whole block/iteration, or when the ``vm.trace`` /
+  shared by every run of the image (:mod:`repro.vm.superblock`), and is
+  the default engine; the *trace* tier above it, on request only
+  (``engine_override("trace")``), profiles taken application back-edges
+  and compiles hot loops into exec-generated Python functions with
+  guarded side exits (:mod:`repro.vm.trace`).  Both tiers are
+  bit-identical to single-stepping (:meth:`CPU.step`) — the semantics
+  oracle at the bottom of the ladder; the loop falls down the ladder
+  when a DBI ``access_hook`` is installed, when the remaining watchdog
+  fuel cannot cover a whole block/iteration, or when the ``vm.trace`` /
   ``vm.superblock`` fault points degrade a tier (trace degradation lands
   on superblocks; superblock degradation lands on single-step).
 - ``instructions_executed`` counts every retired instruction, including
@@ -137,6 +138,7 @@ class CPU:
         self.superblock = SuperblockEngine()
         #: The trace tier above it (see :mod:`repro.vm.trace`): back-edge
         #: profiling + hot-loop traces compiled to Python functions.
+        #: Starts disabled unless ``engine_override("trace")`` is active.
         self.trace = TraceEngine()
         #: Exception side-channel from compiled traces and the trace
         #: recorder: the exact (retired, check-instruction) counts of the
@@ -405,8 +407,10 @@ class CPU:
         This is the VM's one run loop.  Its tiers are picked once, on
         entry: superblocks unless the engine is off or a DBI
         ``access_hook`` is installed (translated blocks would bypass
-        it), and compiled traces on top unless the trace tier is off or
-        a ``coverage`` map is attached (traces record no edges).  A
+        it), and compiled traces on top only when the trace tier is on
+        (``engine_override("trace")``; the default engine stops at
+        superblocks) and no ``coverage`` map is attached (traces record
+        no edges).  A
         ``translate`` that returns None (the engine degraded mid-run)
         drops both tiers for the rest of the run.  Each ``rip`` then
         runs one of three things, bit-identically (DESIGN.md §5f, §9):

@@ -57,9 +57,9 @@ trace → superblock → single-step, with the single-step oracle at the
 bottom (DESIGN.md §9).
 
 This module also owns the process-wide engine selection
-(:func:`default_engine` / :func:`engine_override`): ``"trace"`` runs
-the whole ladder, ``"superblock"`` caps execution at this tier, and
-``"single-step"`` pins the reference interpreter.
+(:func:`default_engine` / :func:`engine_override`): ``"superblock"``
+(the default) caps execution at this tier, ``"trace"`` runs the whole
+ladder, and ``"single-step"`` pins the reference interpreter.
 """
 
 from __future__ import annotations
@@ -100,10 +100,12 @@ TRANSFER_OPCODES = frozenset({
 
 #: Default engine for newly built CPUs; flipped by
 #: :func:`engine_override` (the ``redfat run --engine`` switch).
-#: ``"trace"`` selects the full tier ladder (trace above superblocks),
-#: ``"superblock"`` caps execution at the superblock tier, and
-#: ``"single-step"`` pins the reference interpreter.
-_DEFAULT_ENGINE = "trace"
+#: ``"superblock"`` caps execution at the superblock tier, ``"trace"``
+#: selects the full tier ladder (trace above superblocks), and
+#: ``"single-step"`` pins the reference interpreter.  Superblocks are
+#: the default because a cold image pays more to record and compile
+#: its traces than the traces save (DESIGN.md §9).
+_DEFAULT_ENGINE = "superblock"
 
 #: Engine-name spellings accepted by the facade/CLI, fastest first.
 ENGINE_NAMES = ("trace", "superblock", "single-step")

@@ -1,7 +1,11 @@
 """The trace-tier JIT: hot guest loops compiled to Python functions.
 
-This is the third (and fastest) execution tier of the VM.  The tiers,
-from oracle to hottest:
+This is the third execution tier of the VM, and it runs only on request
+(``engine_override("trace")``, ``api.run(engine="trace")``, ``redfat
+run --engine trace``); the default engine is superblocks.  On a warm
+image a trace run is a few per cent faster than superblocks, but on a
+cold image it is slower: every loop is recorded single-stepped and
+compiled again (DESIGN.md §9).  The tiers, from oracle to hottest:
 
 1. **single-step** (:meth:`repro.vm.cpu.CPU.step`) — fetch,
    dispatch, retire one instruction at a time.  The semantics oracle:

@@ -92,6 +92,30 @@ class TestMemoryDestinationAlu:
         assert len(runtime.errors) == 1
 
 
+class TestSignedModuloIndex:
+    #: ``imod`` keeps the dividend's sign: -40 imod 57 is -40, so the
+    #: store lands 40 bytes below a 64-byte object.
+    PROGRAM = """
+        mov %rdi, $64
+        rtcall $1
+        mov %rbx, %rax
+        mov %rcx, $-40
+        imod %rcx, $57
+        mov (%rbx,%rcx,1), $0x41
+        mov %rax, $0
+        ret
+    """
+
+    def test_underflow_through_a_signed_remainder_is_reported(self):
+        """The range analysis must not prove the index in ``[0, 56]``:
+        the store's check survives under ``fully`` and catches it."""
+        result, runtime, harden = run_hardened(
+            build(self.PROGRAM), RedFatOptions.preset("fully"), mode="log")
+        assert harden.stats.eliminated_range == 0
+        assert result.status == 0
+        assert len(runtime.errors) == 1
+
+
 class TestDetectionAcrossConfigs:
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_in_bounds_passes(self, name):

@@ -11,6 +11,8 @@ quietly change a fact.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import analyze_control_flow
 from repro.analysis import dump, ranges
@@ -30,6 +32,7 @@ from repro.isa.opcodes import SETCC_CONDITIONS, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import RAX, RBX, RCX, RDI, RDX, RIP, RSI, RSP
 from repro.rewriter import recover_control_flow
+from repro.vm.cpu import _ALU, _M64, _signed
 from repro.vm.runtime_iface import Service
 
 SITE = 0x4000
@@ -52,6 +55,37 @@ def frame(**regs):
 
 def alloc(size=64, site=0x100):
     return RangeVal("alloc", site, 0, 0, 0, size, size, fresh=True)
+
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_I64 = st.integers(min_value=_I64_MIN, max_value=_I64_MAX)
+_SMALL = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@st.composite
+def dividends(draw):
+    """An abstract register value (None = unknown) and one concrete
+    signed 64-bit value inside it: exact, bounded, half-open on either
+    side, unknown or an allocation's address."""
+    kind = draw(st.sampled_from(
+        ["exact", "bounded", "at-least", "at-most", "unknown", "alloc"]))
+    if kind in ("unknown", "alloc"):
+        return (None if kind == "unknown" else alloc()), draw(_I64)
+    a, b = sorted((draw(_SMALL), draw(_SMALL)))
+    if kind == "exact":
+        return const(a), a
+    if kind == "bounded":
+        return num(a, b), draw(st.integers(min_value=a, max_value=b))
+    if kind == "at-least":
+        return num(a, None), draw(st.integers(min_value=a, max_value=_I64_MAX))
+    return num(None, b), draw(st.integers(min_value=_I64_MIN, max_value=b))
+
+
+class _FlagSink:
+    """Stands in for the CPU an ``_ALU`` function sets flags on."""
+
+    def _set_zs(self, result):
+        pass
 
 
 class TestStackRows:
@@ -159,8 +193,31 @@ class TestAluRows:
 
     @pytest.mark.parametrize("opcode", [Opcode.MOD, Opcode.IMOD])
     def test_mod_by_positive_immediate_bounds(self, opcode):
+        """``mod`` is unsigned; ``imod`` keeps the sign of an unknown
+        dividend."""
         state = step(opcode, Reg(RAX), Imm(10))
+        lo = -9 if opcode is Opcode.IMOD else 0
+        assert state.regs[RAX] == num(lo, 9)
+
+    def test_imod_of_non_negative_dividend_is_non_negative(self):
+        state = step(Opcode.IMOD, Reg(RAX), Imm(10),
+                     state=frame(rax=num(0, None)))
         assert state.regs[RAX] == num(0, 9)
+
+    @pytest.mark.parametrize("opcode", [Opcode.MOD, Opcode.IMOD])
+    @given(data=st.data(), divisor=st.integers(min_value=1, max_value=1 << 20))
+    @settings(max_examples=300, deadline=None)
+    def test_mod_row_contains_the_concrete_result(self, opcode, data, divisor):
+        """For a concrete dividend inside the abstract one, the VM's
+        result lies in the row's result."""
+        abstract, value = data.draw(dividends())
+        state = frame() if abstract is None else frame(rax=abstract)
+        step(opcode, Reg(RAX), Imm(divisor), state=state)
+        row = state.regs[RAX]
+        result = _signed(_ALU[opcode](_FlagSink(), value & _M64, divisor))
+        assert row.base == "num"
+        assert row.lo is None or row.lo <= result
+        assert row.hi is None or result <= row.hi
 
     @pytest.mark.parametrize("opcode", [Opcode.SHR, Opcode.SAR])
     def test_shift_right_of_non_negative_value(self, opcode):

@@ -400,8 +400,20 @@ class TestInvalidation:
 
 
 class TestDegradationLadder:
-    def test_default_engine_is_trace(self):
-        assert default_engine() == "trace"
+    def test_default_engine_is_superblock(self):
+        """A plain run never profiles, records or compiles a trace; a run
+        that asks for the trace tier compiles traces and retires the
+        same instructions with the same output."""
+        assert default_engine() == "superblock"
+        program = compile_source(HOT_LOOP)
+        plain = program.run()
+        assert not plain.cpu.trace.enabled
+        assert plain.cpu.trace.compiled == 0
+        with engine_override("trace"):
+            traced = program.run()
+        assert traced.cpu.trace.compiled > 0
+        assert traced.instructions == plain.instructions
+        assert traced.output == plain.output
 
     def test_trace_degrade_falls_back_to_superblock(self):
         program = compile_source(HOT_LOOP)
