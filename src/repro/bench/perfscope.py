@@ -32,8 +32,9 @@ Methodology:
 speedup drops below its floor (``--min-speedup`` /
 ``--min-trace-speedup``, defaults :data:`CHECK_MIN_SPEEDUP` and
 :data:`CHECK_MIN_TRACE_SPEEDUP`), or when a geometric mean regresses
-to less than :data:`REGRESSION_TOLERANCE` of the previous snapshot's;
-milder per-workload regressions are flagged but do not fail.
+to less than :data:`REGRESSION_TOLERANCE` of the previous snapshot's.
+A workload whose retired-instruction count changed is noted but does
+not fail; per-workload speedups are too noisy to note.
 
 Run: ``redfat perf [--quick] [--check]`` or
 ``python -m repro.bench.perfscope --validate BENCH_vm.json`` (schema
@@ -384,36 +385,27 @@ def check(
 
 
 def flags(snapshot: PerfSnapshot, previous: Optional[dict]) -> List[str]:
-    """Non-fatal observations comparing against the previous snapshot."""
-    notes: List[str] = []
+    """Non-fatal observations comparing against the previous snapshot.
+
+    Only the retired-instruction count is compared: it is deterministic,
+    so a changed count means the workload or the instrumentation
+    changed.  Per-workload speedups are not: they swing by up to 2x
+    between back-to-back runs of the same code on one host, so only
+    the geomeans are judged (by :func:`check`).
+    """
     if not previous:
-        return notes
+        return []
     old: Dict[str, dict] = {
         w["name"]: w for w in previous.get("workloads", ())
     }
-    for workload in snapshot.workloads:
-        before = old.get(workload.name)
-        if before is None:
-            continue
-        if workload.speedup < before["speedup"] * 0.9:
-            notes.append(
-                f"{workload.name}: speedup {workload.speedup:.2f}x, was "
-                f"{before['speedup']:.2f}x"
-            )
-        before_trace = before.get("trace_speedup", 0.0)
-        if (workload.trace_s > 0 and before_trace
-                and workload.trace_speedup < before_trace * 0.9):
-            notes.append(
-                f"{workload.name}: trace speedup "
-                f"{workload.trace_speedup:.2f}x, was {before_trace:.2f}x"
-            )
-        if workload.instructions != before["instructions"]:
-            notes.append(
-                f"{workload.name}: retires {workload.instructions} "
-                f"instructions, was {before['instructions']} (the workload "
-                f"or the instrumentation changed)"
-            )
-    return notes
+    return [
+        f"{workload.name}: retires {workload.instructions} instructions, "
+        f"was {old[workload.name]['instructions']} (the workload or the "
+        f"instrumentation changed)"
+        for workload in snapshot.workloads
+        if workload.name in old
+        and workload.instructions != old[workload.name]["instructions"]
+    ]
 
 
 def run_perfscope(

@@ -456,6 +456,7 @@ class CPU:
         regs = self.regs
         read_int = self.memory.read_int
         write_int = self.memory.write_int
+        words = self.memory.words
         executed = 0
         checks = 0
         try:
@@ -467,7 +468,7 @@ class CPU:
                             and executed + trace.length <= max_instructions):
                         try:
                             retired, trace_checks = trace.fn(
-                                self, regs, read_int, write_int,
+                                self, regs, read_int, write_int, words,
                                 max_instructions - executed,
                             )
                         except BaseException:
@@ -486,7 +487,7 @@ class CPU:
                     if (block is not None
                             and executed + block.length <= max_instructions):
                         try:
-                            block.fn(self, regs, read_int, write_int)
+                            block.fn(self, regs, read_int, write_int, words)
                         except BaseException:
                             retired = block.retired_before(self.rip)
                             executed += retired

@@ -17,20 +17,25 @@ page as a mapped page of zeros: :meth:`Memory.is_mapped`,
 :meth:`Memory.page_contents` and unmapping.
 
 Each backed page also has a quadword view, ``memoryview(page).cast("Q")``,
-that shares the page's buffer.  An unsigned, 8-aligned, 8-byte
-:meth:`Memory.read_int` / :meth:`Memory.write_int` on a backed page is
-one index into that view.  Almost every guest data access is one: stack
-slots and a check's low-fat SIZES and redzone SIZE loads.
-Every other access (sizes 1, 2 and 4, signed reads, unaligned
-addresses, untouched and unmapped pages) slices the ``bytearray``.  The
-invariant is that ``_words`` and ``_pages`` have the same keys and each
-view shares its page's buffer.  Two places keep it: :meth:`_back`
-creates a view whenever a page gets backing, and :meth:`unmap_range`
-drops it.  No two page indices share one ``bytearray``.
-Pages are never resized, so exporting their buffer is safe.  A ``"Q"``
-view reads native byte order, so views exist only on a little-endian
-host.  On a big-endian host ``_words`` stays empty and every access
-takes the byte path.
+that shares the page's buffer; :attr:`Memory.words` maps a backed
+page's index to it.  An unsigned, 8-aligned, 8-byte access to a backed
+page is one index into that view.  Almost every guest data access is
+one: stack slots, saved registers and flags, and a check's low-fat
+SIZES and redzone SIZE loads.  Three readers take that path:
+:meth:`Memory.read_int`, :meth:`Memory.write_int` and the code the
+compiled tiers emit (:mod:`repro.vm.translate`), which indexes the view
+itself and calls ``read_int`` / ``write_int`` only when the address is
+unaligned or the page has no view.  Every other access (sizes 1, 2 and
+4, signed reads, unaligned addresses, untouched and unmapped pages)
+slices the ``bytearray``.  The invariant is that ``words`` and
+``_pages`` have the same keys and each view shares its page's buffer.
+Two places keep it: :meth:`_back` creates a view whenever a page gets
+backing, and :meth:`unmap_range` drops it.  No two page indices share
+one ``bytearray``, and ``words`` is never rebound, so a reader may hold
+the dict across a run.  Pages are never resized, so exporting their
+buffer is safe.  A ``"Q"`` view reads native byte order, so views exist
+only on a little-endian host.  On a big-endian host ``words`` stays
+empty, and every access, compiled or not, takes the byte path.
 
 A store that straddles pages checks every page before it writes a
 byte, so a store that faults commits nothing, as on x86.
@@ -44,8 +49,8 @@ from typing import Dict, Optional, Set
 from repro.errors import VMFault
 
 PAGE_SIZE = 4096
-_PAGE_SHIFT = 12
-_PAGE_MASK = PAGE_SIZE - 1
+PAGE_SHIFT = 12
+PAGE_MASK = PAGE_SIZE - 1
 _M64 = (1 << 64) - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
 #: Guest memory is little-endian and a ``"Q"`` view reads host order.
@@ -55,7 +60,7 @@ _WORD_VIEWS = sys.byteorder == "little"
 class Memory:
     """Sparse byte-addressable memory with page-granular mapping."""
 
-    __slots__ = ("_pages", "_untouched", "_words")
+    __slots__ = ("_pages", "_untouched", "words")
 
     def __init__(self) -> None:
         #: Backed pages, by page index.
@@ -64,7 +69,8 @@ class Memory:
         self._untouched: Set[int] = set()
         #: A quadword view of each backed page, sharing its buffer: the
         #: same keys as _pages on a little-endian host, empty otherwise.
-        self._words: Dict[int, memoryview] = {}
+        #: Public: the compiled tiers index it directly (module docstring).
+        self.words: Dict[int, memoryview] = {}
 
     def _back(self, page_index: int) -> Optional[bytearray]:
         """The backing of *page_index*, allocated on first touch; None
@@ -74,7 +80,7 @@ class Memory:
             self._untouched.discard(page_index)
             page = self._pages[page_index] = bytearray(PAGE_SIZE)
             if _WORD_VIEWS:
-                self._words[page_index] = memoryview(page).cast("Q")
+                self.words[page_index] = memoryview(page).cast("Q")
         return page
 
     # -- mapping ----------------------------------------------------------
@@ -83,8 +89,8 @@ class Memory:
         """Ensure every page covering [address, address+size) is mapped."""
         if size <= 0:
             return
-        first = address >> _PAGE_SHIFT
-        last = (address + size - 1) >> _PAGE_SHIFT
+        first = address >> PAGE_SHIFT
+        last = (address + size - 1) >> PAGE_SHIFT
         span = range(first, last + 1)
         self._untouched.update(span)
         self._untouched.difference_update(self._pages.keys() & span)
@@ -93,16 +99,16 @@ class Memory:
         """Unmap all pages fully covered by [address, address+size)."""
         if size <= 0:
             return
-        first = (address + _PAGE_MASK) >> _PAGE_SHIFT
-        last = (address + size) >> _PAGE_SHIFT
+        first = (address + PAGE_MASK) >> PAGE_SHIFT
+        last = (address + size) >> PAGE_SHIFT
         for page_index in range(first, last):
             self._pages.pop(page_index, None)
-            self._words.pop(page_index, None)
+            self.words.pop(page_index, None)
             self._untouched.discard(page_index)
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
-        first = address >> _PAGE_SHIFT
-        last = (address + size - 1) >> _PAGE_SHIFT
+        first = address >> PAGE_SHIFT
+        last = (address + size - 1) >> PAGE_SHIFT
         pages = self._pages
         untouched = self._untouched
         return all(
@@ -131,8 +137,8 @@ class Memory:
 
     def read(self, address: int, size: int) -> bytes:
         address &= _M64
-        page_index = address >> _PAGE_SHIFT
-        offset = address & _PAGE_MASK
+        page_index = address >> PAGE_SHIFT
+        offset = address & PAGE_MASK
         page = self._back(page_index)
         if page is None:
             raise VMFault(address)
@@ -144,7 +150,7 @@ class Memory:
         while remaining:
             page = self._back(page_index)
             if page is None:
-                raise VMFault(page_index << _PAGE_SHIFT)
+                raise VMFault(page_index << PAGE_SHIFT)
             chunk = min(remaining, PAGE_SIZE - offset)
             out += page[offset : offset + chunk]
             remaining -= chunk
@@ -154,8 +160,8 @@ class Memory:
 
     def write(self, address: int, data: bytes) -> None:
         address &= _M64
-        page_index = address >> _PAGE_SHIFT
-        offset = address & _PAGE_MASK
+        page_index = address >> PAGE_SHIFT
+        offset = address & PAGE_MASK
         size = len(data)
         page = self._back(page_index)
         if page is None:
@@ -166,11 +172,11 @@ class Memory:
         # Crosses a page boundary.  Back every page before writing any
         # byte: a store that faults commits nothing, as on x86.
         pages = [page]
-        last = (address + size - 1) >> _PAGE_SHIFT
+        last = (address + size - 1) >> PAGE_SHIFT
         for index in range(page_index + 1, last + 1):
             page = self._back(index)
             if page is None:
-                raise VMFault(index << _PAGE_SHIFT)
+                raise VMFault(index << PAGE_SHIFT)
             pages.append(page)
         written = 0
         for page in pages:
@@ -188,8 +194,8 @@ class Memory:
         """
         address &= _M64
         out = bytearray()
-        page_index = address >> _PAGE_SHIFT
-        offset = address & _PAGE_MASK
+        page_index = address >> PAGE_SHIFT
+        offset = address & PAGE_MASK
         remaining = size
         while remaining:
             page = self._back(page_index)
@@ -210,16 +216,16 @@ class Memory:
         # guest data access is one (stack slots, check metadata).
         address &= _M64
         if size == 8 and not (address & 7 or signed):
-            words = self._words.get(address >> _PAGE_SHIFT)
+            words = self.words.get(address >> PAGE_SHIFT)
             if words is not None:
-                return words[(address & _PAGE_MASK) >> 3]
+                return words[(address & PAGE_MASK) >> 3]
         # Byte path for every other access.  Unmapped and untouched
         # pages and page-straddling reads take the slow path, which
         # backs an untouched page and raises the same VMFault a
         # byte-wise read would on an unmapped one.
-        offset = address & _PAGE_MASK
+        offset = address & PAGE_MASK
         if offset + size <= PAGE_SIZE:
-            page = self._pages.get(address >> _PAGE_SHIFT)
+            page = self._pages.get(address >> PAGE_SHIFT)
             if page is not None:
                 return int.from_bytes(
                     page[offset : offset + size], "little", signed=signed
@@ -229,14 +235,14 @@ class Memory:
     def write_int(self, address: int, value: int, size: int) -> None:
         address &= _M64
         if size == 8 and not address & 7:
-            words = self._words.get(address >> _PAGE_SHIFT)
+            words = self.words.get(address >> PAGE_SHIFT)
             if words is not None:
-                words[(address & _PAGE_MASK) >> 3] = value & _M64
+                words[(address & PAGE_MASK) >> 3] = value & _M64
                 return
         mask = (1 << (size * 8)) - 1
-        offset = address & _PAGE_MASK
+        offset = address & PAGE_MASK
         if offset + size <= PAGE_SIZE:
-            page = self._pages.get(address >> _PAGE_SHIFT)
+            page = self._pages.get(address >> PAGE_SHIFT)
             if page is not None:
                 page[offset : offset + size] = (value & mask).to_bytes(
                     size, "little"

@@ -38,8 +38,9 @@ translates 3330 blocks of 222 shapes; all 29 SPEC kernels under two
 presets end at 610), so the shape table is not bounded.
 
 Sharing: a block function receives the per-run state as arguments —
-``fn(cpu, regs, rd, wr)``, the memory's ``read_int`` and ``write_int``
-as the last two — and closes over constants and
+``fn(cpu, regs, rd, wr, words)``, the memory's ``read_int``,
+``write_int`` and quadword views (:attr:`repro.vm.memory.Memory.words`)
+as the last three — and closes over constants and
 decoded instructions only, so a block belongs to the image, not to one
 CPU.  The loader hangs one block cache on the Binary; a CPU takes a
 block from it when its own memory holds the same code bytes under the
@@ -71,7 +72,8 @@ from repro.errors import VMError, VMFault
 from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RSP
-from repro.vm.translate import HELPERS, JCC_CONDITIONS, condition, translate
+from repro.vm.translate import (HELPERS, JCC_CONDITIONS, condition, load8, store8,
+                                translate)
 
 _M64 = (1 << 64) - 1
 
@@ -148,7 +150,7 @@ def engine_override(engine):
 class Superblock:
     """One translated straight-line run.
 
-    ``fn(cpu, regs, read_int, write_int)`` runs all ``length`` steps —
+    ``fn(cpu, regs, read_int, write_int, words)`` runs all ``length`` steps —
     the per-run state as arguments, the same convention as a compiled
     trace's ``fn`` — and ``ends`` holds each step's end address.  The
     function closes over constants and decoded instructions only, so
@@ -362,9 +364,10 @@ def _code_of(cpu, instructions) -> Optional[bytes]:
 
 # -- block construction ------------------------------------------------------
 #
-# A block is one function ``block(cpu, regs, rd, wr)`` running its
-# steps in a row: the translator's body for a data instruction,
+# A block is one function ``block(cpu, regs, rd, wr, words)`` running
+# its steps in a row: the translator's body for a data instruction,
 # ``_TRANSFERS``' for a control transfer, else a generic handler call.
+# A body may span several lines (an 8-byte store); each is indented.
 
 _M = str(_M64)
 _SP = f"regs[{int(RSP)}]"
@@ -439,12 +442,12 @@ def _compile_shape(shape, names):
     """The factory ``factory(*values)`` of blocks of *shape*, whose
     constants are *names* in binding order."""
     lines = [f"def factory({', '.join(names)}):",
-             "    def block(cpu, regs, rd, wr):"]
+             "    def block(cpu, regs, rd, wr, words):"]
     for k, (body, _names, commits) in enumerate(shape):
         if commits:
             lines.append(f"        cpu.rip = n_{k}")
         if body:
-            lines.append(f"        {body}")
+            lines.extend(f"        {line}" for line in body.split("\n"))
     lines.append("    return block")
     namespace = dict(HELPERS)
     exec("\n".join(lines), namespace)
@@ -470,7 +473,7 @@ def _jcc(instruction, const, return_address: int) -> str:
 def _call(instruction, const, return_address: int) -> str:
     ret = const("ret", return_address)
     target = const("target", (return_address + instruction.operands[0].value) & _M64)
-    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, {ret}, 8); "
+    return (f"{_SP} = rs = ({_SP} - 8) & {_M}\n{store8('rs', ret)}\n"
             f"cpu.rip = {target}")
 
 
@@ -481,12 +484,12 @@ def _jmpr(instruction, const, return_address: int) -> str:
 def _callr(instruction, const, return_address: int) -> str:
     ret = const("ret", return_address)
     s = const("s", int(instruction.operands[0].reg))
-    return (f"{_SP} = rsp = ({_SP} - 8) & {_M}; wr(rsp, {ret}, 8); "
+    return (f"{_SP} = rs = ({_SP} - 8) & {_M}\n{store8('rs', ret)}\n"
             f"cpu.rip = regs[{s}]")
 
 
 def _ret(instruction, const, return_address: int) -> str:
-    return f"rsp = {_SP}; cpu.rip = rd(rsp, 8); {_SP} = (rsp + 8) & {_M}"
+    return f"rs = {_SP}; {load8('cpu.rip', 'rs')}; {_SP} = (rs + 8) & {_M}"
 
 
 #: Opcode -> control-transfer body; TRAP and RTCALL, which end a block

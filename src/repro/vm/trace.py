@@ -30,10 +30,13 @@ compiled again (DESIGN.md §9).  The tiers, from oracle to hottest:
 
 Code generation: a data instruction's statements come from the one
 translator both compiled tiers share (:func:`repro.vm.translate.translate`,
-asked for literal constants and flags in locals).  This module writes
-only what is trace-specific: guards and side exits for the transfers,
-the ``trap``/``rtcall`` exits, check fusion, and the generic call
-``h{j}(cpu, i{j})`` of the unbound handler for everything else.
+asked for literal constants and flags in locals), and the stack
+accesses of ``call``, ``callr`` and ``ret`` from its 8-byte
+:func:`~repro.vm.translate.load8` / :func:`~repro.vm.translate.store8`.
+This module writes only what is trace-specific: guards and side exits
+for the transfers, the ``trap``/``rtcall`` exits, check fusion, and the
+generic call ``h{j}(cpu, i{j})`` of the unbound handler for everything
+else.
 
 Equivalence contract (DESIGN.md §9): trace execution must be
 *bit-identical* to single-stepping the same instructions — registers,
@@ -125,7 +128,8 @@ from repro.isa.opcodes import Opcode
 from repro.isa.operands import Reg
 from repro.isa.registers import RSP, Register
 from repro.vm.translate import (
-    HELPERS, JCC_CONDITIONS, SETCC_CONDITIONS, condition, translate,
+    HELPERS, JCC_CONDITIONS, SETCC_CONDITIONS, condition, load8, store8,
+    translate,
 )
 
 _M64 = (1 << 64) - 1
@@ -238,8 +242,10 @@ class FusedSpan:
 class Trace:
     """One compiled loop trace.
 
-    ``fn(cpu, regs, rd, wr, fuel)`` executes whole iterations while a
-    full iteration fits *fuel* and every guard matches; it returns
+    ``fn(cpu, regs, rd, wr, words, fuel)`` (the memory's ``read_int``,
+    ``write_int`` and quadword views, as a block function gets them)
+    executes whole iterations while a full iteration fits *fuel* and
+    every guard matches; it returns
     ``(retired, check_instructions)``.  ``length``/``checks`` are the
     per-iteration static counts the run loop uses for fuel pre-checks.
 
@@ -792,7 +798,7 @@ def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
     lines: List[str] = []
 
     def emit(ind: int, text: str) -> None:
-        lines.append(" " * ind + text)
+        lines.extend(" " * ind + line for line in text.split("\n"))
 
     def flags_out(ind: int) -> None:
         emit(ind, "cpu.zf = zf; cpu.sf = sf; cpu.cf = cf; cpu.of = of")
@@ -852,11 +858,11 @@ def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
         if opcode is Opcode.CALL:
             raise_prefix(ind, j, entry)
             emit(ind, f"{sp} = rs = ({sp} - 8) & {_M}")
-            emit(ind, f"wr(rs, {entry.after}, 8)")
+            emit(ind, store8("rs", str(entry.after)))
             return
         if opcode is Opcode.RET:
             raise_prefix(ind, j, entry)
-            emit(ind, f"rs = {sp}; a = rd(rs, 8)")
+            emit(ind, f"rs = {sp}; {load8('a', 'rs')}")
             emit(ind, f"{sp} = (rs + 8) & {_M}")
             emit(ind, f"if a != {entry.next_rip}:")
             side_exit(ind + 1, j, "a")
@@ -869,7 +875,7 @@ def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
         if opcode is Opcode.CALLR:
             raise_prefix(ind, j, entry)
             emit(ind, f"{sp} = rs = ({sp} - 8) & {_M}")
-            emit(ind, f"wr(rs, {entry.after}, 8)")
+            emit(ind, store8("rs", str(entry.after)))
             emit(ind, f"a = regs[{int(operands[0].reg)}]")
             emit(ind, f"if a != {entry.next_rip}:")
             side_exit(ind + 1, j, "a")
@@ -884,7 +890,7 @@ def _compile(anchor: int, entries: List[TraceEntry], reads, writes,
     spans = _find_spans(entries, reads, writes, snapshots)
     span_at = {span.start: span for span in spans}
 
-    emit(0, "def f(cpu, regs, rd, wr, fuel):")
+    emit(0, "def f(cpu, regs, rd, wr, words, fuel):")
     emit(1, "n = 0; c = 0; k = 0")
     flags_in(1)
     emit(1, "try:")

@@ -8,12 +8,20 @@ once outside the single-step oracle (``CPU._exec_*`` in
 :mod:`repro.vm.cpu`), and both tiers stay bit-identical to it by
 construction (DESIGN.md §5f, §9).
 
-The statements name the per-run state ``cpu``, ``regs`` and the memory
+The statements name the per-run state ``cpu``, ``regs``, the memory
 accessors ``rd(address, size[, signed])`` / ``wr(address, value,
-size)``, and use the temporaries ``a``, ``b``, ``r``, ``t``, ``v``,
-``rs``, ``sa`` and ``sb``; a zero divisor calls a :data:`HELPERS`
-function.  Two small policies adapt them to a tier instead of
-branching on it:
+size)`` (``Memory.read_int`` / ``write_int``) and ``words``, the
+memory's quadword views (:attr:`repro.vm.memory.Memory.words`).  They
+use the temporaries ``a``, ``b``, ``r``, ``t``, ``v``, ``rs``, ``sa``,
+``sb``, ``ea`` and ``w``; a zero divisor calls a :data:`HELPERS`
+function.  Every 8-byte access — the MOV load and store, CMP with a
+memory operand, PUSH, POP, PUSHF and POPF, and the superblock's CALL,
+CALLR and RET — goes through :func:`load8` / :func:`store8`, which
+index the page's view when the address is aligned and the page has one,
+and call ``rd`` / ``wr`` otherwise.  A run spends most of its time in
+these accesses (DESIGN.md §8); the other sizes and MOVS, a signed load,
+always call ``rd`` / ``wr``.  Two small policies adapt the statements
+to a tier instead of branching on it:
 
 - *const* ``(name, value) -> str`` spells a constant taken from the
   instruction (a register index, an immediate, a displacement, a size).
@@ -38,6 +46,7 @@ from repro.errors import VMError
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Reg
 from repro.isa.registers import RSP, Register
+from repro.vm.memory import PAGE_MASK, PAGE_SHIFT
 
 _M64 = (1 << 64) - 1
 _RIP = Register.RIP
@@ -74,7 +83,14 @@ def condition(opcode: Opcode, flags: str) -> str:
 def _ea(instruction, mem, const) -> str:
     """The effective address of *mem*, mirroring
     ``CPU.effective_address``: constant-folded for rip-relative and
-    absolute operands, without a zero displacement or a unit scale."""
+    absolute operands, without a zero displacement or a unit scale.
+
+    A register sum is not reduced mod 2**64: an access needs no
+    reduction, because ``rd`` and ``wr`` reduce the address themselves
+    and a sum outside [0, 2**64) names no page of ``words`` (whose
+    indices lie below 2**52), so :func:`load8` / :func:`store8` hand it
+    to them; the alignment and in-page offset are the same mod 2**64.
+    LEA reduces it (:func:`_lea`)."""
     disp, base, index = mem.disp, mem.base, mem.index
     if base is _RIP:
         return const("ea", (disp + instruction.address + instruction.length) & _M64)
@@ -90,7 +106,7 @@ def _ea(instruction, mem, const) -> str:
         terms.append(term)
     if disp:
         terms.append(const("disp", disp))
-    return f"({' + '.join(terms)}) & {_M}"
+    return " + ".join(terms)
 
 
 def _value(operand, name: str, const) -> Optional[str]:
@@ -101,6 +117,48 @@ def _value(operand, name: str, const) -> Optional[str]:
     if type(operand) is Imm:
         return const(name, operand.value & _M64)
     return None
+
+
+def _atom(expression: str) -> bool:
+    """Whether *expression* is a name or a literal (a folded address)."""
+    return expression.isidentifier() or expression.isdigit()
+
+
+def _address(address: str) -> Tuple[Optional[str], str]:
+    """The statement binding the address expression *address* to ``ea``
+    (None when it already is a name or a literal) and the name that
+    holds the address."""
+    if _atom(address):
+        return None, address
+    return f"ea = {address}", "ea"
+
+
+def _word(ea: str) -> str:
+    """The test that the address in *ea* is 8-aligned on a page with a
+    quadword view, binding that view to ``w``."""
+    return f"not {ea} & 7 and (w := words.get({ea} >> {PAGE_SHIFT})) is not None"
+
+
+def load8(target: str, address: str) -> str:
+    """One line storing the unsigned 8-byte word at *address* to
+    *target*: one index into the page's quadword view
+    (:attr:`repro.vm.memory.Memory.words`) when the address is aligned
+    and the page has a view, else ``rd``, which backs an untouched page
+    or raises the oracle's :class:`~repro.errors.VMFault`."""
+    bind, ea = _address(address)
+    load = (f"{target} = w[({ea} & {PAGE_MASK}) >> 3] if {_word(ea)} "
+            f"else rd({ea}, 8)")
+    return load if bind is None else f"{bind}; {load}"
+
+
+def store8(address: str, value: str) -> str:
+    """The lines storing *value* as an 8-byte word at *address*, through
+    the page's quadword view or ``wr`` as in :func:`load8`.  The value
+    is masked to 64 bits, as ``Memory.write_int`` masks it."""
+    bind, ea = _address(address)
+    store = (f"if {_word(ea)}: w[({ea} & {PAGE_MASK}) >> 3] = {value} & {_M}\n"
+             f"else: wr({ea}, {value}, 8)")
+    return store if bind is None else f"{bind}\n{store}"
 
 
 def _zs(f: str) -> str:
@@ -214,11 +272,17 @@ def _mov(instruction, const, f):
             if size != 8:
                 value &= (1 << (size * 8)) - 1
             return f"regs[{d}] = {const('s', value)}", False
-        return f"regs[{d}] = rd({_ea(instruction, src, const)}, {const('size', size)})", True
+        address = _ea(instruction, src, const)
+        if size == 8:
+            return load8(f"regs[{d}]", address), True
+        return f"regs[{d}] = rd({address}, {const('size', size)})", True
     value = _value(src, "s", const)
     if value is None:
         return None
-    return f"wr({_ea(instruction, dst, const)}, {value}, {const('size', size)})", True
+    address = _ea(instruction, dst, const)
+    if size == 8:
+        return store8(address, value), True
+    return f"wr({address}, {value}, {const('size', size)})", True
 
 
 def _movs(instruction, const, f):
@@ -229,7 +293,10 @@ def _movs(instruction, const, f):
 
 def _lea(instruction, const, f):
     dst, src = instruction.operands
-    return f"regs[{const('d', int(dst.reg))}] = {_ea(instruction, src, const)}", False
+    address = _ea(instruction, src, const)
+    if not _atom(address):
+        address = f"({address}) & {_M}"
+    return f"regs[{const('d', int(dst.reg))}] = {address}", False
 
 
 def _cmp(instruction, const, f):
@@ -238,13 +305,19 @@ def _cmp(instruction, const, f):
     b = _value(src, "s", const)
     if a is None and b is None:
         return None
-    memory = a is None or b is None
-    if a is None:
-        a = f"rd({_ea(instruction, dst, const)}, {const('size', instruction.size)})"
-    elif b is None:
-        b = f"rd({_ea(instruction, src, const)}, {const('size', instruction.size)})"
-    return (f"a = {a}; b = {b}; r = (a - b) & {_M}; {f}cf = b > a; "
-            f"{f}of = (a ^ b) & (a ^ r) & {_S} != 0; {_zs(f)}"), memory
+    compare = (f"r = (a - b) & {_M}; {f}cf = b > a; "
+               f"{f}of = (a ^ b) & (a ^ r) & {_S} != 0; {_zs(f)}")
+    if a is not None and b is not None:
+        return f"a = {a}; b = {b}; {compare}", False
+    # One memory operand: load it into its temporary, then the other.
+    loaded, other, value = ("a", "b", b) if a is None else ("b", "a", a)
+    address = _ea(instruction, dst if a is None else src, const)
+    size = instruction.size
+    if size == 8:
+        load = load8(loaded, address)
+    else:
+        load = f"{loaded} = rd({address}, {const('size', size)})"
+    return f"{load}; {other} = {value}; {compare}", True
 
 
 def _test(instruction, const, f):
@@ -271,22 +344,25 @@ def _setcc(instruction, const, f):
 
 
 def _push(instruction, const, f):
-    return (f"{_SP} = rs = ({_SP} - 8) & {_M}; "
-            f"wr(rs, regs[{const('s', int(instruction.operands[0].reg))}], 8)"), True
+    return (f"{_SP} = rs = ({_SP} - 8) & {_M}\n"
+            + store8("rs", f"regs[{const('s', int(instruction.operands[0].reg))}]")), True
 
 
 def _pop(instruction, const, f):
-    return (f"rs = {_SP}; regs[{const('d', int(instruction.operands[0].reg))}] = "
-            f"rd(rs, 8); {_SP} = (rs + 8) & {_M}"), True
+    return (f"rs = {_SP}; "
+            + load8(f"regs[{const('d', int(instruction.operands[0].reg))}]", "rs")
+            + f"; {_SP} = (rs + 8) & {_M}"), True
 
 
 def _pushf(instruction, const, f):
-    return (f"{_SP} = rs = ({_SP} - 8) & {_M}; wr(rs, (1 if {f}zf else 0) "
-            f"| (2 if {f}sf else 0) | (4 if {f}cf else 0) | (8 if {f}of else 0), 8)"), True
+    return (f"{_SP} = rs = ({_SP} - 8) & {_M}; v = (1 if {f}zf else 0) "
+            f"| (2 if {f}sf else 0) | (4 if {f}cf else 0) | (8 if {f}of else 0)\n"
+            + store8("rs", "v")), True
 
 
 def _popf(instruction, const, f):
-    return (f"rs = {_SP}; v = rd(rs, 8); {f}zf = v & 1 != 0; {f}sf = v & 2 != 0; "
+    return (f"rs = {_SP}; " + load8("v", "rs")
+            + f"; {f}zf = v & 1 != 0; {f}sf = v & 2 != 0; "
             f"{f}cf = v & 4 != 0; {f}of = v & 8 != 0; {_SP} = (rs + 8) & {_M}"), True
 
 
@@ -307,10 +383,12 @@ def translate(instruction, const: Callable[[str, int], str],
     (control transfers, TRAP/RTCALL, a memory operand of an ALU op or
     TEST, memory-to-memory forms).
 
-    *statements* is one line of ``;``-separated simple statements
-    (empty for NOP).  *can_raise* says whether they can raise: a call of
-    ``rd`` or ``wr`` (a :class:`~repro.errors.VMFault`) or a zero
-    divisor (the oracle's :class:`~repro.errors.VMError`).
+    *statements* is ``;``-separated simple statements, on one line or,
+    for an 8-byte store, several (empty for NOP); each tier indents every
+    line alike.  *can_raise* says whether they can raise: a memory access
+    (``rd`` or ``wr``'s :class:`~repro.errors.VMFault`; the quadword
+    view's path cannot raise) or a zero divisor (the oracle's
+    :class:`~repro.errors.VMError`).
     """
     form = _FORMS.get(instruction.opcode)
     return None if form is None else form(instruction, const, flags)

@@ -947,6 +947,25 @@ class TestPerfscope:
         document = perfscope.load_trajectory(path)
         assert len(document["snapshots"]) == perfscope.MAX_SNAPSHOTS
 
+    def test_flags_note_instruction_counts_not_speedups(self):
+        """A halved per-workload speedup is noise and yields no note; a
+        changed retired-instruction count yields exactly one."""
+        from repro.bench import perfscope
+
+        previous = {"workloads": [
+            {"name": "w", "instructions": 100, "speedup": 2.0,
+             "trace_speedup": 3.0},
+        ]}
+        halved = perfscope.PerfSnapshot(
+            workloads=[perfscope.WorkloadResult("w", 100, 0.2, 0.2, 0.2)],
+        )
+        assert perfscope.flags(halved, previous) == []
+        changed = perfscope.PerfSnapshot(
+            workloads=[perfscope.WorkloadResult("w", 101, 0.2, 0.1, 0.1)],
+        )
+        [note] = perfscope.flags(changed, previous)
+        assert "retires 101 instructions, was 100" in note
+
     def test_check_flags_failures(self):
         from repro.bench import perfscope
 
