@@ -161,6 +161,14 @@ def store8(address: str, value: str) -> str:
     return store if bind is None else f"{bind}\n{store}"
 
 
+def _load(target: str, address: str, size: int, const) -> str:
+    """The statement loading the unsigned *size*-byte word at *address*
+    into *target*."""
+    if size == 8:
+        return load8(target, address)
+    return f"{target} = rd({address}, {const('size', size)})"
+
+
 def _zs(f: str) -> str:
     """zf and sf from the result ``r``."""
     return f"{f}zf = r == 0; {f}sf = r & {_S} != 0"
@@ -272,10 +280,7 @@ def _mov(instruction, const, f):
             if size != 8:
                 value &= (1 << (size * 8)) - 1
             return f"regs[{d}] = {const('s', value)}", False
-        address = _ea(instruction, src, const)
-        if size == 8:
-            return load8(f"regs[{d}]", address), True
-        return f"regs[{d}] = rd({address}, {const('size', size)})", True
+        return _load(f"regs[{d}]", _ea(instruction, src, const), size, const), True
     value = _value(src, "s", const)
     if value is None:
         return None
@@ -311,12 +316,8 @@ def _cmp(instruction, const, f):
         return f"a = {a}; b = {b}; {compare}", False
     # One memory operand: load it into its temporary, then the other.
     loaded, other, value = ("a", "b", b) if a is None else ("b", "a", a)
-    address = _ea(instruction, dst if a is None else src, const)
-    size = instruction.size
-    if size == 8:
-        load = load8(loaded, address)
-    else:
-        load = f"{loaded} = rd({address}, {const('size', size)})"
+    load = _load(loaded, _ea(instruction, dst if a is None else src, const),
+                 instruction.size, const)
     return f"{load}; {other} = {value}; {compare}", True
 
 

@@ -253,13 +253,9 @@ def _run_memory_form(engine, form, address, spelling, value, flags, seed):
                               False)
                    for i in instructions]
         cpu.trace.traces[CODE] = _compile(CODE, entries, [], [], [])
-    try:
-        cpu.run(len(instructions))
-        raise AssertionError("the pass must end on its fuel or a fault")
-    except VMTimeoutError:
-        error = None
-    except VMFault as fault:
-        error = fault.address
+    with pytest.raises((VMTimeoutError, VMFault)) as raised:
+        cpu.run(len(instructions))  # one pass: ends on its fuel or a fault
+    error = raised.value.address if raised.type is VMFault else None
     assert memory.words.keys() == memory._pages.keys()
     return (error, list(regs), cpu.rip, (cpu.zf, cpu.sf, cpu.cf, cpu.of),
             cpu.instructions_executed, memory.page_contents())
